@@ -16,7 +16,7 @@
 //! dispatch table lives in [`crate::codegen`].
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::beta_z_init;
+use crate::sparse_fused::{beta_z_init, lane_rows};
 use crate::tuner::DensePlan;
 use fusedml_blas::GpuDense;
 use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
@@ -76,18 +76,22 @@ pub fn try_dense_fused_kernel<const TL: usize>(
         let mut ly = vec![[0.0f64; TL]; bs];
         let mut lw = vec![[0.0f64; TL]; bs];
 
-        // Column slot of thread `tid`'s i-th element.
-        let col_of = |tid: usize, i: usize| {
-            let lid = tid % vs;
+        // Column of the i-th element owned by the thread at position `lid`
+        // of its vector.
+        let col_of = |lid: usize, i: usize| {
             let col = lid + i * vs;
             (col < n).then_some(col)
         };
+        // Vector positions of the 32 lanes of the warp starting at `tid0`.
+        let lane_lids =
+            |tid0: usize| -> [usize; WARP_LANES] { std::array::from_fn(|lane| (tid0 + lane) % vs) };
 
         // ---- lines 4-5: load y into registers, once ----
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
+            let lids = lane_lids(tid0);
             for i in 0..TL {
-                let ys = wc.load_f64_tex(y, |lane| col_of(tid0 + lane, i));
+                let ys = wc.load_f64_tex(y, |lane| col_of(lids[lane], i));
                 for lane in 0..wc.active_lanes() {
                     ly[tid0 + lane][i] = ys[lane];
                 }
@@ -98,13 +102,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
             // ---- intra-warp vectors: the whole row pipeline per warp ----
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
+                let lids = lane_lids(tid0);
                 for ci in 0..c {
-                    let row_of = move |lane: usize| {
-                        let vid = (tid0 + lane) / vs;
-                        let row = block_id * nv + vid + ci * total_vectors;
-                        (row < m).then_some(row)
-                    };
-                    if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                    if rows.iter().all(Option::is_none) {
                         break;
                     }
                     // lines 11-13: read the row, dot with l_y.
@@ -113,10 +114,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     let mut active = 0u64;
                     for i in 0..TL {
                         let xs = wc.load_f64(&x.data, |lane| {
-                            row_of(lane).and_then(|r| col_of(tid0 + lane, i).map(|col| r * n + col))
+                            rows[lane].and_then(|r| col_of(lids[lane], i).map(|col| r * n + col))
                         });
                         for lane in 0..WARP_LANES {
-                            if row_of(lane).is_some() {
+                            if rows[lane].is_some() {
                                 lx[lane][i] = xs[lane];
                                 sum[lane] += xs[lane] * ly[tid0 + lane][i];
                                 active += 1;
@@ -129,7 +130,7 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     // line 20's v[row] scaling (done by one thread, broadcast
                     // free through the shuffle result).
                     let p_r = if let Some(v) = v {
-                        let vr = wc.load_f64_tex(v, &row_of);
+                        let vr = wc.load_f64_tex(v, |l| rows[l]);
                         let mut p = [0.0f64; WARP_LANES];
                         for lane in 0..WARP_LANES {
                             p[lane] = sum[lane] * vr[lane];
@@ -141,10 +142,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     // lines 23-24: accumulate into l_w registers.
                     let mut acc = 0u64;
                     for lane in 0..WARP_LANES {
-                        if row_of(lane).is_some() {
+                        if rows[lane].is_some() {
                             let tid = tid0 + lane;
                             for i in 0..TL {
-                                if col_of(tid, i).is_some() {
+                                if col_of(lids[lane], i).is_some() {
                                     lw[tid][i] += lx[lane][i] * p_r[lane];
                                     acc += 1;
                                 }
@@ -166,15 +167,16 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                 // Pass A: per-warp partial dot products.
                 blk.each_warp(|wc| {
                     let tid0 = wc.tid(0);
+                    let lids = lane_lids(tid0);
                     let mut sum = [0.0f64; WARP_LANES];
                     let mut active = 0u64;
                     for i in 0..TL {
                         let xs = wc.load_f64(&x.data, |lane| {
-                            col_of(tid0 + lane, i).map(|col| row * n + col)
+                            col_of(lids[lane], i).map(|col| row * n + col)
                         });
                         for lane in 0..wc.active_lanes() {
                             let tid = tid0 + lane;
-                            if col_of(tid, i).is_some() {
+                            if col_of(lids[lane], i).is_some() {
                                 lx_file[tid][i] = xs[lane];
                                 sum[lane] += xs[lane] * ly[tid][i];
                                 active += 1;
@@ -206,12 +208,13 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                             // Pass B: broadcast p_r, accumulate l_w.
                 blk.each_warp(|wc| {
                     let tid0 = wc.tid(0);
+                    let lids = lane_lids(tid0);
                     let p = wc.shared_load(red, |lane| (lane == 0).then_some(nwarps));
                     let mut acc = 0u64;
                     for lane in 0..wc.active_lanes() {
                         let tid = tid0 + lane;
                         for i in 0..TL {
-                            if col_of(tid, i).is_some() {
+                            if col_of(lids[lane], i).is_some() {
                                 lw[tid][i] += lx_file[tid][i] * p[0];
                                 acc += 1;
                             }
@@ -225,10 +228,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
         // ---- lines 26-27: flush l_w to global w with atomics ----
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
+            let lids = lane_lids(tid0);
             for i in 0..TL {
                 wc.atomic_add_f64(w, |lane| {
-                    let tid = tid0 + lane;
-                    col_of(tid, i).map(|col| (col, alpha * lw[tid][i]))
+                    col_of(lids[lane], i).map(|col| (col, alpha * lw[tid0 + lane][i]))
                 });
             }
         });

@@ -32,13 +32,14 @@
 
 use crate::pattern::PatternSpec;
 use crate::plancache::{PlanCache, PlanCacheStats};
-use crate::sparse_fused::{flush_shared, row_for_lane, try_fused_xt_p_shared, zero_shared};
+use crate::sparse_fused::{
+    flush_shared, fused_row_step, lane_rows, try_fused_xt_p_shared, zero_shared,
+};
 use crate::sparse_large::try_fused_xt_p_global;
 use crate::tuner::{try_plan_sparse_with_vs, SparsePlan};
 use fusedml_blas::{level1, try_csrmv, vector_size_for_mean_nnz, GpuCsr, SpmvStyle};
 use fusedml_gpu_sim::{
-    Counters, DeviceError, DeviceGroup, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WarpCtx,
-    WARP_LANES,
+    Counters, DeviceError, DeviceGroup, Gpu, GpuBuffer, LaunchConfig, LaunchStats,
 };
 use fusedml_matrix::CsrMatrix;
 use std::cell::{Cell, RefCell};
@@ -58,103 +59,6 @@ pub fn shard_rows(rows: usize, n: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     ranges
-}
-
-/// One coarsening step of the shard kernel: identical to the fused
-/// pattern's row step, plus one global store of `p_r` per row (from the
-/// first lane of each vector) into the shard's `u` buffer — the value the
-/// epilogue reduction consumes.
-#[allow(clippy::too_many_arguments)]
-fn shard_row_step<S>(
-    wc: &mut WarpCtx,
-    x: &GpuCsr,
-    y: &GpuBuffer,
-    v: Option<&GpuBuffer>,
-    u: &GpuBuffer,
-    vs: usize,
-    row_of: &dyn Fn(usize) -> Option<usize>,
-    mut scatter: S,
-) where
-    S: FnMut(&mut WarpCtx, &[Option<usize>; WARP_LANES], &[u32; WARP_LANES], &[f64; WARP_LANES]),
-{
-    let start = wc.load_u32(&x.row_off, row_of);
-    let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
-
-    // ---- pass 1: p[r] = X[r,:] . y, reduced in registers ----
-    let mut sum = [0.0f64; WARP_LANES];
-    let mut iter = 0usize;
-    let mut idx = [None; WARP_LANES];
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
-        if active == 0 {
-            break;
-        }
-        let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
-        let vals = wc.load_f64(&x.values, |l| idx[l]);
-        let ys = wc.load_f64_tex(y, |l| idx[l].map(|_| cols[l] as usize));
-        for lane in 0..WARP_LANES {
-            if idx[lane].is_some() {
-                sum[lane] += vals[lane] * ys[lane];
-            }
-        }
-        wc.flops(2 * active);
-        iter += 1;
-    }
-    wc.shuffle_reduce_sum(&mut sum, vs);
-
-    // ---- v[row] scaling ----
-    let p_r = if let Some(v) = v {
-        let vr = wc.load_f64_tex(v, row_of);
-        let mut p = [0.0f64; WARP_LANES];
-        for lane in 0..WARP_LANES {
-            p[lane] = sum[lane] * vr[lane];
-        }
-        wc.flops(WARP_LANES as u64 / vs as u64);
-        p
-    } else {
-        sum
-    };
-
-    // ---- the shard twist: persist p_r (one store per row) ----
-    wc.store_f64(u, |lane| {
-        row_of(lane)
-            .filter(|_| lane % vs == 0)
-            .map(|r| (r, p_r[lane]))
-    });
-
-    // ---- pass 2: scatter X[r,:]^T * p[r]; row now cache-resident ----
-    let mut iter = 0usize;
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
-        if active == 0 {
-            break;
-        }
-        let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
-        let vals = wc.load_f64(&x.values, |l| idx[l]);
-        let mut contrib = [0.0f64; WARP_LANES];
-        for lane in 0..WARP_LANES {
-            if idx[lane].is_some() {
-                contrib[lane] = vals[lane] * p_r[lane];
-            }
-        }
-        wc.flops(2 * active);
-        scatter(wc, &idx, &cols, &contrib);
-        iter += 1;
-    }
 }
 
 /// The per-shard fused pattern kernel (`fused_sparse_shard`): evaluates
@@ -196,13 +100,13 @@ pub fn try_fused_pattern_shard(
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
-                    let row_of = move |lane: usize| {
-                        row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                    };
-                    if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                    if rows.iter().all(Option::is_none) {
                         break;
                     }
-                    shard_row_step(wc, x, y, v, u, vs, &row_of, |wc, idx, cols, contrib| {
+                    // The shard twist: the row step also persists p_r to u
+                    // (one store per row), the epilogue's input.
+                    fused_row_step(wc, x, y, v, Some(u), vs, &rows, |wc, idx, cols, contrib| {
                         wc.shared_atomic_add(sd, |lane| {
                             idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
                         });
@@ -219,13 +123,13 @@ pub fn try_fused_pattern_shard(
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
-                    let row_of = move |lane: usize| {
-                        row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                    };
-                    if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                    if rows.iter().all(Option::is_none) {
                         break;
                     }
-                    shard_row_step(wc, x, y, v, u, vs, &row_of, |wc, idx, cols, contrib| {
+                    // The shard twist: the row step also persists p_r to u
+                    // (one store per row), the epilogue's input.
+                    fused_row_step(wc, x, y, v, Some(u), vs, &rows, |wc, idx, cols, contrib| {
                         wc.atomic_add_f64(w_partial, |lane| {
                             idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
                         });

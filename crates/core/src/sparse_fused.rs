@@ -66,26 +66,89 @@ pub(crate) fn flush_shared(blk: &mut BlockCtx, sd: Shared, w: &GpuBuffer, alpha:
     });
 }
 
-/// Row processed by `lane` during coarsening step `ci`, per the paper's
-/// schedule `row = block_ID x NV + vid`, advancing by `gridSize / VS`.
-#[inline]
-pub(crate) fn row_for_lane(
+/// Rows of the 32 lanes of the warp starting at thread `tid0` during
+/// coarsening step `ci`, per the paper's schedule `row = block_ID x NV +
+/// vid`, advancing by `gridSize / VS`. `None` past the last row.
+pub(crate) fn lane_rows(
     block_id: usize,
     nv: usize,
     total_vectors: usize,
     vs: usize,
-    tid: usize,
+    tid0: usize,
     ci: usize,
     m: usize,
-) -> Option<usize> {
-    let vid = tid / vs;
-    let row = block_id * nv + vid + ci * total_vectors;
-    (row < m).then_some(row)
+) -> [Option<usize>; WARP_LANES] {
+    let base = block_id * nv + ci * total_vectors;
+    // Vector id and position within it of each lane, stepped rather than
+    // divided per lane.
+    let (mut vid, mut pos) = (tid0 / vs, tid0 % vs);
+    let mut rows = [None; WARP_LANES];
+    for row in &mut rows {
+        let r = base + vid;
+        *row = (r < m).then_some(r);
+        pos += 1;
+        if pos == vs {
+            pos = 0;
+            vid += 1;
+        }
+    }
+    rows
+}
+
+/// The CSR strips one warp scans during a coarsening step: lane `l` of a
+/// vector reads its row's elements `row_off[r] + l % VS`, then every `VS`-th
+/// one up to `row_off[r + 1]`. The per-lane bounds are fixed once per step,
+/// so the strip loop neither re-derives rows nor divides.
+pub(crate) struct RowStrips {
+    first: [usize; WARP_LANES],
+    end: [usize; WARP_LANES],
+    vs: usize,
+}
+
+impl RowStrips {
+    /// Issue the two `row_off` loads for the lanes' `rows`.
+    pub(crate) fn load(
+        wc: &mut WarpCtx,
+        x: &GpuCsr,
+        rows: &[Option<usize>; WARP_LANES],
+        vs: usize,
+    ) -> Self {
+        let start = wc.load_u32(&x.row_off, |l| rows[l]);
+        let end = wc.load_u32(&x.row_off, |l| rows[l].map(|r| r + 1));
+        let mut strips = RowStrips {
+            first: [0; WARP_LANES],
+            end: [0; WARP_LANES],
+            vs,
+        };
+        for lane in 0..WARP_LANES {
+            if rows[lane].is_some() {
+                strips.first[lane] = start[lane] as usize + lane % vs;
+                strips.end[lane] = end[lane] as usize;
+            }
+        }
+        strips
+    }
+
+    /// Write strip `iter`'s element index of every lane into `idx` (`None`
+    /// once the lane's row is exhausted) and return the active lane count.
+    pub(crate) fn strip(&self, iter: usize, idx: &mut [Option<usize>; WARP_LANES]) -> u64 {
+        let offset = iter * self.vs;
+        let mut active = 0;
+        for lane in 0..WARP_LANES {
+            let i = self.first[lane] + offset;
+            idx[lane] = (i < self.end[lane]).then_some(i);
+            active += idx[lane].is_some() as u64;
+        }
+        active
+    }
 }
 
 /// One coarsening step of the fused computation for one warp: dot product
 /// with `y`, intra-vector shuffle reduction, optional `v[row]` scaling, and
 /// the scatter of `X[r,:]^T * p[r]` into the aggregation target.
+///
+/// With `u`, the first lane of each vector also stores its row's `p[r]` to
+/// `u[r]` before the scatter (the sharded kernel's epilogue input).
 ///
 /// `scatter` receives `(warp, col_of_lane, contribution_of_lane)` triples
 /// once per strip so both the shared-memory and global-memory variants can
@@ -96,28 +159,20 @@ pub(crate) fn fused_row_step<S>(
     x: &GpuCsr,
     y: &GpuBuffer,
     v: Option<&GpuBuffer>,
+    u: Option<&GpuBuffer>,
     vs: usize,
-    row_of: &dyn Fn(usize) -> Option<usize>,
+    rows: &[Option<usize>; WARP_LANES],
     mut scatter: S,
 ) where
     S: FnMut(&mut WarpCtx, &[Option<usize>; WARP_LANES], &[u32; WARP_LANES], &[f64; WARP_LANES]),
 {
-    let start = wc.load_u32(&x.row_off, row_of);
-    let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
+    let strips = RowStrips::load(wc, x, rows, vs);
 
     // ---- pass 1: p[r] = X[r,:] . y, reduced in registers ----
     let mut sum = [0.0f64; WARP_LANES];
-    let mut iter = 0usize;
     let mut idx = [None; WARP_LANES];
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
+    for iter in 0.. {
+        let active = strips.strip(iter, &mut idx);
         if active == 0 {
             break;
         }
@@ -130,13 +185,12 @@ pub(crate) fn fused_row_step<S>(
             }
         }
         wc.flops(2 * active);
-        iter += 1;
     }
     wc.shuffle_reduce_sum(&mut sum, vs);
 
     // ---- v[row] scaling (Algorithm 2 line 12) ----
     let p_r = if let Some(v) = v {
-        let vr = wc.load_f64_tex(v, row_of);
+        let vr = wc.load_f64_tex(v, |l| rows[l]);
         let mut p = [0.0f64; WARP_LANES];
         for lane in 0..WARP_LANES {
             p[lane] = sum[lane] * vr[lane];
@@ -147,17 +201,17 @@ pub(crate) fn fused_row_step<S>(
         sum
     };
 
+    if let Some(u) = u {
+        wc.store_f64(u, |lane| {
+            rows[lane]
+                .filter(|_| lane % vs == 0)
+                .map(|r| (r, p_r[lane]))
+        });
+    }
+
     // ---- pass 2: scatter X[r,:]^T * p[r]; row now cache-resident ----
-    let mut iter = 0usize;
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
+    for iter in 0.. {
+        let active = strips.strip(iter, &mut idx);
         if active == 0 {
             break;
         }
@@ -171,7 +225,6 @@ pub(crate) fn fused_row_step<S>(
         }
         wc.flops(2 * active);
         scatter(wc, &idx, &cols, &contrib);
-        iter += 1;
     }
 }
 
@@ -218,13 +271,11 @@ pub fn try_fused_pattern_shared(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                if rows.iter().all(Option::is_none) {
                     break;
                 }
-                fused_row_step(wc, x, y, v, vs, &row_of, |wc, idx, cols, contrib| {
+                fused_row_step(wc, x, y, v, None, vs, &rows, |wc, idx, cols, contrib| {
                     wc.shared_atomic_add(sd, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
                     });
@@ -283,27 +334,16 @@ pub fn try_fused_xt_p_shared(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                if rows.iter().all(Option::is_none) {
                     break;
                 }
-                let start = wc.load_u32(&x.row_off, &row_of);
-                let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
-                let pr = wc.load_f64_tex(p, &row_of);
+                let strips = RowStrips::load(wc, x, &rows, vs);
+                let pr = wc.load_f64_tex(p, |l| rows[l]);
 
-                let mut iter = 0usize;
                 let mut idx = [None; WARP_LANES];
-                loop {
-                    let mut active = 0u64;
-                    for lane in 0..WARP_LANES {
-                        idx[lane] = row_of(lane).and_then(|_| {
-                            let i = start[lane] as usize + (lane % vs) + iter * vs;
-                            (i < end[lane] as usize).then_some(i)
-                        });
-                        active += idx[lane].is_some() as u64;
-                    }
+                for iter in 0.. {
+                    let active = strips.strip(iter, &mut idx);
                     if active == 0 {
                         break;
                     }
@@ -313,7 +353,6 @@ pub fn try_fused_xt_p_shared(
                     wc.shared_atomic_add(sd, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, vals[lane] * pr[lane]))
                     });
-                    iter += 1;
                 }
             }
         });

@@ -7,7 +7,7 @@
 //! ultra-sparse data rarely collides on a column.
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::{beta_z_init, fused_row_step, row_for_lane};
+use crate::sparse_fused::{beta_z_init, fused_row_step, lane_rows, RowStrips};
 use crate::tuner::SparsePlan;
 use fusedml_blas::GpuCsr;
 use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
@@ -51,13 +51,11 @@ pub fn try_fused_pattern_global(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                if rows.iter().all(Option::is_none) {
                     break;
                 }
-                fused_row_step(wc, x, y, v, vs, &row_of, |wc, idx, cols, contrib| {
+                fused_row_step(wc, x, y, v, None, vs, &rows, |wc, idx, cols, contrib| {
                     // Inter-vector aggregation straight to global memory.
                     wc.atomic_add_f64(w, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
@@ -111,27 +109,16 @@ pub fn try_fused_xt_p_global(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
+                if rows.iter().all(Option::is_none) {
                     break;
                 }
-                let start = wc.load_u32(&x.row_off, &row_of);
-                let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
-                let pr = wc.load_f64_tex(p, &row_of);
+                let strips = RowStrips::load(wc, x, &rows, vs);
+                let pr = wc.load_f64_tex(p, |l| rows[l]);
 
-                let mut iter = 0usize;
                 let mut idx = [None; WARP_LANES];
-                loop {
-                    let mut active = 0u64;
-                    for lane in 0..WARP_LANES {
-                        idx[lane] = row_of(lane).and_then(|_| {
-                            let i = start[lane] as usize + (lane % vs) + iter * vs;
-                            (i < end[lane] as usize).then_some(i)
-                        });
-                        active += idx[lane].is_some() as u64;
-                    }
+                for iter in 0.. {
+                    let active = strips.strip(iter, &mut idx);
                     if active == 0 {
                         break;
                     }
@@ -141,7 +128,6 @@ pub fn try_fused_xt_p_global(
                     wc.atomic_add_f64(w, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, alpha * vals[lane] * pr[lane]))
                     });
-                    iter += 1;
                 }
             }
         });

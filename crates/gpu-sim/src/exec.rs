@@ -21,7 +21,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::memory::{Elem, GpuBuffer};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::pool::{BufferPool, DevicePool, PoolStats};
-use crate::shared::bank_conflict_replays;
+use crate::shared::{bank_conflict_replays, replays_and_repeats};
 use crate::timing::{kernel_time, TimeBreakdown};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -174,6 +174,18 @@ impl Gpu {
         // matrices the experiments stream exceed both. Keeping the state
         // per-SM preserves deterministic simulation under host-thread
         // parallelism (see the module docs).
+        //
+        // The warp accounting derives sector and line numbers by shifting
+        // and masking, which is exact only for power-of-two sizes with a
+        // sector no larger than a line.
+        assert!(
+            spec.sector_bytes.is_power_of_two()
+                && spec.cache_line_bytes.is_power_of_two()
+                && spec.sector_bytes <= spec.cache_line_bytes,
+            "sector ({}B) and cache line ({}B) must be powers of two with sector <= line",
+            spec.sector_bytes,
+            spec.cache_line_bytes
+        );
         let sms = (0..spec.num_sms)
             .map(|_| SmState {
                 l2: CacheModel::new(spec.l2_bytes, spec.cache_line_bytes, spec.l2_ways),
@@ -695,86 +707,85 @@ impl Gpu {
         let num_sms = sms.len();
         let workers = self.host_threads.min(num_sms);
 
-        // Partition SMs among workers; each worker simulates its SMs' blocks
-        // in grid order, so per-SM state is deterministic.
-        let mut results: Vec<(Counters, Vec<SmState>)> = Vec::with_capacity(workers);
-        let sm_chunks: Vec<(usize, Vec<SmState>)> = {
-            let mut chunks: Vec<(usize, Vec<SmState>)> =
-                (0..workers).map(|w| (w, Vec::new())).collect();
-            for (i, sm) in sms.drain(..).enumerate() {
-                chunks[i % workers].1.push(sm);
-            }
-            chunks
-        };
-
+        // Simulate the blocks of the SMs one worker owns, in grid order, so
+        // per-SM state is deterministic. SM `sm_id` is the worker's
+        // `local_idx`-th; SMs are dealt to workers round-robin.
         let kernel = &kernel;
         let spec = &self.spec;
-        let outcome: Vec<(usize, Counters, Vec<SmState>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sm_chunks
-                .into_iter()
-                .map(|(worker, mut my_sms)| {
-                    scope.spawn(move || {
-                        let mut counters = Counters::new();
-                        for (local_idx, sm) in my_sms.iter_mut().enumerate() {
-                            let sm_id = local_idx * workers + worker;
-                            let mut block = sm_id;
-                            while block < config.grid_blocks {
-                                let mut ctx = BlockCtx {
-                                    block_id: block,
-                                    grid_dim: config.grid_blocks,
-                                    block_dim: config.block_threads,
-                                    spec,
-                                    shared: Vec::new(),
-                                    shared_bytes_used: 0,
-                                    counters: &mut counters,
-                                    sm,
-                                };
-                                kernel(&mut ctx);
-                                assert!(
-                                    ctx.shared_bytes_used <= config.shared_bytes,
-                                    "kernel allocated {}B shared but declared {}B",
-                                    ctx.shared_bytes_used,
-                                    config.shared_bytes
-                                );
-                                block += num_sms;
-                            }
-                        }
-                        (worker, counters, my_sms)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    // Re-raise the worker's panic payload on the host
-                    // thread instead of wrapping it.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
+        let run_worker = |worker: usize, my_sms: &mut [SmState]| -> Counters {
+            let mut counters = Counters::new();
+            for (local_idx, sm) in my_sms.iter_mut().enumerate() {
+                let sm_id = local_idx * workers + worker;
+                let mut block = sm_id;
+                while block < config.grid_blocks {
+                    let mut ctx = BlockCtx {
+                        block_id: block,
+                        grid_dim: config.grid_blocks,
+                        block_dim: config.block_threads,
+                        spec,
+                        shared: Vec::new(),
+                        shared_bytes_used: 0,
+                        counters: &mut counters,
+                        sm,
+                    };
+                    kernel(&mut ctx);
+                    assert!(
+                        ctx.shared_bytes_used <= config.shared_bytes,
+                        "kernel allocated {}B shared but declared {}B",
+                        ctx.shared_bytes_used,
+                        config.shared_bytes
+                    );
+                    block += num_sms;
+                }
+            }
+            counters
+        };
 
-        // Restore SM state in original order and merge counters
-        // deterministically (worker order).
-        let mut merged = Counters::new();
-        merged.kernel_launches = 1;
-        let mut sorted = outcome;
-        sorted.sort_by_key(|(w, _, _)| *w);
-        let mut per_worker_sms: Vec<Vec<SmState>> = Vec::with_capacity(workers);
-        for (_, counters, worker_sms) in sorted {
-            merged.merge(&counters);
-            per_worker_sms.push(worker_sms);
-        }
-        // Interleave back: SM i lives at per_worker_sms[i % workers][i / workers].
-        let mut iters: Vec<_> = per_worker_sms.into_iter().map(|v| v.into_iter()).collect();
-        for i in 0..num_sms {
-            sms.push(
-                iters[i % workers]
-                    .next()
-                    .unwrap_or_else(|| unreachable!("worker {} returned too few SMs", i % workers)),
-            );
-        }
-        results.clear();
+        let mut merged = if workers == 1 {
+            // One worker runs on the calling thread: no spawn, and a kernel
+            // panic unwinds from here with its own payload.
+            run_worker(0, &mut sms)
+        } else {
+            let mut chunks: Vec<Vec<SmState>> = (0..workers).map(|_| Vec::new()).collect();
+            for (i, sm) in sms.drain(..).enumerate() {
+                chunks[i % workers].push(sm);
+            }
+            let run_worker = &run_worker;
+            let outcome: Vec<(Counters, Vec<SmState>)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = chunks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(worker, mut my_sms)| {
+                        scope.spawn(move || (run_worker(worker, &mut my_sms), my_sms))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(v) => v,
+                        // Re-raise the worker's panic payload on the host
+                        // thread instead of wrapping it.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    })
+                    .collect()
+            });
+            // Merge counters deterministically (worker order) and restore SM
+            // state in original order: SM i lives at
+            // per_worker_sms[i % workers][i / workers].
+            let mut merged = Counters::new();
+            let mut iters = Vec::with_capacity(workers);
+            for (counters, worker_sms) in outcome {
+                merged.merge(&counters);
+                iters.push(worker_sms.into_iter());
+            }
+            for i in 0..num_sms {
+                sms.push(iters[i % workers].next().unwrap_or_else(|| {
+                    unreachable!("worker {} returned too few SMs", i % workers)
+                }));
+            }
+            merged
+        };
+        merged.kernel_launches += 1;
 
         let resident_blocks = (occ.blocks_per_sm * num_sms).max(1);
         let device_fill = (config.grid_blocks as f64 / resident_blocks as f64).min(1.0);
@@ -937,6 +948,20 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// Record sector `s` in `sectors[..*ns]`, which keeps first-appearance
+/// order; returns whether it was new. The last sector is checked before the
+/// scan because neighbouring lanes usually share one.
+#[inline]
+fn push_unique(sectors: &mut [u64; WARP_LANES], ns: &mut usize, s: u64) -> bool {
+    let n = *ns;
+    if n > 0 && (sectors[n - 1] == s || sectors[..n - 1].contains(&s)) {
+        return false;
+    }
+    sectors[n] = s;
+    *ns = n + 1;
+    true
+}
+
 /// Warp-granular instruction issue: every memory operation supplies
 /// per-lane element indices, from which coalescing (32-byte sectors),
 /// cache behaviour and bank conflicts are computed exactly.
@@ -993,24 +1018,43 @@ impl<'a> WarpCtx<'a> {
 
     /// Count one warp load instruction over the given element addresses,
     /// returning unique sectors and driving the cache model.
+    ///
+    /// One pass over the lanes: sectors are deduplicated in first-appearance
+    /// order, and each new sector bumps its line's sector count, so lines are
+    /// probed in first-appearance order with their touched bytes already
+    /// known. Sector and line numbers are shifts (both sizes are powers of
+    /// two, asserted at [`Gpu`] construction).
     fn account_load(&mut self, addrs: &[Option<u64>; WARP_LANES], tex: bool) {
         self.counters.gld_instructions += 1;
-        let active = addrs.iter().flatten().count();
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let line_shift = self.spec.cache_line_bytes.trailing_zeros();
+        let sector_bytes = self.spec.sector_bytes as u64;
+        let line_bytes = self.spec.cache_line_bytes as u64;
+
+        let mut active = 0;
+        let mut sectors = [0u64; WARP_LANES];
+        let mut ns = 0;
+        let mut lines = [0u64; WARP_LANES];
+        let mut line_sectors = [0u64; WARP_LANES];
+        let mut nl = 0;
+        for addr in addrs.iter().flatten() {
+            active += 1;
+            if !push_unique(&mut sectors, &mut ns, addr >> sector_shift) {
+                continue;
+            }
+            let l = addr >> line_shift;
+            match lines[..nl].iter().rposition(|&x| x == l) {
+                Some(i) => line_sectors[i] += 1,
+                None => {
+                    lines[nl] = l;
+                    line_sectors[nl] = 1;
+                    nl += 1;
+                }
+            }
+        }
         if active < WARP_LANES {
             self.counters.divergent_instructions += 1;
             self.counters.inactive_lanes += (WARP_LANES - active) as u64;
-        }
-        let line_bytes = self.spec.cache_line_bytes as u64;
-        let sector_bytes = self.spec.sector_bytes as u64;
-
-        let mut sectors = [u64::MAX; WARP_LANES];
-        let mut ns = 0;
-        for addr in addrs.iter().flatten() {
-            let s = addr / sector_bytes;
-            if !sectors[..ns].contains(&s) {
-                sectors[ns] = s;
-                ns += 1;
-            }
         }
         if tex {
             self.counters.tex_transactions += ns as u64;
@@ -1018,23 +1062,9 @@ impl<'a> WarpCtx<'a> {
             self.counters.gld_transactions += ns as u64;
         }
 
-        // Unique lines for cache probing.
-        let mut lines = [u64::MAX; WARP_LANES];
-        let mut nl = 0;
-        for &s in &sectors[..ns] {
-            let l = s * sector_bytes / line_bytes;
-            if !lines[..nl].contains(&l) {
-                lines[nl] = l;
-                nl += 1;
-            }
-        }
-        for &l in &lines[..nl] {
-            let byte_addr = l * line_bytes;
-            let sectors_in_line = sectors[..ns]
-                .iter()
-                .filter(|&&s| s * sector_bytes / line_bytes == l)
-                .count() as u64;
-            let touched = sectors_in_line * sector_bytes;
+        for (&l, &n) in lines[..nl].iter().zip(&line_sectors[..nl]) {
+            let byte_addr = l << line_shift;
+            let touched = n * sector_bytes;
             if tex && self.sm.tex.access(byte_addr) {
                 self.counters.tex_read_bytes += touched;
             } else if self.sm.l2.access(byte_addr) {
@@ -1108,26 +1138,16 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<(usize, f64)>,
     {
         debug_assert_eq!(buf.elem(), Elem::F64);
-        self.counters.gst_instructions += 1;
-        let sector_bytes = self.spec.sector_bytes as u64;
-        let mut sectors = [u64::MAX; WARP_LANES];
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let mut sectors = [0u64; WARP_LANES];
         let mut ns = 0;
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v.to_bits());
-                let s = buf.addr_of(i) / sector_bytes;
-                if !sectors[..ns].contains(&s) {
-                    sectors[ns] = s;
-                    ns += 1;
-                }
+                push_unique(&mut sectors, &mut ns, buf.addr_of(i) >> sector_shift);
             }
         }
-        self.counters.gst_transactions += ns as u64;
-        self.counters.dram_write_bytes += ns as u64 * sector_bytes;
-        // Write-allocate into L2.
-        for &s in &sectors[..ns] {
-            self.sm.l2.access(s * sector_bytes);
-        }
+        self.account_store(&sectors[..ns]);
     }
 
     /// Warp-wide global store of u32 elements (index structures built on
@@ -1137,24 +1157,27 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<(usize, u32)>,
     {
         debug_assert_eq!(buf.elem(), Elem::U32);
-        self.counters.gst_instructions += 1;
-        let sector_bytes = self.spec.sector_bytes as u64;
-        let mut sectors = [u64::MAX; WARP_LANES];
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let mut sectors = [0u64; WARP_LANES];
         let mut ns = 0;
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v as u64);
-                let s = buf.addr_of(i) / sector_bytes;
-                if !sectors[..ns].contains(&s) {
-                    sectors[ns] = s;
-                    ns += 1;
-                }
+                push_unique(&mut sectors, &mut ns, buf.addr_of(i) >> sector_shift);
             }
         }
-        self.counters.gst_transactions += ns as u64;
-        self.counters.dram_write_bytes += ns as u64 * sector_bytes;
-        for &s in &sectors[..ns] {
-            self.sm.l2.access(s * sector_bytes);
+        self.account_store(&sectors[..ns]);
+    }
+
+    /// Count one warp store instruction over its unique sectors (in
+    /// first-appearance order) and write-allocate them into L2.
+    fn account_store(&mut self, sectors: &[u64]) {
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        self.counters.gst_instructions += 1;
+        self.counters.gst_transactions += sectors.len() as u64;
+        self.counters.dram_write_bytes += (sectors.len() as u64) << sector_shift;
+        for &s in sectors {
+            self.sm.l2.access(s << sector_shift);
         }
     }
 
@@ -1180,20 +1203,7 @@ impl<'a> WarpCtx<'a> {
                 n += 1;
             }
         }
-        let mut unique = 0;
-        for i in 0..n {
-            if !addrs[..i].contains(&addrs[i]) {
-                unique += 1;
-            }
-        }
-        self.counters.global_atomic_warp_conflicts += (n - unique) as u64;
-        let line = self.spec.cache_line_bytes as u64;
-        for i in 0..n {
-            if !self.sm.l2.access((addrs[i] / line) * line) {
-                self.counters.dram_read_bytes += self.spec.sector_bytes as u64;
-            }
-        }
-        self.counters.dram_write_bytes += unique as u64 * self.spec.sector_bytes as u64;
+        self.account_atomics(&addrs[..n]);
         old
     }
 
@@ -1217,23 +1227,29 @@ impl<'a> WarpCtx<'a> {
                 n += 1;
             }
         }
-        // Same-address lanes within the warp replay.
-        let mut unique = 0;
-        for i in 0..n {
+        self.account_atomics(&addrs[..n]);
+    }
+
+    /// Memory-side cost of one warp of global atomics on the given element
+    /// addresses (lane order). Same-address lanes within the warp replay.
+    /// Atomics resolve in L2 at sector granularity: a missing target costs
+    /// one sector fetch (read-modify-write), not a full line.
+    fn account_atomics(&mut self, addrs: &[u64]) {
+        let mut unique = 0usize;
+        for i in 0..addrs.len() {
             if !addrs[..i].contains(&addrs[i]) {
                 unique += 1;
             }
         }
-        self.counters.global_atomic_warp_conflicts += (n - unique) as u64;
-        // Atomics resolve in L2 at sector granularity: a missing target
-        // costs one sector fetch (read-modify-write), not a full line.
-        let line = self.spec.cache_line_bytes as u64;
-        for i in 0..n {
-            if !self.sm.l2.access((addrs[i] / line) * line) {
-                self.counters.dram_read_bytes += self.spec.sector_bytes as u64;
+        self.counters.global_atomic_warp_conflicts += (addrs.len() - unique) as u64;
+        let line_mask = !(self.spec.cache_line_bytes as u64 - 1);
+        let sector_bytes = self.spec.sector_bytes as u64;
+        for &a in addrs {
+            if !self.sm.l2.access(a & line_mask) {
+                self.counters.dram_read_bytes += sector_bytes;
             }
         }
-        self.counters.dram_write_bytes += unique as u64 * self.spec.sector_bytes as u64;
+        self.counters.dram_write_bytes += unique as u64 * sector_bytes;
     }
 
     // ---------------- shared memory ----------------
@@ -1292,18 +1308,8 @@ impl<'a> WarpCtx<'a> {
             }
         }
         // Same-word atomic lanes serialize like bank conflicts.
-        self.counters.shared_bank_conflicts += {
-            let mut extra = 0u64;
-            let mut seen: Vec<usize> = Vec::new();
-            for w in words.iter().flatten() {
-                if seen.contains(w) {
-                    extra += 1;
-                } else {
-                    seen.push(*w);
-                }
-            }
-            extra + bank_conflict_replays(&words, self.spec.shared_banks)
-        };
+        let (replays, repeats) = replays_and_repeats(&words, self.spec.shared_banks);
+        self.counters.shared_bank_conflicts += replays + repeats;
     }
 
     // ---------------- register-level reductions ----------------
@@ -1498,6 +1504,67 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn built_in_specs_have_power_of_two_sectors_and_lines() {
+        for spec in [
+            DeviceSpec::gtx_titan(),
+            DeviceSpec::tesla_k20(),
+            DeviceSpec::tiny_test_device(),
+        ] {
+            let g = Gpu::with_host_threads(spec, 1);
+            let (sector, line) = (g.spec().sector_bytes, g.spec().cache_line_bytes);
+            assert!(sector.is_power_of_two() && line.is_power_of_two() && sector <= line);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be powers of two")]
+    fn non_power_of_two_sector_is_rejected() {
+        let spec = DeviceSpec {
+            sector_bytes: 48,
+            ..DeviceSpec::gtx_titan()
+        };
+        Gpu::with_host_threads(spec, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sector <= line")]
+    fn sector_larger_than_line_is_rejected() {
+        let spec = DeviceSpec {
+            sector_bytes: 256,
+            ..DeviceSpec::gtx_titan()
+        };
+        Gpu::with_host_threads(spec, 1);
+    }
+
+    #[test]
+    fn single_worker_launch_panic_keeps_its_payload() {
+        let g = gpu();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.launch("boom", LaunchConfig::new(3, 32), |blk| {
+                if blk.block_id() == 2 {
+                    std::panic::panic_any(42u32);
+                }
+            });
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&42));
+    }
+
+    #[test]
+    fn two_worker_launch_panic_keeps_its_payload() {
+        let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 2);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.launch("boom", LaunchConfig::new(3, 32), |blk| {
+                if blk.block_id() == 1 {
+                    std::panic::panic_any("worker one");
+                }
+            });
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker one"));
     }
 
     #[test]

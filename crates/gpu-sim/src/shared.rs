@@ -5,20 +5,60 @@
 //! words in the same bank replays `k - 1` times. Multiple lanes reading the
 //! *same* word broadcast without conflict.
 
+use crate::exec::WARP_LANES;
+
+/// Most banks a device may declare.
+const MAX_BANKS: usize = 64;
+
 /// Number of extra replays for one warp-wide shared-memory access touching
 /// the given 8-byte word indices (`None` = inactive lane).
 pub fn bank_conflict_replays(word_indices: &[Option<usize>], banks: usize) -> u64 {
-    debug_assert!(banks > 0 && banks <= 64);
-    // distinct words per bank
-    let mut per_bank_words: Vec<Vec<usize>> = vec![Vec::new(); banks];
-    for idx in word_indices.iter().flatten() {
-        let bank = idx % banks;
-        if !per_bank_words[bank].contains(idx) {
-            per_bank_words[bank].push(*idx);
+    replays_and_repeats(word_indices, banks).0
+}
+
+/// Bank-conflict replays of one warp-wide access, and how many active lanes
+/// repeat a word an earlier lane already touched. Allocation-free: the
+/// distinct words are chained per bank in fixed arrays, so a lane compares
+/// only against earlier words of its own bank (a word always maps to the
+/// same bank).
+pub(crate) fn replays_and_repeats(word_indices: &[Option<usize>], banks: usize) -> (u64, u64) {
+    const NIL: u8 = u8::MAX;
+    assert!(
+        banks > 0 && banks <= MAX_BANKS,
+        "{banks} shared-memory banks; 1 to {MAX_BANKS} supported"
+    );
+    assert!(
+        word_indices.len() <= WARP_LANES,
+        "{} lanes in one warp access",
+        word_indices.len()
+    );
+    let mut words = [0usize; WARP_LANES];
+    // `head[bank]` is the bank's latest distinct word, `next[i]` the one
+    // before word `i` in the same bank.
+    let mut next = [NIL; WARP_LANES];
+    let mut head = [NIL; MAX_BANKS];
+    let mut degree = [0u8; MAX_BANKS];
+    let mut max_degree = 0;
+    let mut nw = 0;
+    let mut repeats = 0u64;
+    'lanes: for &w in word_indices.iter().flatten() {
+        let bank = w % banks;
+        let mut i = head[bank];
+        while i != NIL {
+            if words[i as usize] == w {
+                repeats += 1;
+                continue 'lanes;
+            }
+            i = next[i as usize];
         }
+        words[nw] = w;
+        next[nw] = head[bank];
+        head[bank] = nw as u8;
+        nw += 1;
+        degree[bank] += 1;
+        max_degree = max_degree.max(degree[bank]);
     }
-    let max_degree = per_bank_words.iter().map(Vec::len).max().unwrap_or(0);
-    max_degree.saturating_sub(1) as u64
+    (u64::from(max_degree.saturating_sub(1)), repeats)
 }
 
 #[cfg(test)]
@@ -61,5 +101,47 @@ mod tests {
     fn empty_warp_no_conflicts() {
         let idx = [None; 32];
         assert_eq!(bank_conflict_replays(&idx, 32), 0);
+    }
+
+    #[test]
+    fn sixteen_banks_fold_sequential_words_two_way() {
+        // Words 0..32 over 16 banks: every bank holds two distinct words.
+        let idx: Vec<Option<usize>> = (0..32).map(Some).collect();
+        assert_eq!(bank_conflict_replays(&idx, 16), 1);
+        // Stride 16 puts all 32 words in bank 0.
+        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 16)).collect();
+        assert_eq!(bank_conflict_replays(&idx, 16), 31);
+    }
+
+    #[test]
+    fn sixty_four_banks_absorb_stride_two() {
+        // Stride 2 over 64 banks lands every word in its own bank.
+        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 2)).collect();
+        assert_eq!(bank_conflict_replays(&idx, 64), 0);
+        // Stride 32 over 64 banks alternates between banks 0 and 32.
+        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 32)).collect();
+        assert_eq!(bank_conflict_replays(&idx, 64), 15);
+    }
+
+    #[test]
+    fn duplicate_words_in_one_bank_count_once() {
+        // Lanes alternate between words 0 and 32 (both bank 0): two distinct
+        // words, one replay, however many lanes repeat them.
+        let idx: Vec<Option<usize>> = (0..32).map(|l| Some((l % 2) * 32)).collect();
+        assert_eq!(bank_conflict_replays(&idx, 32), 1);
+        assert_eq!(replays_and_repeats(&idx, 32), (1, 30));
+        // Three distinct words in bank 5, each touched by several lanes,
+        // next to conflict-free lanes elsewhere.
+        let idx: Vec<Option<usize>> = (0..32)
+            .map(|l| Some(if l < 12 { 5 + (l % 3) * 32 } else { l }))
+            .collect();
+        assert_eq!(replays_and_repeats(&idx, 32), (2, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "33 lanes in one warp access")]
+    fn more_lanes_than_a_warp_are_rejected() {
+        let idx: Vec<Option<usize>> = (0..33).map(Some).collect();
+        bank_conflict_replays(&idx, 32);
     }
 }
