@@ -43,7 +43,8 @@ use fusedml_ml::{
     GlmOptions, HitsOptions, LogRegOptions, LrCgOptions, ShardedBackend, SolverError, SvmOptions,
 };
 use fusedml_runtime::{
-    clean_run, serve, RequestStatus, ServeConfig, ServeRequest, ServeTier, TenantSpec,
+    clean_run, run_with_recovery, serve, BackendTier, LadderError, LadderOutcome, RecoveryPolicy,
+    RecoveryTier, RequestStatus, ServeConfig, ServeRequest, ServeTier, ShardTier, TenantSpec,
     WorkloadClass,
 };
 use std::collections::HashMap;
@@ -660,6 +661,28 @@ fn parse_hex_u64(s: &str) -> Result<u64, String> {
     u64::from_str_radix(hex, 16).map_err(|e| format!("seed '{s}': {e}"))
 }
 
+/// The campaign's retry budget: up to [`MAX_DEVICE_ATTEMPTS`] attempts on
+/// the device tier before the CPU fallback.
+fn campaign_policy() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_retries: MAX_DEVICE_ATTEMPTS - 1,
+        ..RecoveryPolicy::default()
+    }
+}
+
+/// Finishing tier, total attempts (CPU fallback included) and result of a
+/// two-tier `[device, Cpu]` ladder. With degradation on, only the CPU
+/// attempt can end the ladder in error.
+fn ladder_result<T: RecoveryTier>(
+    run: Result<LadderOutcome<T, Vec<f64>>, LadderError<T>>,
+    cpu: T,
+) -> (T, usize, Result<Vec<f64>, SolverError>) {
+    match run {
+        Ok(o) => (o.tier, o.attempts, Ok(o.value)),
+        Err(e) => (cpu, e.attempts, Err(e.final_error().clone())),
+    }
+}
+
 /// The fallback ladder of one scenario, minus the panic guard: fresh
 /// fused backends up to the attempt budget, then the CPU.
 fn run_scenario_inner(sc: &Scenario, data: &ScenarioData) -> ScenarioResult {
@@ -673,30 +696,27 @@ fn run_scenario_inner(sc: &Scenario, data: &ScenarioData) -> ScenarioResult {
         .with_fault_profile(sc.profile())
         .with_integrity_checks(sc.integrity());
 
-    let mut attempts = 0usize;
-    let mut device_ok: Option<Vec<f64>> = None;
-    while attempts < MAX_DEVICE_ATTEMPTS {
-        attempts += 1;
-        let outcome = FusedBackend::try_new_sparse(&gpu, &data.x)
-            .map_err(SolverError::from)
-            .and_then(|mut b| run_workload(&mut b, sc.workload, data));
-        match outcome {
-            Ok(v) => {
-                device_ok = Some(v);
-                break;
-            }
-            Err(e) if e.is_transient() => continue,
-            Err(_) => break, // permanent on this device: straight to CPU
-        }
-    }
-    let (tier, result) = match device_ok {
-        Some(v) => ("fused", Ok(v)),
-        None => {
-            attempts += 1;
-            let mut b = CpuBackend::new_sparse(data.x.clone());
-            ("cpu", run_workload(&mut b, sc.workload, data))
-        }
-    };
+    let run = run_with_recovery(
+        &[BackendTier::Fused, BackendTier::Cpu],
+        &campaign_policy(),
+        "host",
+        None,
+        SolverError::is_transient,
+        |tier| match tier {
+            BackendTier::Cpu => run_workload(
+                &mut CpuBackend::new_sparse(data.x.clone()),
+                sc.workload,
+                data,
+            ),
+            _ => run_workload(
+                &mut FusedBackend::try_new_sparse(&gpu, &data.x)?,
+                sc.workload,
+                data,
+            ),
+        },
+    );
+    let (tier, attempts, result) = ladder_result(run, BackendTier::Cpu);
+    let tier = tier.name();
 
     let faults = gpu.faults().counts();
     let integrity = gpu.integrity_stats();
@@ -770,35 +790,29 @@ fn run_scenario_sharded(sc: &Scenario, data: &ScenarioData) -> ScenarioResult {
         &sc.profile(),
     );
 
-    let mut attempts = 0usize;
-    let mut device_ok: Option<Vec<f64>> = None;
-    while attempts < MAX_DEVICE_ATTEMPTS {
-        attempts += 1;
-        let outcome = ShardedBackend::try_new_sparse(&group, &data.x)
-            .map_err(SolverError::from)
-            .and_then(|mut b| run_workload(&mut b, sc.workload, data));
-        match outcome {
-            Ok(v) => {
-                device_ok = Some(v);
-                break;
-            }
-            Err(e)
-                if group.alive_count() > 0
-                    && (e.is_transient()
-                        || e.device_error().map(|d| d.kind()) == Some("device-lost")) =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
-    let (tier, result) = match device_ok {
-        Some(v) => ("sharded", Ok(v)),
-        None => {
-            attempts += 1;
-            let mut b = CpuBackend::new_sparse(data.x.clone());
-            ("cpu", run_workload(&mut b, sc.workload, data))
-        }
+    let run = run_with_recovery(
+        &[ShardTier::ShardRetry, ShardTier::Cpu],
+        &campaign_policy(),
+        "host",
+        None,
+        |e| group.alive_count() > 0 && (e.is_transient() || e.kind() == "device-lost"),
+        |tier| match tier {
+            ShardTier::Cpu => run_workload(
+                &mut CpuBackend::new_sparse(data.x.clone()),
+                sc.workload,
+                data,
+            ),
+            _ => run_workload(
+                &mut ShardedBackend::try_new_sparse(&group, &data.x)?,
+                sc.workload,
+                data,
+            ),
+        },
+    );
+    let (tier, attempts, result) = ladder_result(run, ShardTier::Cpu);
+    let tier = match tier {
+        ShardTier::Cpu => "cpu",
+        _ => "sharded",
     };
 
     let faults = group.fault_counts();

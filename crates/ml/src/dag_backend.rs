@@ -323,13 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_tmv_goes_through_the_dag_path() {
+    fn dense_tmv_goes_through_the_dag_path() -> Result<(), DeviceError> {
         let g = gpu();
         let xh = fusedml_matrix::gen::dense_random(300, 40, 31);
         let mut dag = DagBackend::new_dense(&g, &xh);
-        let u = dag.from_host("u", &random_vector(300, 32));
-        let mut out = dag.zeros("out", 40);
-        dag.try_tmv(2.5, &u, &mut out).unwrap();
+        let u = dag.try_from_host("u", &random_vector(300, 32))?;
+        let mut out = dag.try_zeros("out", 40)?;
+        dag.try_tmv(2.5, &u, &mut out)?;
         let expect = {
             let mut t = fusedml_matrix::reference::dense_tmv(&xh, &u.to_vec_f64());
             fusedml_matrix::reference::scal(2.5, &mut t);
@@ -340,5 +340,6 @@ mod tests {
             "dense alpha*X^T u through the DAG compiler"
         );
         assert!(dag.dag_plan_stats().misses >= 1);
+        Ok(())
     }
 }

@@ -69,13 +69,10 @@ impl BackendStats {
 /// A device- (or host-) resident matrix plus the vector arithmetic needed
 /// by the iterative algorithms.
 ///
-/// Every operation exists in two forms: a required fallible `try_*` method
-/// that surfaces [`DeviceError`]s (injected faults, capacity exhaustion,
-/// watchdog trips) to the caller, and a provided infallible method of the
-/// historical name that panics on faults. Solvers that participate in the
-/// runtime's recovery ladder call the `try_*` form; quick scripts and tests
-/// keep the infallible form. The CPU backend never fails.
-#[allow(clippy::wrong_self_convention)] // from_host is an upload, not a conversion
+/// Every device operation is fallible: it surfaces [`DeviceError`]s
+/// (injected faults, capacity exhaustion, watchdog trips) to the caller,
+/// which is how the runtime's recovery driver learns to retry or degrade.
+/// The CPU backend never fails.
 pub trait Backend {
     /// Backend-native vector handle.
     type Vector;
@@ -138,74 +135,6 @@ pub trait Backend {
 
     fn stats(&self) -> BackendStats;
     fn reset_stats(&mut self);
-
-    // ------ provided infallible forms (panic on device faults) ------
-
-    fn from_host(&mut self, name: &str, data: &[f64]) -> Self::Vector {
-        self.try_from_host(name, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn zeros(&mut self, name: &str, len: usize) -> Self::Vector {
-        self.try_zeros(name, len).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Infallible [`Backend::try_pattern`].
-    fn pattern(
-        &mut self,
-        spec: PatternSpec,
-        v: Option<&Self::Vector>,
-        y: &Self::Vector,
-        z: Option<&Self::Vector>,
-        w: &mut Self::Vector,
-    ) {
-        self.try_pattern(spec, v, y, z, w)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn mv(&mut self, y: &Self::Vector, out: &mut Self::Vector) {
-        self.try_mv(y, out).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn tmv(&mut self, alpha: f64, u: &Self::Vector, out: &mut Self::Vector) {
-        self.try_tmv(alpha, u, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn axpy(&mut self, a: f64, x: &Self::Vector, y: &mut Self::Vector) {
-        self.try_axpy(a, x, y).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn scal(&mut self, a: f64, x: &mut Self::Vector) {
-        self.try_scal(a, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn copy(&mut self, src: &Self::Vector, dst: &mut Self::Vector) {
-        self.try_copy(src, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn ewmul(&mut self, x: &Self::Vector, y: &Self::Vector, out: &mut Self::Vector) {
-        self.try_ewmul(x, y, out).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn dot(&mut self, x: &Self::Vector, y: &Self::Vector) -> f64 {
-        self.try_dot(x, y).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn nrm2_sq(&mut self, x: &Self::Vector) -> f64 {
-        self.try_nrm2_sq(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn map2(
-        &mut self,
-        x: &Self::Vector,
-        y: &Self::Vector,
-        out: &mut Self::Vector,
-        f: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) {
-        self.try_map2(x, y, out, f)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// The matrix a device backend operates on.
@@ -1096,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_pattern() {
+    fn backends_agree_on_pattern() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(150, 80, 0.1, 91);
         let y = random_vector(80, 1);
@@ -1104,34 +1033,35 @@ mod tests {
         let spec = PatternSpec::xtvxy();
 
         let mut fused = FusedBackend::new_sparse(&g, &x);
-        let yd = fused.from_host("y", &y);
-        let vd = fused.from_host("v", &v);
-        let mut wd = fused.zeros("w", 80);
-        fused.pattern(spec, Some(&vd), &yd, None, &mut wd);
+        let yd = fused.try_from_host("y", &y)?;
+        let vd = fused.try_from_host("v", &v)?;
+        let mut wd = fused.try_zeros("w", 80)?;
+        fused.try_pattern(spec, Some(&vd), &yd, None, &mut wd)?;
         let w_fused = fused.to_host(&wd);
 
         let mut base = BaselineBackend::new_sparse(&g, &x);
-        let yd = base.from_host("y", &y);
-        let vd = base.from_host("v", &v);
-        let mut wd = base.zeros("w", 80);
-        base.pattern(spec, Some(&vd), &yd, None, &mut wd);
+        let yd = base.try_from_host("y", &y)?;
+        let vd = base.try_from_host("v", &v)?;
+        let mut wd = base.try_zeros("w", 80)?;
+        base.try_pattern(spec, Some(&vd), &yd, None, &mut wd)?;
         let w_base = base.to_host(&wd);
 
         let mut cpu = CpuBackend::new_sparse(x);
-        let yv = cpu.from_host("y", &y);
-        let vv = cpu.from_host("v", &v);
-        let mut wv = cpu.zeros("w", 80);
-        cpu.pattern(spec, Some(&vv), &yv, None, &mut wv);
+        let yv = cpu.try_from_host("y", &y)?;
+        let vv = cpu.try_from_host("v", &v)?;
+        let mut wv = cpu.try_zeros("w", 80)?;
+        cpu.try_pattern(spec, Some(&vv), &yv, None, &mut wv)?;
 
         assert!(reference::rel_l2_error(&w_fused, &wv) < 1e-11);
         assert!(reference::rel_l2_error(&w_base, &wv) < 1e-11);
         assert_eq!(fused.stats().pattern_counts[spec.instance().formula()], 1);
         assert!(fused.stats().sim_ms > 0.0);
         assert!(cpu.stats().sim_ms > 0.0);
+        Ok(())
     }
 
     #[test]
-    fn fused_cpu_backend_matches_reference_and_models_cheaper() {
+    fn fused_cpu_backend_matches_reference_and_models_cheaper() -> Result<(), DeviceError> {
         let x = uniform_sparse(200, 90, 0.1, 95);
         let y = random_vector(90, 6);
         let v = random_vector(200, 7);
@@ -1139,22 +1069,23 @@ mod tests {
 
         let mut plain = CpuBackend::new_sparse(x.clone());
         assert!(plain.fused_executor_name().is_none());
-        let yv = plain.from_host("y", &y);
-        let vv = plain.from_host("v", &v);
-        let mut wp = plain.zeros("w", 90);
-        plain.pattern(spec, Some(&vv), &yv, None, &mut wp);
+        let yv = plain.try_from_host("y", &y)?;
+        let vv = plain.try_from_host("v", &v)?;
+        let mut wp = plain.try_zeros("w", 90)?;
+        plain.try_pattern(spec, Some(&vv), &yv, None, &mut wp)?;
 
         let mut fused = CpuBackend::new_sparse(x).with_fused_execution(4);
         assert!(fused.fused_executor_name().is_some());
-        let yv = fused.from_host("y", &y);
-        let vv = fused.from_host("v", &v);
-        let mut wf = fused.zeros("w", 90);
-        fused.pattern(spec, Some(&vv), &yv, None, &mut wf);
+        let yv = fused.try_from_host("y", &y)?;
+        let vv = fused.try_from_host("v", &v)?;
+        let mut wf = fused.try_zeros("w", 90)?;
+        fused.try_pattern(spec, Some(&vv), &yv, None, &mut wf)?;
 
         assert!(reference::rel_l2_error(&wf, &wp) < 1e-12);
         // The analytical clock charges the one-pass roofline: strictly
         // cheaper than the two-scan reference path.
         assert!(fused.stats().sim_ms < plain.stats().sim_ms);
+        Ok(())
     }
 
     #[test]
@@ -1175,50 +1106,51 @@ mod tests {
     }
 
     #[test]
-    fn blas1_roundtrip_on_all_backends() {
+    fn blas1_roundtrip_on_all_backends() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(20, 10, 0.3, 92);
 
-        fn exercise<B: Backend>(b: &mut B) -> (f64, Vec<f64>) {
-            let xs = b.from_host("x", &[1.0, 2.0, 3.0, 4.0]);
-            let mut ys = b.from_host("y", &[4.0, 3.0, 2.0, 1.0]);
-            b.axpy(2.0, &xs, &mut ys); // [6,7,8,9]
-            b.scal(0.5, &mut ys); // [3,3.5,4,4.5]
-            let d = b.dot(&xs, &ys); // 3+7+12+18=40
-            let mut prod = b.zeros("p", 4);
-            b.ewmul(&xs, &ys, &mut prod);
-            let mut mapped = b.zeros("m", 4);
-            b.map2(&xs, &ys, &mut mapped, &|a, b| a - b);
-            (d, b.to_host(&mapped))
+        fn exercise<B: Backend>(b: &mut B) -> Result<(f64, Vec<f64>), DeviceError> {
+            let xs = b.try_from_host("x", &[1.0, 2.0, 3.0, 4.0])?;
+            let mut ys = b.try_from_host("y", &[4.0, 3.0, 2.0, 1.0])?;
+            b.try_axpy(2.0, &xs, &mut ys)?; // [6,7,8,9]
+            b.try_scal(0.5, &mut ys)?; // [3,3.5,4,4.5]
+            let d = b.try_dot(&xs, &ys)?; // 3+7+12+18=40
+            let mut prod = b.try_zeros("p", 4)?;
+            b.try_ewmul(&xs, &ys, &mut prod)?;
+            let mut mapped = b.try_zeros("m", 4)?;
+            b.try_map2(&xs, &ys, &mut mapped, &|a, b| a - b)?;
+            Ok((d, b.to_host(&mapped)))
         }
 
         let mut fused = FusedBackend::new_sparse(&g, &x);
         let mut cpu = CpuBackend::new_sparse(x.clone());
         let mut base = BaselineBackend::new_sparse(&g, &x);
-        let (df, mf) = exercise(&mut fused);
-        let (dc, mc) = exercise(&mut cpu);
-        let (db, mb) = exercise(&mut base);
+        let (df, mf) = exercise(&mut fused)?;
+        let (dc, mc) = exercise(&mut cpu)?;
+        let (db, mb) = exercise(&mut base)?;
         assert_eq!(df, 40.0);
         assert_eq!(dc, 40.0);
         assert_eq!(db, 40.0);
         assert_eq!(mf, mc);
         assert_eq!(mb, mc);
+        Ok(())
     }
 
     #[test]
-    fn mv_and_tmv_match_reference() {
+    fn mv_and_tmv_match_reference() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(60, 40, 0.15, 93);
         let y = random_vector(40, 3);
         let u = random_vector(60, 4);
 
         let mut fused = FusedBackend::new_sparse(&g, &x);
-        let yd = fused.from_host("y", &y);
-        let ud = fused.from_host("u", &u);
-        let mut p = fused.zeros("p", 60);
-        let mut w = fused.zeros("w", 40);
-        fused.mv(&yd, &mut p);
-        fused.tmv(2.0, &ud, &mut w);
+        let yd = fused.try_from_host("y", &y)?;
+        let ud = fused.try_from_host("u", &u)?;
+        let mut p = fused.try_zeros("p", 60)?;
+        let mut w = fused.try_zeros("w", 40)?;
+        fused.try_mv(&yd, &mut p)?;
+        fused.try_tmv(2.0, &ud, &mut w)?;
         assert!(reference::rel_l2_error(&fused.to_host(&p), &reference::csr_mv(&x, &y)) < 1e-12);
         let mut expect = reference::csr_tmv(&x, &u);
         reference::scal(2.0, &mut expect);
@@ -1228,19 +1160,20 @@ mod tests {
             fused.stats().pattern_counts[PatternInstance::XtY.formula()],
             1
         );
+        Ok(())
     }
 
     #[test]
-    fn backend_stats_surface_plan_and_pool_traffic() {
+    fn backend_stats_surface_plan_and_pool_traffic() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(400, 128, 0.05, 94);
         let y = random_vector(128, 5);
         let mut b = FusedBackend::new_sparse(&g, &x);
         b.exec.set_plan_cache(true); // independent of the process default
-        let yd = b.from_host("y", &y);
-        let mut wd = b.zeros("w", 128);
+        let yd = b.try_from_host("y", &y)?;
+        let mut wd = b.try_zeros("w", 128)?;
         for _ in 0..5 {
-            b.pattern(PatternSpec::xtxy(), None, &yd, None, &mut wd);
+            b.try_pattern(PatternSpec::xtxy(), None, &yd, None, &mut wd)?;
         }
         let s = b.stats();
         assert_eq!(
@@ -1252,8 +1185,8 @@ mod tests {
 
         // A dropped scratch buffer recycles through the pool and the reuse
         // lands in this backend's accounting window.
-        drop(b.zeros("scratch", 300));
-        let _again = b.zeros("scratch2", 300);
+        drop(b.try_zeros("scratch", 300)?);
+        let _again = b.try_zeros("scratch2", 300)?;
         assert!(b.stats().pool.hits >= 1);
 
         b.reset_stats();
@@ -1261,5 +1194,6 @@ mod tests {
         assert_eq!(s.plan.plans_computed(), 0);
         assert_eq!(s.plan.hits, 0);
         assert_eq!((s.pool.hits, s.pool.misses), (0, 0));
+        Ok(())
     }
 }

@@ -277,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_reference_and_accounts() {
+    fn sharded_backend_matches_reference_and_accounts() -> Result<(), DeviceError> {
         let g = group(3);
         let x = uniform_sparse(150, 80, 0.1, 91);
         let y = random_vector(80, 1);
@@ -286,10 +286,10 @@ mod tests {
 
         let mut b = ShardedBackend::new_sparse(&g, &x);
         assert_eq!(b.shard_count(), 3);
-        let yd = b.from_host("y", &y);
-        let vd = b.from_host("v", &v);
-        let mut wd = b.zeros("w", 80);
-        b.pattern(spec, Some(&vd), &yd, None, &mut wd);
+        let yd = b.try_from_host("y", &y)?;
+        let vd = b.try_from_host("v", &v)?;
+        let mut wd = b.try_zeros("w", 80)?;
+        b.try_pattern(spec, Some(&vd), &yd, None, &mut wd)?;
         let w = b.to_host(&wd);
 
         let expect = reference::pattern_csr(1.0, &x, Some(&v), &y, 0.0, None);
@@ -301,6 +301,7 @@ mod tests {
         // The broadcast and the fused-epilogue reduction went over the
         // fabric.
         assert!(g.interconnect_stats().transfers >= 4);
+        Ok(())
     }
 
     #[test]

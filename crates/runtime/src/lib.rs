@@ -3,16 +3,14 @@
 //! A miniature SystemML-like runtime (§4.4): the GPU memory manager
 //! (allocate / LRU-evict / host-device consistency), host↔device transfer
 //! models (raw PCIe and the JVM-integration regime with JNI + format
-//! conversion), a host-vs-device cost model, and end-to-end execution
-//! sessions that reproduce Tables 5 and 6.
+//! conversion), end-to-end execution sessions that reproduce Tables 5
+//! and 6, and one fault-recovery driver shared by sessions and serving.
 
 // Hot-path code must report faults through typed errors (or panic with an
 // explicit message via the infallible wrappers), never through bare
 // unwrap/expect. Tests and benches are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod costmodel;
-pub mod hybrid;
 pub mod memman;
 pub mod recovery;
 pub mod serve;
@@ -22,12 +20,10 @@ pub mod streamed_backend;
 pub mod streaming;
 pub mod transfer;
 
-pub use costmodel::{CostModel, Placement, PlacementDecision};
-pub use hybrid::{HybridExecutor, HybridReport};
 pub use memman::{MemError, MemStats, MemoryManager};
 pub use recovery::{
-    run_lr_cg_with_recovery, BackendTier, LadderError, LadderOutcome, RecoveryAction,
-    RecoveryEvent, RecoveryPolicy, RecoveryTier,
+    run_with_recovery, BackendTier, LadderError, LadderOutcome, RecoveryAction, RecoveryEvent,
+    RecoveryPolicy, RecoveryTier,
 };
 pub use serve::{
     clean_run, serve, CleanRun, RequestOutcome, RequestStatus, ServeConfig, ServeError,
@@ -38,7 +34,7 @@ pub use session::{
     EndToEndReport, EngineKind, FaultCountsReport, FaultTolerantReport, SessionConfig,
     ShardedSessionReport,
 };
-pub use shard_recovery::{run_lr_cg_sharded_with_recovery, ShardTier, ShardedOutcome};
+pub use shard_recovery::ShardTier;
 pub use streamed_backend::StreamedBackend;
 pub use streaming::{
     choose_stream_plan, stream_pattern_sparse, try_stream_pattern_sparse, SparseStreamer,

@@ -1,30 +1,28 @@
-//! Fault recovery: bounded retry with exponential backoff for transient
-//! device faults, and a graceful-degradation ladder
-//! `Fused -> Baseline -> Cpu` for everything retries cannot fix.
+//! Fault recovery: one driver, [`run_with_recovery`], walks a ladder of
+//! execution tiers (fastest first) for every caller. A failed attempt is
+//! retried on the same tier with exponential backoff while the caller's
+//! retry rule allows it (transient faults, for most callers); anything
+//! else degrades to the next tier. The single-device session
+//! (`Fused -> Baseline -> Cpu`), the sharded session (see
+//! [`crate::shard_recovery`]), the serving layer and the chaos campaign
+//! differ only in their tier list, their retry rule and what one attempt
+//! does.
 //!
-//! Retrying re-builds the backend from host data, so a watchdog-killed
+//! Every attempt re-builds its backend from host data, so a watchdog-killed
 //! kernel (whose output buffers are undefined) never leaks garbage into
 //! the next attempt. Every retry and every degradation decision is
-//! recorded as a [`RecoveryEvent`] so the session report can show *why*
-//! a run ended on the tier it did.
+//! recorded as a [`RecoveryEvent`] so a report can show *why* a run ended
+//! on the tier it did.
 
-use crate::session::DataSet;
-use fusedml_gpu_sim::Gpu;
-use fusedml_ml::ops::TransposePolicy;
-use fusedml_ml::{
-    try_lr_cg_ckpt, Backend, BackendStats, BaselineBackend, CheckpointHandle, CpuBackend,
-    FusedBackend, LrCgOptions, LrCgResult, SolverError,
-};
+use fusedml_ml::{CheckpointHandle, SolverError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rung of some degradation ladder: anything with a stable report name.
 /// The ladder bookkeeping types ([`RecoveryEvent`], [`LadderOutcome`],
-/// [`LadderError`]) are generic over the tier so the single-device ladder
-/// (`Fused -> Baseline -> Cpu`) and the multi-device shard ladder
-/// (`ShardRetry -> Reshard -> SingleDevice -> Cpu`, see
-/// [`crate::shard_recovery`]) share one event trail format.
-pub trait RecoveryTier {
+/// [`LadderError`]) are generic over the tier so every ladder shares one
+/// event trail format.
+pub trait RecoveryTier: Copy {
     /// Stable name for reports.
     fn name(&self) -> &'static str;
 }
@@ -41,14 +39,9 @@ pub enum BackendTier {
 }
 
 impl BackendTier {
-    /// The next, more conservative tier; `None` from [`BackendTier::Cpu`].
-    pub fn degrade(self) -> Option<BackendTier> {
-        match self {
-            BackendTier::Fused => Some(BackendTier::Baseline),
-            BackendTier::Baseline => Some(BackendTier::Cpu),
-            BackendTier::Cpu => None,
-        }
-    }
+    /// The single-device ladder, fastest first.
+    pub const LADDER: [BackendTier; 3] =
+        [BackendTier::Fused, BackendTier::Baseline, BackendTier::Cpu];
 
     /// Stable name for reports.
     pub fn name(self) -> &'static str {
@@ -136,11 +129,17 @@ impl RecoveryPolicy {
     pub fn backoff_for(&self, retry: usize) -> f64 {
         self.backoff_ms * self.backoff_multiplier.powi(retry.saturating_sub(1) as i32)
     }
+
+    /// A fresh snapshot store for one run's attempts when checkpointing is
+    /// on (`checkpoint_every > 0`).
+    pub fn checkpoint(&self) -> Option<CheckpointHandle> {
+        (self.checkpoint_every > 0).then(|| CheckpointHandle::new(self.checkpoint_every))
+    }
 }
 
 /// Where the ladder landed, with the full decision trail.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LadderOutcome<T = BackendTier> {
+pub struct LadderOutcome<T, R> {
     /// Tier that completed the run.
     pub tier: T,
     /// Total attempts across all tiers (>= 1).
@@ -149,11 +148,8 @@ pub struct LadderOutcome<T = BackendTier> {
     pub retry_backoff_ms: f64,
     /// Every retry/degradation decision, in order.
     pub events: Vec<RecoveryEvent<T>>,
-    /// Solver result of the successful attempt.
-    pub result: LrCgResult,
-    /// Backend stats of the successful attempt (failed attempts' partial
-    /// compute is absorbed into the shared `Gpu` clock, not shown here).
-    pub stats: BackendStats,
+    /// What the successful attempt returned.
+    pub value: R,
     /// Iteration the successful attempt resumed from, when checkpointing
     /// was enabled and a prior failed attempt left a snapshot behind
     /// (`None` when the run started from iteration 0).
@@ -219,233 +215,197 @@ impl<T: RecoveryTier + fmt::Debug> std::error::Error for LadderError<T> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn attempt_tier(
-    gpu: &Gpu,
-    tier: BackendTier,
-    data: &DataSet,
-    labels: &[f64],
-    opts: LrCgOptions,
-    transpose_policy: TransposePolicy,
-    cpu_fused_threads: usize,
-    ckpt: Option<&CheckpointHandle>,
-) -> Result<(LrCgResult, BackendStats), SolverError> {
-    let cpu_backend = |b: CpuBackend| {
-        if cpu_fused_threads > 0 {
-            b.with_fused_execution(cpu_fused_threads)
-        } else {
-            b
-        }
-    };
-    match (tier, data) {
-        (BackendTier::Fused, DataSet::Sparse(x)) => {
-            let mut b = FusedBackend::try_new_sparse(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Fused, DataSet::Dense(x)) => {
-            let mut b = FusedBackend::try_new_dense(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Baseline, DataSet::Sparse(x)) => {
-            let mut b =
-                BaselineBackend::try_new_sparse(gpu, x)?.with_transpose_policy(transpose_policy);
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Baseline, DataSet::Dense(x)) => {
-            let mut b = BaselineBackend::try_new_dense(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Cpu, DataSet::Sparse(x)) => {
-            let mut b = cpu_backend(CpuBackend::new_sparse(x.clone()));
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Cpu, DataSet::Dense(x)) => {
-            let mut b = cpu_backend(CpuBackend::new_dense(x.clone()));
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-    }
-}
-
-/// Run LR-CG under the recovery policy, starting at the fused tier.
+/// Run `attempt` down `ladder` (fastest tier first) under `policy`.
 ///
-/// Transient faults are retried on the same tier (fresh backend each
-/// time) up to `policy.max_retries` times with exponential backoff;
-/// anything else — or exhausted retries — degrades down the ladder.
-/// With `policy.checkpoint_every > 0` the solver snapshots its CG state
-/// at that cadence and every retry or degraded attempt resumes from the
-/// last snapshot instead of iteration 0 — the snapshot lives on the
-/// host, so it survives the switch to a fresh backend on a lower tier.
-/// The CPU tier cannot fault, so with degradation enabled this always
-/// succeeds; `Err` is only possible with `allow_degradation: false`, and
-/// carries the last error seen on every tier attempted.
-pub fn run_lr_cg_with_recovery(
-    gpu: &Gpu,
-    data: &DataSet,
-    labels: &[f64],
-    opts: LrCgOptions,
-    transpose_policy: TransposePolicy,
+/// A failed attempt is retried on the same tier, after
+/// `policy.backoff_for(n)` simulated milliseconds, while `retryable` holds
+/// for its error and the tier has been tried at most `policy.max_retries`
+/// times. Otherwise the driver degrades to the next tier, or aborts when
+/// `policy.allow_degradation` is off or no tier is left. Each failed
+/// attempt records one [`RecoveryEvent`]; an abort returns the last error
+/// seen on every tier tried.
+///
+/// `attempt` must build everything it runs on afresh from host data. When
+/// it checkpoints into `ckpt`, retries and degraded attempts resume from
+/// the last snapshot, and the outcome reports where. Decisions are traced
+/// as `recovery` instants (`retry`, `degrade`, `abort`, `resume`) on
+/// `track`.
+///
+/// # Panics
+///
+/// If `ladder` is empty.
+pub fn run_with_recovery<T: RecoveryTier, R>(
+    ladder: &[T],
     policy: &RecoveryPolicy,
-) -> Result<LadderOutcome, LadderError> {
+    track: &str,
+    ckpt: Option<&CheckpointHandle>,
+    retryable: impl Fn(&SolverError) -> bool,
+    mut attempt: impl FnMut(T) -> Result<R, SolverError>,
+) -> Result<LadderOutcome<T, R>, LadderError<T>> {
     let mut events = Vec::new();
-    let mut tier_errors: Vec<(BackendTier, SolverError)> = Vec::new();
+    let mut tier_errors = Vec::new();
     let mut attempts = 0usize;
     let mut retry_backoff_ms = 0.0f64;
-    let mut tier = BackendTier::Fused;
-    let ckpt =
-        (policy.checkpoint_every > 0).then(|| CheckpointHandle::new(policy.checkpoint_every));
-
-    // Emitted before a retry/degraded attempt that will pick up a
+    let event = |tier: T, attempt: usize, e: &SolverError, action, backoff_ms| RecoveryEvent {
+        tier,
+        attempt,
+        error_kind: e.kind().to_string(),
+        detail: e.to_string(),
+        action,
+        backoff_ms,
+    };
+    // Emitted before a retry or degraded attempt that will pick up a
     // snapshot, so the trace shows where the resumed run restarts.
-    let trace_resume = |h: &CheckpointHandle, to: BackendTier| {
-        if let Some(snap) = h.latest() {
-            if fusedml_trace::is_enabled() {
-                fusedml_trace::instant(
-                    "recovery",
-                    "resume",
-                    "host",
-                    &[
-                        ("tier", to.name().into()),
-                        ("iteration", snap.iteration().into()),
-                        ("solver", snap.solver().into()),
-                    ],
-                );
-            }
+    let trace_resume = |to: T| {
+        if !fusedml_trace::is_enabled() {
+            return;
+        }
+        if let Some(snap) = ckpt.and_then(|h| h.latest()) {
+            fusedml_trace::instant(
+                "recovery",
+                "resume",
+                track,
+                &[
+                    ("tier", to.name().into()),
+                    ("iteration", snap.iteration().into()),
+                    ("solver", snap.solver().into()),
+                ],
+            );
         }
     };
 
-    loop {
+    for (i, &tier) in ladder.iter().enumerate() {
         let mut tier_attempt = 0usize;
         let error = loop {
             tier_attempt += 1;
             attempts += 1;
-            match attempt_tier(
-                gpu,
-                tier,
-                data,
-                labels,
-                opts,
-                transpose_policy,
-                policy.cpu_fused_threads,
-                ckpt.as_ref(),
-            ) {
-                Ok((result, stats)) => {
+            let e = match attempt(tier) {
+                Ok(value) => {
                     return Ok(LadderOutcome {
                         tier,
                         attempts,
                         retry_backoff_ms,
                         events,
-                        result,
-                        stats,
-                        resumed_at: ckpt.as_ref().and_then(|h| h.last_resume()),
+                        value,
+                        resumed_at: ckpt.and_then(|h| h.last_resume()),
                     })
                 }
-                Err(e) => {
-                    if e.is_transient() && tier_attempt <= policy.max_retries {
-                        let backoff = policy.backoff_for(tier_attempt);
-                        retry_backoff_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "recovery",
-                                "retry",
-                                "host",
-                                &[
-                                    ("tier", tier.name().into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        if let Some(h) = ckpt.as_ref() {
-                            trace_resume(h, tier);
-                        }
-                        continue;
-                    }
-                    break e;
-                }
+                Err(e) => e,
+            };
+            if !(retryable(&e) && tier_attempt <= policy.max_retries) {
+                break e;
             }
+            let backoff = policy.backoff_for(tier_attempt);
+            retry_backoff_ms += backoff;
+            if fusedml_trace::is_enabled() {
+                fusedml_trace::instant(
+                    "recovery",
+                    "retry",
+                    track,
+                    &[
+                        ("tier", tier.name().into()),
+                        ("attempt", tier_attempt.into()),
+                        ("error", e.kind().into()),
+                        ("backoff_ms", backoff.into()),
+                    ],
+                );
+            }
+            events.push(event(
+                tier,
+                tier_attempt,
+                &e,
+                RecoveryAction::Retry,
+                backoff,
+            ));
+            trace_resume(tier);
         };
 
-        match tier.degrade() {
-            Some(next) if policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "degrade",
-                        "host",
-                        &[
-                            ("from", tier.name().into()),
-                            ("to", next.name().into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                if let Some(h) = ckpt.as_ref() {
-                    trace_resume(h, next);
-                }
-                tier = next;
+        let next = ladder.get(i + 1).filter(|_| policy.allow_degradation);
+        if fusedml_trace::is_enabled() {
+            match next {
+                Some(next) => fusedml_trace::instant(
+                    "recovery",
+                    "degrade",
+                    track,
+                    &[
+                        ("from", tier.name().into()),
+                        ("to", next.name().into()),
+                        ("error", error.kind().into()),
+                    ],
+                ),
+                None => fusedml_trace::instant(
+                    "recovery",
+                    "abort",
+                    track,
+                    &[("tier", tier.name().into()), ("error", error.kind().into())],
+                ),
             }
-            _ => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "abort",
-                        "host",
-                        &[("tier", tier.name().into()), ("error", error.kind().into())],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
+        }
+        let action = match next {
+            Some(_) => RecoveryAction::Degrade,
+            None => RecoveryAction::Abort,
+        };
+        events.push(event(tier, tier_attempt, &error, action, 0.0));
+        tier_errors.push((tier, error));
+        match next {
+            Some(&next) => trace_resume(next),
+            None => {
                 return Err(LadderError {
                     tier_errors,
                     attempts,
                     events,
-                });
+                })
             }
         }
     }
+    // The last tier always returns, so only an empty ladder gets here.
+    panic!("run_with_recovery needs at least one tier")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedml_gpu_sim::DeviceError;
+
+    fn transient() -> SolverError {
+        SolverError::Device(DeviceError::TransientFault {
+            kernel: "csrmv".into(),
+            fault_index: 1,
+        })
+    }
+
+    /// Run the single-device ladder over a scripted sequence of attempt
+    /// results, returning the driver's verdict and the tiers attempted.
+    fn scripted(
+        policy: &RecoveryPolicy,
+        script: Vec<Result<u32, SolverError>>,
+    ) -> (
+        Result<LadderOutcome<BackendTier, u32>, LadderError>,
+        Vec<BackendTier>,
+    ) {
+        let mut script = script.into_iter();
+        let mut tiers = Vec::new();
+        let run = run_with_recovery(
+            &BackendTier::LADDER,
+            policy,
+            "host",
+            None,
+            SolverError::is_transient,
+            |tier| {
+                tiers.push(tier);
+                script
+                    .next()
+                    .expect("the driver attempted more than scripted")
+            },
+        );
+        (run, tiers)
+    }
 
     #[test]
     fn ladder_order_and_names() {
-        assert_eq!(BackendTier::Fused.degrade(), Some(BackendTier::Baseline));
-        assert_eq!(BackendTier::Baseline.degrade(), Some(BackendTier::Cpu));
-        assert_eq!(BackendTier::Cpu.degrade(), None);
-        assert_eq!(BackendTier::Fused.name(), "fused");
+        use BackendTier::*;
+        assert_eq!(BackendTier::LADDER, [Fused, Baseline, Cpu]);
+        assert_eq!(Fused.name(), "fused");
     }
 
     #[test]
@@ -454,5 +414,66 @@ mod tests {
         assert_eq!(p.backoff_for(1), 5.0);
         assert_eq!(p.backoff_for(2), 10.0);
         assert_eq!(p.backoff_for(3), 20.0);
+    }
+
+    #[test]
+    fn driver_retries_transients_then_degrades() {
+        use BackendTier::*;
+        use RecoveryAction::*;
+        let breakdown = SolverError::breakdown("lr_cg", 2, "nr2 is NaN");
+        // Fused: three transients exhaust max_retries = 2; Baseline: a
+        // breakdown is not retryable; Cpu completes.
+        let script = vec![
+            Err(transient()),
+            Err(transient()),
+            Err(transient()),
+            Err(breakdown),
+            Ok(7),
+        ];
+        let (run, tiers) = scripted(&RecoveryPolicy::default(), script);
+        let out = run.unwrap();
+        assert_eq!(tiers, [Fused, Fused, Fused, Baseline, Cpu]);
+        assert_eq!((out.tier, out.attempts, out.value), (Cpu, 5, 7));
+        assert_eq!(out.retry_backoff_ms, 15.0);
+        let trail: Vec<_> = out
+            .events
+            .iter()
+            .map(|e| (e.tier, e.attempt, e.action))
+            .collect();
+        assert_eq!(
+            trail,
+            [
+                (Fused, 1, Retry),
+                (Fused, 2, Retry),
+                (Fused, 3, Degrade),
+                (Baseline, 1, Degrade)
+            ]
+        );
+        assert_eq!(out.events[3].error_kind, "numerical-breakdown");
+    }
+
+    #[test]
+    fn driver_aborts_with_the_last_error_of_every_tier_tried() {
+        use BackendTier::*;
+        let no_degrade = RecoveryPolicy {
+            max_retries: 1,
+            allow_degradation: false,
+            ..RecoveryPolicy::default()
+        };
+        let (run, tiers) = scripted(&no_degrade, vec![Err(transient()), Err(transient())]);
+        let err = run.unwrap_err();
+        assert_eq!(tiers, [Fused, Fused]);
+        assert_eq!(err.attempts, 2);
+        assert_eq!(err.tier_errors.len(), 1);
+        assert_eq!(err.events.last().unwrap().action, RecoveryAction::Abort);
+
+        let broken = |tier| Err(SolverError::breakdown("lr_cg", 0, tier));
+        let script = vec![broken("fused"), broken("baseline"), broken("cpu")];
+        let (run, _) = scripted(&RecoveryPolicy::default(), script);
+        let err = run.unwrap_err();
+        let tried: Vec<_> = err.tier_errors.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tried, BackendTier::LADDER);
+        assert!(err.final_error().to_string().contains("cpu"));
+        assert_eq!(err.events.len(), 3);
     }
 }

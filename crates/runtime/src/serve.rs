@@ -22,17 +22,16 @@
 //! faulted attempt's overrun (failed partial attempts, retry backoff,
 //! resumed work) accrues on that tenant's *recovery lane*: it extends
 //! only the faulted request's completion time and latency, never the
-//! slot reservations other tenants schedule against. Recovery reuses the
-//! PR-1/6 ladder machinery ([`RecoveryPolicy`], [`RecoveryEvent`],
-//! [`LadderError`]) over the serving tier order
-//! `Fused -> Streamed -> Cpu`, with one serving-specific twist: a
-//! `device-lost` fault — permanent for a single-device session — is
-//! retried at the same tier here, because the pool hands the tenant a
-//! fresh replacement device (a new `Gpu` with an attempt-salted fault
-//! stream). Checkpoint/resume works across all of this: one
-//! [`CheckpointHandle`] is shared by every attempt of a request, so a
-//! replacement device or a degraded tier resumes from the last good
-//! iterate instead of iteration 0.
+//! slot reservations other tenants schedule against. Recovery is the
+//! runtime's one driver, [`run_with_recovery`], over the serving tier
+//! order `Fused -> Streamed -> Cpu` from the admitted tier down, with one
+//! serving-specific twist: a `device-lost` fault — permanent for a
+//! single-device session — is retried at the same tier here, because the
+//! pool hands the tenant a fresh replacement device (a new `Gpu` with an
+//! attempt-salted fault stream). Checkpoint/resume works across all of
+//! this: one [`CheckpointHandle`] is shared by every attempt of a
+//! request, so a replacement device or a degraded tier resumes from the
+//! last good iterate instead of iteration 0.
 //!
 //! ## Admission control
 //!
@@ -47,7 +46,9 @@
 //! footprint fits is admitted directly on the streamed tier — quota
 //! pressure degrades, it does not reject.
 
-use crate::recovery::{LadderError, RecoveryAction, RecoveryEvent, RecoveryPolicy, RecoveryTier};
+use crate::recovery::{
+    run_with_recovery, LadderError, RecoveryEvent, RecoveryPolicy, RecoveryTier,
+};
 use crate::session::FaultCountsReport;
 use crate::streamed_backend::StreamedBackend;
 use crate::streaming::{StreamConfig, StreamError};
@@ -86,14 +87,9 @@ pub enum ServeTier {
 }
 
 impl ServeTier {
-    /// The next, more conservative tier; `None` from [`ServeTier::Cpu`].
-    pub fn degrade(self) -> Option<ServeTier> {
-        match self {
-            ServeTier::Fused => Some(ServeTier::Streamed),
-            ServeTier::Streamed => Some(ServeTier::Cpu),
-            ServeTier::Cpu => None,
-        }
-    }
+    /// The serving ladder, fastest first, in declaration order; a request
+    /// enters it at its admitted tier.
+    pub const LADDER: [ServeTier; 3] = [ServeTier::Fused, ServeTier::Streamed, ServeTier::Cpu];
 
     /// Stable name for reports.
     pub fn name(self) -> &'static str {
@@ -600,8 +596,7 @@ pub fn clean_run(
     cfg: &ServeConfig,
 ) -> Result<CleanRun, ServeError> {
     let data = ClassData::generate(class);
-    let ckpt = (cfg.policy.checkpoint_every > 0)
-        .then(|| CheckpointHandle::new(cfg.policy.checkpoint_every));
+    let ckpt = cfg.policy.checkpoint();
     let gpu =
         (tier != ServeTier::Cpu).then(|| Gpu::new(cfg.device.clone()).with_integrity_checks(true));
     let (res, ms) = run_attempt(gpu.as_ref(), tier, class, &data, cfg, ckpt.as_ref());
@@ -846,154 +841,23 @@ fn run_attempt(
     (res, transfer_ms + sim_ms + readback_ms + dispatch_ms)
 }
 
-/// Where a request's ladder landed.
-struct LadderRun {
-    result: ClassResult,
-    tier: ServeTier,
-    attempts: usize,
-    events: Vec<RecoveryEvent<ServeTier>>,
-    /// Attempt durations plus retry backoffs — the recovery-lane time.
-    total_ms: f64,
-    faults: FaultCountsReport,
-}
-
 /// Salt stride separating per-request fault streams; each attempt within
 /// a request advances by one (replacement-device semantics).
 const ATTEMPT_SALT_STRIDE: usize = 97;
 
-#[allow(clippy::too_many_arguments)]
-fn run_ladder(
-    pool: &DevicePool,
-    tenant: &TenantSpec,
-    seq: usize,
-    start_tier: ServeTier,
-    class: WorkloadClass,
-    data: &ClassData,
-    cfg: &ServeConfig,
-    ckpt: Option<&CheckpointHandle>,
-) -> Result<LadderRun, LadderError<ServeTier>> {
-    let mut events: Vec<RecoveryEvent<ServeTier>> = Vec::new();
-    let mut tier_errors: Vec<(ServeTier, SolverError)> = Vec::new();
-    let mut attempts = 0usize;
-    let mut total_ms = 0.0f64;
-    let mut faults = FaultCountsReport::default();
-    let mut tier = start_tier;
-
-    loop {
-        let mut tier_attempt = 0usize;
-        let error = loop {
-            tier_attempt += 1;
-            attempts += 1;
-            // Fresh device per attempt, attached to the shared pool: a
-            // `device-lost` attempt is replaced, not resurrected. The
-            // attempt-salted profile gives the replacement its own
-            // deterministic fault stream.
-            let gpu = (tier != ServeTier::Cpu).then(|| {
-                let mut g = Gpu::new(cfg.device.clone())
-                    .with_shared_pool(pool)
-                    .with_integrity_checks(true);
-                if let Some(p) = &tenant.faults {
-                    g = g
-                        .with_fault_profile(p.for_device(seq * ATTEMPT_SALT_STRIDE + attempts - 1));
-                }
-                g
-            });
-            let (res, ms) = run_attempt(gpu.as_ref(), tier, class, data, cfg, ckpt);
-            total_ms += ms;
-            if let Some(g) = &gpu {
-                faults.merge_counts(&g.faults().counts());
-            }
-            match res {
-                Ok(result) => {
-                    return Ok(LadderRun {
-                        result,
-                        tier,
-                        attempts,
-                        events,
-                        total_ms,
-                        faults,
-                    })
-                }
-                Err(e) => {
-                    // Serving twist: device loss is retried at the same
-                    // tier — the pool supplies a replacement device.
-                    let retryable = e.is_transient() || e.kind() == "device-lost";
-                    if retryable && tier_attempt <= cfg.policy.max_retries {
-                        let backoff = cfg.policy.backoff_for(tier_attempt);
-                        total_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "serve",
-                                "retry",
-                                &tenant.name,
-                                &[
-                                    ("class", class.name().into()),
-                                    ("tier", ServeTier::name(tier).into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        continue;
-                    }
-                    break e;
-                }
-            }
-        };
-
-        match tier.degrade() {
-            Some(next) if cfg.policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "serve",
-                        "degrade",
-                        &tenant.name,
-                        &[
-                            ("class", class.name().into()),
-                            ("from", ServeTier::name(tier).into()),
-                            ("to", ServeTier::name(next).into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                tier = next;
-            }
-            _ => {
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                return Err(LadderError {
-                    tier_errors,
-                    attempts,
-                    events,
-                });
-            }
-        }
-    }
+/// Recovery-lane time of a request: every attempt's modeled cost and the
+/// backoff before each retry, summed in the order they accrued (attempt,
+/// backoff, attempt, ...) so the float sum never reassociates. `events`
+/// holds one entry per failed attempt; only retries carry a backoff.
+fn lane_ms(attempt_ms: &[f64], events: &[RecoveryEvent<ServeTier>]) -> f64 {
+    let backoffs = events
+        .iter()
+        .map(|e| e.backoff_ms)
+        .chain(std::iter::once(0.0));
+    attempt_ms
+        .iter()
+        .zip(backoffs)
+        .fold(0.0, |total, (ms, backoff)| total + ms + backoff)
 }
 
 /// Run a multi-tenant serve: admission, deadline shedding, slot
@@ -1202,23 +1066,50 @@ pub fn serve(
 
         // Execute: the actual run, faults and all. Overrun beyond the
         // estimate lands on this tenant's recovery lane only.
-        let ckpt = (cfg.policy.checkpoint_every > 0)
-            .then(|| CheckpointHandle::new(cfg.policy.checkpoint_every));
-        let run = run_ladder(
-            &pool,
-            tenant,
-            seq,
-            admitted_tier,
-            req.class,
-            data,
-            cfg,
-            ckpt.as_ref(),
+        let ckpt = cfg.policy.checkpoint();
+        let ckpt = ckpt.as_ref();
+        let ladder = &ServeTier::LADDER[admitted_tier as usize..];
+        let mut attempts = 0usize;
+        let mut attempt_ms = Vec::new();
+        let mut faults = FaultCountsReport::default();
+        let run = run_with_recovery(
+            ladder,
+            &cfg.policy,
+            &tenant.name,
+            ckpt,
+            // Serving twist: device loss is retried at the same tier —
+            // the pool supplies a replacement device.
+            |e| e.is_transient() || e.kind() == "device-lost",
+            |tier| {
+                attempts += 1;
+                // Fresh device per attempt, attached to the shared pool: a
+                // `device-lost` attempt is replaced, not resurrected. The
+                // attempt-salted profile gives the replacement its own
+                // deterministic fault stream.
+                let gpu = (tier != ServeTier::Cpu).then(|| {
+                    let mut g = Gpu::new(cfg.device.clone())
+                        .with_shared_pool(&pool)
+                        .with_integrity_checks(true);
+                    if let Some(p) = &tenant.faults {
+                        g = g.with_fault_profile(
+                            p.for_device(seq * ATTEMPT_SALT_STRIDE + attempts - 1),
+                        );
+                    }
+                    g
+                });
+                let (res, ms) = run_attempt(gpu.as_ref(), tier, req.class, data, cfg, ckpt);
+                attempt_ms.push(ms);
+                if let Some(g) = &gpu {
+                    faults.merge_counts(&g.faults().counts());
+                }
+                res
+            },
         );
+        let resumes = ckpt.map(|h| h.resumes()).unwrap_or_default();
         let outcome = match run {
             Ok(lr) => {
-                let completion = start + lr.total_ms;
-                let resumed_at = ckpt.as_ref().and_then(|h| h.last_resume());
-                let resumes = ckpt.as_ref().map(|h| h.resumes()).unwrap_or_default();
+                let total_ms = lane_ms(&attempt_ms, &lr.events);
+                let completion = start + total_ms;
                 let recovered = lr.attempts > 1 || lr.tier != admitted_tier;
                 let missed = completion > req.deadline_ms;
                 if fusedml_trace::is_enabled() {
@@ -1226,7 +1117,7 @@ pub fn serve(
                         "serve",
                         req.class.name(),
                         &tenant.name,
-                        lr.total_ms,
+                        total_ms,
                         &[
                             ("tier", ServeTier::name(lr.tier).into()),
                             ("attempts", lr.attempts.into()),
@@ -1248,20 +1139,18 @@ pub fn serve(
                         tier: lr.tier,
                         admitted_tier,
                         attempts: lr.attempts,
-                        resumed_at,
+                        resumed_at: lr.resumed_at,
                         missed_deadline: missed,
                     },
-                    weights: lr.result.weights,
-                    iterations: lr.result.iterations,
+                    weights: lr.value.weights,
+                    iterations: lr.value.iterations,
                     events: lr.events,
                     resumes,
-                    faults: lr.faults,
+                    faults,
                 }
             }
             Err(ladder) => {
                 let events = ladder.events.clone();
-                let attempts_time: f64 = 0.0; // ladder time folded below
-                let _ = attempts_time;
                 let completion = start; // no successful work to charge
                 RequestOutcome {
                     tenant: req.tenant,
@@ -1278,8 +1167,8 @@ pub fn serve(
                     weights: Vec::new(),
                     iterations: 0,
                     events,
-                    resumes: ckpt.as_ref().map(|h| h.resumes()).unwrap_or_default(),
-                    faults: FaultCountsReport::default(),
+                    resumes,
+                    faults,
                 }
             }
         };
@@ -1710,6 +1599,12 @@ mod tests {
             other => panic!("expected ladder failure, got {other:?}"),
         }
         assert_eq!(rep.tenants[0].failed, 1);
+        // A failed request still reports the faults its attempts drew.
+        assert!(rep.outcomes[0].faults.kernel_faults > 0);
+        assert_eq!(
+            rep.tenants[0].faults_injected,
+            rep.outcomes[0].faults.total()
+        );
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! overheads).
 
 use crate::memman::MemoryManager;
-use crate::recovery::{
-    run_lr_cg_with_recovery, BackendTier, LadderError, RecoveryEvent, RecoveryPolicy,
-};
-use crate::shard_recovery::{run_lr_cg_sharded_with_recovery, ShardTier};
+use crate::recovery::{run_with_recovery, BackendTier, LadderError, RecoveryEvent, RecoveryPolicy};
+use crate::shard_recovery::ShardTier;
 use crate::transfer::TransferModel;
 use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceGroup, Gpu};
 use fusedml_matrix::{CsrMatrix, DenseMatrix};
 use fusedml_ml::ops::TransposePolicy;
-use fusedml_ml::{lr_cg, Backend, BaselineBackend, CpuBackend, FusedBackend, LrCgOptions};
+use fusedml_ml::{
+    lr_cg, try_lr_cg_ckpt, Backend, BackendStats, BaselineBackend, CheckpointHandle, CpuBackend,
+    FusedBackend, LrCgOptions, LrCgResult, ShardedBackend, SolverError,
+};
 use serde::{Deserialize, Serialize};
 
 /// The data set a session runs over.
@@ -289,14 +290,31 @@ pub struct FaultTolerantReport {
     pub faults: FaultCountsReport,
 }
 
+/// One LR-CG attempt on a freshly built backend: the result and the
+/// backend's stats.
+fn solve_lr_cg<B: Backend>(
+    mut b: B,
+    labels: &[f64],
+    opts: LrCgOptions,
+    ckpt: Option<&CheckpointHandle>,
+) -> Result<(LrCgResult, BackendStats), SolverError> {
+    let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
+    Ok((r, b.stats()))
+}
+
 /// Run LR-CG end to end under a [`RecoveryPolicy`]: start on the fused
 /// tier, retry transient faults with backoff, and degrade
 /// `Fused -> Baseline -> Cpu` when a tier cannot complete. `cfg.engine`
 /// is ignored — the ladder always starts at [`BackendTier::Fused`].
 ///
+/// With `policy.checkpoint_every > 0` the solver snapshots its CG state
+/// at that cadence and every retry or degraded attempt resumes from the
+/// last snapshot instead of iteration 0 — the snapshot lives on the
+/// host, so it survives the switch to a fresh backend on a lower tier.
 /// With `policy.allow_degradation` set (the default) this always
 /// succeeds, because the CPU tier cannot fault; `Err` is only possible
-/// when degradation is disabled.
+/// when degradation is disabled, and carries the last error seen on
+/// every tier attempted.
 pub fn run_device_fault_tolerant(
     gpu: &Gpu,
     data: &DataSet,
@@ -329,7 +347,41 @@ pub fn run_device_fault_tolerant(
     };
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
-    let outcome = run_lr_cg_with_recovery(gpu, data, labels, opts, cfg.transpose_policy, policy)?;
+    let ckpt = policy.checkpoint();
+    let ckpt = ckpt.as_ref();
+    let cpu = |b: CpuBackend| match policy.cpu_fused_threads {
+        0 => b,
+        threads => b.with_fused_execution(threads),
+    };
+    let outcome = run_with_recovery(
+        &BackendTier::LADDER,
+        policy,
+        "host",
+        ckpt,
+        SolverError::is_transient,
+        |tier| match (tier, data) {
+            (BackendTier::Fused, DataSet::Sparse(x)) => {
+                solve_lr_cg(FusedBackend::try_new_sparse(gpu, x)?, labels, opts, ckpt)
+            }
+            (BackendTier::Fused, DataSet::Dense(x)) => {
+                solve_lr_cg(FusedBackend::try_new_dense(gpu, x)?, labels, opts, ckpt)
+            }
+            (BackendTier::Baseline, DataSet::Sparse(x)) => {
+                let b = BaselineBackend::try_new_sparse(gpu, x)?
+                    .with_transpose_policy(cfg.transpose_policy);
+                solve_lr_cg(b, labels, opts, ckpt)
+            }
+            (BackendTier::Baseline, DataSet::Dense(x)) => {
+                solve_lr_cg(BaselineBackend::try_new_dense(gpu, x)?, labels, opts, ckpt)
+            }
+            (BackendTier::Cpu, DataSet::Sparse(x)) => {
+                solve_lr_cg(cpu(CpuBackend::new_sparse(x.clone())), labels, opts, ckpt)
+            }
+            (BackendTier::Cpu, DataSet::Dense(x)) => {
+                solve_lr_cg(cpu(CpuBackend::new_dense(x.clone())), labels, opts, ckpt)
+            }
+        },
+    )?;
     drop(solve_span);
     session_span.arg("tier", outcome.tier.name());
     session_span.arg("attempts", outcome.attempts);
@@ -337,9 +389,10 @@ pub fn run_device_fault_tolerant(
         session_span.arg("resumed_at", it);
     }
 
-    let kernel_ms = outcome.stats.sim_ms;
-    let launches = outcome.stats.launches;
-    let iterations = outcome.result.iterations;
+    let (result, stats) = outcome.value;
+    let kernel_ms = stats.sim_ms;
+    let launches = stats.launches;
+    let iterations = result.iterations;
     // Scalar readbacks and dispatch overhead only apply to device tiers.
     let (readback_ms, dispatch_ms) = if outcome.tier == BackendTier::Cpu {
         (0.0, 0.0)
@@ -360,15 +413,15 @@ pub fn run_device_fault_tolerant(
             total_ms: kernel_ms + transfer_ms + readback_ms + dispatch_ms,
             launches,
             iterations,
-            counters: outcome.stats.counters.clone(),
+            counters: stats.counters,
         },
         tier: outcome.tier,
         attempts: outcome.attempts,
         retry_backoff_ms: outcome.retry_backoff_ms,
         events: outcome.events,
-        weights: outcome.result.weights,
-        final_nr2: outcome.result.final_nr2,
-        restarts: outcome.result.restarts,
+        weights: result.weights,
+        final_nr2: result.final_nr2,
+        restarts: result.restarts,
         resumed_at: outcome.resumed_at,
         faults: FaultCountsReport::from_counts(&counts),
     })
@@ -463,11 +516,19 @@ pub struct ShardedSessionReport {
 }
 
 /// Run LR-CG row-sharded across a device group under the shard recovery
-/// ladder (`ShardRetry -> Reshard -> SingleDevice -> Cpu`); see
-/// [`run_lr_cg_sharded_with_recovery`] for the ladder semantics. The
-/// matrix is charged over PCIe once (the shards upload concurrently from
-/// the same host copy), and scalar readbacks come from the root device
-/// like the single-device session.
+/// ladder (`ShardRetry -> Reshard -> SingleDevice -> Cpu`, see
+/// [`crate::shard_recovery`]). The matrix is charged over PCIe once (the
+/// shards upload concurrently from the same host copy), and scalar
+/// readbacks come from the root device like the single-device session.
+///
+/// Transient faults retry on the same tier with exponential backoff; a
+/// device loss is non-transient and degrades `ShardRetry -> Reshard`,
+/// which rebuilds the sharding over the survivors. With
+/// `policy.checkpoint_every > 0` the resharded attempt resumes from the
+/// last host-side snapshot instead of iteration 0. Because the sharded
+/// executor's reduction is canonical, the final weights are bit-identical
+/// whatever tier finishes the run — including `SingleDevice` — except
+/// `Cpu`, which has its own (reference) summation order.
 pub fn run_sharded_fault_tolerant(
     group: &DeviceGroup,
     x: &CsrMatrix,
@@ -507,19 +568,47 @@ pub fn run_sharded_fault_tolerant(
     };
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
-    let outcome =
-        run_lr_cg_sharded_with_recovery(group, x, labels, opts, straggler_factor, policy)?;
+    let ckpt = policy.checkpoint();
+    let ckpt = ckpt.as_ref();
+    // Summed over every device attempt, successful or not.
+    let (mut stragglers, mut reexecs) = (0usize, 0usize);
+    let ladder = run_with_recovery(
+        &ShardTier::LADDER,
+        policy,
+        "host",
+        ckpt,
+        SolverError::is_transient,
+        |tier| {
+            let ordinals: Vec<usize> = match tier {
+                ShardTier::ShardRetry | ShardTier::Reshard => group.alive_ordinals(),
+                // Pin the job to the first survivor; with none left,
+                // construction reports the loss and the ladder moves on.
+                ShardTier::SingleDevice => group.alive_ordinals().into_iter().take(1).collect(),
+                ShardTier::Cpu => {
+                    let (r, s) =
+                        solve_lr_cg(CpuBackend::new_sparse(x.clone()), labels, opts, ckpt)?;
+                    return Ok((r, s, 0));
+                }
+            };
+            let mut b = ShardedBackend::try_new_sparse_on(group, x, &ordinals)?
+                .with_straggler_policy(straggler_factor, true);
+            let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
+            stragglers += b.stragglers_detected();
+            reexecs += b.speculative_reexecs();
+            Ok((res?, b.stats(), b.shard_count()))
+        },
+    )?;
     drop(solve_span);
-    let ladder = outcome.ladder;
     session_span.arg("tier", ladder.tier.name());
     session_span.arg("attempts", ladder.attempts);
     if let Some(it) = ladder.resumed_at {
         session_span.arg("resumed_at", it);
     }
 
-    let kernel_ms = ladder.stats.sim_ms;
-    let launches = ladder.stats.launches;
-    let iterations = ladder.result.iterations;
+    let (result, stats, devices_used) = ladder.value;
+    let kernel_ms = stats.sim_ms;
+    let launches = stats.launches;
+    let iterations = result.iterations;
     let (readback_ms, dispatch_ms) = if ladder.tier == ShardTier::Cpu {
         (0.0, 0.0)
     } else {
@@ -539,24 +628,24 @@ pub fn run_sharded_fault_tolerant(
             total_ms: kernel_ms + transfer_ms + readback_ms + dispatch_ms,
             launches,
             iterations,
-            counters: ladder.stats.counters.clone(),
+            counters: stats.counters,
         },
         tier: ladder.tier,
         attempts: ladder.attempts,
         retry_backoff_ms: ladder.retry_backoff_ms,
         events: ladder.events,
-        weights: ladder.result.weights,
-        final_nr2: ladder.result.final_nr2,
-        restarts: ladder.result.restarts,
+        weights: result.weights,
+        final_nr2: result.final_nr2,
+        restarts: result.restarts,
         resumed_at: ladder.resumed_at,
         device_count: group.len(),
-        devices_used: outcome.devices_used,
+        devices_used,
         interconnect: group.interconnect().name.clone(),
         interconnect_transfers: ic.transfers,
         interconnect_bytes: ic.bytes,
         interconnect_ms: ic.sim_ms,
-        stragglers_detected: outcome.stragglers_detected,
-        speculative_reexecs: outcome.speculative_reexecs,
+        stragglers_detected: stragglers,
+        speculative_reexecs: reexecs,
         faults: FaultCountsReport::from_counts(&group.fault_counts()),
     })
 }

@@ -1,5 +1,7 @@
-//! Multi-device fault recovery: the shard ladder
-//! `ShardRetry -> Reshard -> SingleDevice -> Cpu`.
+//! The multi-device degradation ladder
+//! `ShardRetry -> Reshard -> SingleDevice -> Cpu`, driven by
+//! [`run_with_recovery`](crate::recovery::run_with_recovery) from
+//! [`run_sharded_fault_tolerant`](crate::session::run_sharded_fault_tolerant).
 //!
 //! * **ShardRetry** — rebuild the sharded job on every alive device and
 //!   retry transient faults with backoff (same-tier retries, like the
@@ -11,20 +13,8 @@
 //!   through the sharded executor (one shard), so the canonical reduction
 //!   keeps the numerics bit-identical to the multi-device run.
 //! * **Cpu** — host execution, the tier of last resort; never faults.
-//!
-//! Every decision is a [`RecoveryEvent<ShardTier>`] and an exhausted
-//! ladder returns [`LadderError<ShardTier>`] carrying the last error seen
-//! on every tier — the same trail format as the single-device ladder.
 
-use crate::recovery::{
-    LadderError, LadderOutcome, RecoveryAction, RecoveryEvent, RecoveryPolicy, RecoveryTier,
-};
-use fusedml_gpu_sim::DeviceGroup;
-use fusedml_matrix::CsrMatrix;
-use fusedml_ml::{
-    try_lr_cg_ckpt, Backend, BackendStats, CheckpointHandle, CpuBackend, LrCgOptions, LrCgResult,
-    ShardedBackend, SolverError,
-};
+use crate::recovery::RecoveryTier;
 use serde::{Deserialize, Serialize};
 
 /// Rung of the multi-device degradation ladder, fastest first.
@@ -43,15 +33,13 @@ pub enum ShardTier {
 }
 
 impl ShardTier {
-    /// The next, more conservative tier; `None` from [`ShardTier::Cpu`].
-    pub fn degrade(self) -> Option<ShardTier> {
-        match self {
-            ShardTier::ShardRetry => Some(ShardTier::Reshard),
-            ShardTier::Reshard => Some(ShardTier::SingleDevice),
-            ShardTier::SingleDevice => Some(ShardTier::Cpu),
-            ShardTier::Cpu => None,
-        }
-    }
+    /// The multi-device ladder, fastest first.
+    pub const LADDER: [ShardTier; 4] = [
+        ShardTier::ShardRetry,
+        ShardTier::Reshard,
+        ShardTier::SingleDevice,
+        ShardTier::Cpu,
+    ];
 
     /// Stable name for reports.
     pub fn name(self) -> &'static str {
@@ -70,287 +58,17 @@ impl RecoveryTier for ShardTier {
     }
 }
 
-/// A [`LadderOutcome`] plus the sharding facts the multi-device report
-/// needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOutcome {
-    /// The generic ladder outcome (tier, attempts, events, result, stats).
-    pub ladder: LadderOutcome<ShardTier>,
-    /// Devices that held a shard in the successful attempt (0 on the CPU
-    /// tier).
-    pub devices_used: usize,
-    /// Shards that missed the straggler deadline, summed over every device
-    /// attempt (successful or not).
-    pub stragglers_detected: usize,
-    /// Speculative re-executions launched, summed likewise.
-    pub speculative_reexecs: usize,
-}
-
-struct AttemptOutput {
-    result: LrCgResult,
-    stats: BackendStats,
-    devices_used: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attempt_tier(
-    group: &DeviceGroup,
-    tier: ShardTier,
-    x: &CsrMatrix,
-    labels: &[f64],
-    opts: LrCgOptions,
-    straggler_factor: f64,
-    ckpt: Option<&CheckpointHandle>,
-    stragglers: &mut usize,
-    reexecs: &mut usize,
-) -> Result<AttemptOutput, SolverError> {
-    match tier {
-        ShardTier::ShardRetry | ShardTier::Reshard => {
-            let mut b = ShardedBackend::try_new_sparse(group, x)?
-                .with_straggler_policy(straggler_factor, true);
-            let devices_used = b.shard_count();
-            let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
-            *stragglers += b.stragglers_detected();
-            *reexecs += b.speculative_reexecs();
-            let r = res?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used,
-            })
-        }
-        ShardTier::SingleDevice => {
-            let pinned = match group.alive_ordinals().first() {
-                Some(&o) => [o],
-                None => {
-                    // No survivors at all: fail fast with a typed loss so
-                    // the ladder falls through to the CPU tier.
-                    return Err(fusedml_gpu_sim::DeviceError::DeviceLost {
-                        device: group.len().saturating_sub(1),
-                        fault_index: 0,
-                    }
-                    .into());
-                }
-            };
-            let mut b = ShardedBackend::try_new_sparse_on(group, x, &pinned)?
-                .with_straggler_policy(straggler_factor, true);
-            let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
-            *stragglers += b.stragglers_detected();
-            *reexecs += b.speculative_reexecs();
-            let r = res?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used: 1,
-            })
-        }
-        ShardTier::Cpu => {
-            let mut b = CpuBackend::new_sparse(x.clone());
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used: 0,
-            })
-        }
-    }
-}
-
-/// Run LR-CG sharded across `group` under the shard recovery ladder.
-///
-/// Transient faults retry on the same tier with exponential backoff; a
-/// device loss is non-transient and degrades `ShardRetry -> Reshard`,
-/// which rebuilds the sharding over the survivors. With
-/// `policy.checkpoint_every > 0` the resharded attempt resumes from the
-/// last host-side snapshot (`resumed_at > 0` in the outcome) instead of
-/// iteration 0. Because the sharded executor's reduction is canonical,
-/// the final weights are bit-identical whatever tier finishes the run —
-/// including `SingleDevice` — except `Cpu`, which has its own (reference)
-/// summation order.
-pub fn run_lr_cg_sharded_with_recovery(
-    group: &DeviceGroup,
-    x: &CsrMatrix,
-    labels: &[f64],
-    opts: LrCgOptions,
-    straggler_factor: f64,
-    policy: &RecoveryPolicy,
-) -> Result<ShardedOutcome, LadderError<ShardTier>> {
-    let mut events = Vec::new();
-    let mut tier_errors: Vec<(ShardTier, SolverError)> = Vec::new();
-    let mut attempts = 0usize;
-    let mut retry_backoff_ms = 0.0f64;
-    let mut stragglers = 0usize;
-    let mut reexecs = 0usize;
-    let mut tier = ShardTier::ShardRetry;
-    let ckpt =
-        (policy.checkpoint_every > 0).then(|| CheckpointHandle::new(policy.checkpoint_every));
-
-    let trace_resume = |h: &CheckpointHandle, to: ShardTier| {
-        if let Some(snap) = h.latest() {
-            if fusedml_trace::is_enabled() {
-                fusedml_trace::instant(
-                    "recovery",
-                    "resume",
-                    "host",
-                    &[
-                        ("tier", to.name().into()),
-                        ("iteration", snap.iteration().into()),
-                        ("solver", snap.solver().into()),
-                    ],
-                );
-            }
-        }
-    };
-
-    loop {
-        let mut tier_attempt = 0usize;
-        let error = loop {
-            tier_attempt += 1;
-            attempts += 1;
-            match attempt_tier(
-                group,
-                tier,
-                x,
-                labels,
-                opts,
-                straggler_factor,
-                ckpt.as_ref(),
-                &mut stragglers,
-                &mut reexecs,
-            ) {
-                Ok(out) => {
-                    return Ok(ShardedOutcome {
-                        ladder: LadderOutcome {
-                            tier,
-                            attempts,
-                            retry_backoff_ms,
-                            events,
-                            result: out.result,
-                            stats: out.stats,
-                            resumed_at: ckpt.as_ref().and_then(|h| h.last_resume()),
-                        },
-                        devices_used: out.devices_used,
-                        stragglers_detected: stragglers,
-                        speculative_reexecs: reexecs,
-                    })
-                }
-                Err(e) => {
-                    if e.is_transient() && tier_attempt <= policy.max_retries {
-                        let backoff = policy.backoff_for(tier_attempt);
-                        retry_backoff_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "recovery",
-                                "retry",
-                                "host",
-                                &[
-                                    ("tier", tier.name().into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        if let Some(h) = ckpt.as_ref() {
-                            trace_resume(h, tier);
-                        }
-                        continue;
-                    }
-                    break e;
-                }
-            }
-        };
-
-        match tier.degrade() {
-            Some(next) if policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    if next == ShardTier::Reshard {
-                        // The headline instant of this ladder: the shard
-                        // layout is about to change.
-                        fusedml_trace::instant(
-                            "recovery",
-                            "reshard",
-                            "host",
-                            &[
-                                ("survivors", group.alive_count().into()),
-                                ("of", group.len().into()),
-                                ("error", error.kind().into()),
-                            ],
-                        );
-                    }
-                    fusedml_trace::instant(
-                        "recovery",
-                        "degrade",
-                        "host",
-                        &[
-                            ("from", tier.name().into()),
-                            ("to", next.name().into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                if let Some(h) = ckpt.as_ref() {
-                    trace_resume(h, next);
-                }
-                tier = next;
-            }
-            _ => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "abort",
-                        "host",
-                        &[("tier", tier.name().into()), ("error", error.kind().into())],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                return Err(LadderError {
-                    tier_errors,
-                    attempts,
-                    events,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_gpu_sim::{DeviceSpec, FaultProfile, InterconnectSpec};
+    use crate::recovery::RecoveryPolicy;
+    use crate::session::{run_sharded_fault_tolerant, EngineKind, SessionConfig};
+    use fusedml_gpu_sim::{DeviceGroup, DeviceSpec, FaultProfile, InterconnectSpec};
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
 
-    fn opts() -> LrCgOptions {
-        LrCgOptions {
-            eps: 0.001,
-            tolerance: 0.0,
-            max_iterations: 30,
-        }
+    /// 30 fixed iterations (tolerance disabled).
+    fn cfg() -> SessionConfig {
+        SessionConfig::native(EngineKind::Fused, 30)
     }
 
     fn group(n: usize, profile: FaultProfile) -> DeviceGroup {
@@ -364,12 +82,8 @@ mod tests {
 
     #[test]
     fn shard_ladder_order_and_names() {
-        assert_eq!(ShardTier::ShardRetry.degrade(), Some(ShardTier::Reshard));
-        assert_eq!(ShardTier::Reshard.degrade(), Some(ShardTier::SingleDevice));
-        assert_eq!(ShardTier::SingleDevice.degrade(), Some(ShardTier::Cpu));
-        assert_eq!(ShardTier::Cpu.degrade(), None);
-        assert_eq!(ShardTier::Reshard.name(), "reshard");
-        assert_eq!(ShardTier::SingleDevice.name(), "single-device");
+        let names: Vec<&str> = ShardTier::LADDER.iter().map(|t| t.name()).collect();
+        assert_eq!(names, ["shard-retry", "reshard", "single-device", "cpu"]);
     }
 
     #[test]
@@ -377,20 +91,14 @@ mod tests {
         let x = uniform_sparse(120, 16, 0.2, 7);
         let labels = random_vector(120, 8);
         let g = group(3, FaultProfile::disabled());
-        let out = run_lr_cg_sharded_with_recovery(
-            &g,
-            &x,
-            &labels,
-            opts(),
-            3.0,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(out.ladder.tier, ShardTier::ShardRetry);
-        assert_eq!(out.ladder.attempts, 1);
+        let out =
+            run_sharded_fault_tolerant(&g, &x, &labels, &cfg(), 3.0, &RecoveryPolicy::default())
+                .unwrap();
+        assert_eq!(out.tier, ShardTier::ShardRetry);
+        assert_eq!(out.attempts, 1);
         assert_eq!(out.devices_used, 3);
-        assert!(out.ladder.events.is_empty());
-        assert_eq!(out.ladder.resumed_at, None);
+        assert!(out.events.is_empty());
+        assert_eq!(out.resumed_at, None);
     }
 
     #[test]
@@ -405,18 +113,17 @@ mod tests {
         // Baseline: unfaulted single device through the same executor.
         let clean = {
             let g = group(1, FaultProfile::disabled());
-            run_lr_cg_sharded_with_recovery(&g, &x, &labels, opts(), 3.0, &policy).unwrap()
+            run_sharded_fault_tolerant(&g, &x, &labels, &cfg(), 3.0, &policy).unwrap()
         };
-        assert_eq!(clean.ladder.tier, ShardTier::ShardRetry);
+        assert_eq!(clean.tier, ShardTier::ShardRetry);
 
         // Seeded device loss mid-solve: found by scanning seeds offline;
         // this one kills exactly one of three devices within 30 iterations.
         let mut hit = None;
         for seed in 0..64u64 {
             let g = group(3, FaultProfile::seeded(seed).with_device_loss_rate(0.0015));
-            let out =
-                run_lr_cg_sharded_with_recovery(&g, &x, &labels, opts(), 3.0, &policy).unwrap();
-            if out.ladder.tier == ShardTier::Reshard && g.alive_count() == 2 {
+            let out = run_sharded_fault_tolerant(&g, &x, &labels, &cfg(), 3.0, &policy).unwrap();
+            if out.tier == ShardTier::Reshard && g.alive_count() == 2 {
                 hit = Some((out, seed));
                 break;
             }
@@ -426,21 +133,18 @@ mod tests {
         // The loss trail: shard-retry failed with a device loss, resharded,
         // resumed past iteration 0.
         assert!(
-            out.ladder
-                .events
-                .iter()
-                .any(|e| e.error_kind == "device-lost"),
+            out.events.iter().any(|e| e.error_kind == "device-lost"),
             "seed {seed}: no device-lost event in the trail"
         );
         assert_eq!(out.devices_used, 2, "seed {seed}");
-        let resumed = out.ladder.resumed_at.unwrap_or(0);
+        let resumed = out.resumed_at.unwrap_or(0);
         assert!(resumed > 0, "seed {seed}: resumed at iteration 0");
 
         // And the survivors' result is bit-identical to the unfaulted run.
         let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            bits(&out.ladder.result.weights),
-            bits(&clean.ladder.result.weights),
+            bits(&out.weights),
+            bits(&clean.weights),
             "seed {seed}: reshard changed the numerics"
         );
     }
@@ -452,25 +156,15 @@ mod tests {
         let g = group(2, FaultProfile::disabled());
         g.mark_lost(0);
         g.mark_lost(1);
-        let out = run_lr_cg_sharded_with_recovery(
-            &g,
-            &x,
-            &labels,
-            opts(),
-            3.0,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(out.ladder.tier, ShardTier::Cpu);
+        let out =
+            run_sharded_fault_tolerant(&g, &x, &labels, &cfg(), 3.0, &RecoveryPolicy::default())
+                .unwrap();
+        assert_eq!(out.tier, ShardTier::Cpu);
         assert_eq!(out.devices_used, 0);
         // Every device tier left a device-lost event in the trail.
-        let tiers: Vec<&str> = out.ladder.events.iter().map(|e| e.tier.name()).collect();
+        let tiers: Vec<&str> = out.events.iter().map(|e| e.tier.name()).collect();
         assert_eq!(tiers, vec!["shard-retry", "reshard", "single-device"]);
-        assert!(out
-            .ladder
-            .events
-            .iter()
-            .all(|e| e.error_kind == "device-lost"));
+        assert!(out.events.iter().all(|e| e.error_kind == "device-lost"));
     }
 
     #[test]
@@ -482,8 +176,7 @@ mod tests {
             allow_degradation: false,
             ..RecoveryPolicy::default()
         };
-        let err =
-            run_lr_cg_sharded_with_recovery(&g, &x, &labels, opts(), 3.0, &policy).unwrap_err();
+        let err = run_sharded_fault_tolerant(&g, &x, &labels, &cfg(), 3.0, &policy).unwrap_err();
         assert_eq!(err.kind(), "device-lost");
         assert_eq!(err.tier_errors.len(), 1);
         assert_eq!(err.tier_errors[0].0, ShardTier::ShardRetry);

@@ -276,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_backend_matches_reference_and_accounts() {
+    fn streamed_backend_matches_reference_and_accounts() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(600, 80, 0.08, 201);
         let y = random_vector(80, 1);
@@ -289,10 +289,10 @@ mod tests {
             TransferModel::native(),
             StreamConfig::fixed(128, 3),
         );
-        let yd = b.from_host("y", &y);
-        let vd = b.from_host("v", &v);
-        let mut wd = b.zeros("w", 80);
-        b.pattern(spec, Some(&vd), &yd, None, &mut wd);
+        let yd = b.try_from_host("y", &y)?;
+        let vd = b.try_from_host("v", &v)?;
+        let mut wd = b.try_zeros("w", 80)?;
+        b.try_pattern(spec, Some(&vd), &yd, None, &mut wd)?;
         let w = b.to_host(&wd);
 
         let expect = reference::pattern_csr(1.0, &x, Some(&v), &y, 0.0, None);
@@ -307,6 +307,7 @@ mod tests {
         // The backend charges the overlapped pipeline wall, which covers
         // the transfers the kernels hid under.
         assert!(s.sim_ms >= r.overlapped_ms);
+        Ok(())
     }
 
     /// The headline contract: an lr_cg solve is bit-identical whether the
@@ -387,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_releases_device_memory_on_drop() {
+    fn backend_releases_device_memory_on_drop() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(300, 32, 0.1, 204);
         let y = random_vector(32, 5);
@@ -399,13 +400,14 @@ mod tests {
                 TransferModel::native(),
                 StreamConfig::fixed(64, 2).with_residency(u64::MAX),
             );
-            let yd = b.from_host("y", &y);
-            let mut wd = b.zeros("w", 32);
-            b.pattern(PatternSpec::xtxy(), None, &yd, None, &mut wd);
+            let yd = b.try_from_host("y", &y)?;
+            let mut wd = b.try_zeros("w", 32)?;
+            b.try_pattern(PatternSpec::xtxy(), None, &yd, None, &mut wd)?;
             assert!(b.streamer().resident_bytes() > 0);
             g.free(&yd);
             g.free(&wd);
         }
         assert_eq!(g.allocated_bytes(), before, "backend leaked device bytes");
+        Ok(())
     }
 }

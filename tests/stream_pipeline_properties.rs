@@ -17,7 +17,7 @@
 //!    chunk, no matter how the row count decomposes.
 
 use fusedml_core::PatternSpec;
-use fusedml_gpu_sim::{DeviceSpec, Gpu};
+use fusedml_gpu_sim::{DeviceError, DeviceSpec, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference::csr_mv;
 use fusedml_matrix::{Coo, CsrMatrix};
@@ -348,22 +348,22 @@ fn pagerank_streamed(
     inv_deg: &[f64],
     damping: f64,
     iters: usize,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, DeviceError> {
     let n = b.cols();
     let teleport = (1.0 - damping) / n as f64;
-    let invd = b.from_host("pr.invdeg", inv_deg);
-    let ones = b.from_host("pr.ones", &vec![1.0; n]);
-    let r = b.from_host("pr.r", &vec![1.0 / n as f64; n]);
-    let mut scaled = b.zeros("pr.scaled", n);
-    let mut next = b.zeros("pr.next", n);
+    let invd = b.try_from_host("pr.invdeg", inv_deg)?;
+    let ones = b.try_from_host("pr.ones", &vec![1.0; n])?;
+    let r = b.try_from_host("pr.r", &vec![1.0 / n as f64; n])?;
+    let mut scaled = b.try_zeros("pr.scaled", n)?;
+    let mut next = b.try_zeros("pr.next", n)?;
     let mut cur = r;
     for _ in 0..iters {
-        b.ewmul(&cur, &invd, &mut scaled);
-        b.tmv(damping, &scaled, &mut next);
-        b.axpy(teleport, &ones, &mut next);
-        b.copy(&next, &mut cur);
+        b.try_ewmul(&cur, &invd, &mut scaled)?;
+        b.try_tmv(damping, &scaled, &mut next)?;
+        b.try_axpy(teleport, &ones, &mut next)?;
+        b.try_copy(&next, &mut cur)?;
     }
-    b.to_host(&cur)
+    Ok(b.to_host(&cur))
 }
 
 #[test]
@@ -389,6 +389,6 @@ fn pagerank_streams_bit_identically() {
         })
         .collect();
     assert_solver_bit_identical("pagerank", &links, 29, &|b| {
-        pagerank_streamed(b, &inv_deg, 0.85, 10)
+        pagerank_streamed(b, &inv_deg, 0.85, 10).unwrap_or_else(|e| panic!("{e}"))
     });
 }
