@@ -82,9 +82,20 @@ pub fn try_dense_fused_kernel<const TL: usize>(
             let col = lid + i * vs;
             (col < n).then_some(col)
         };
-        // Vector positions of the 32 lanes of the warp starting at `tid0`.
-        let lane_lids =
-            |tid0: usize| -> [usize; WARP_LANES] { std::array::from_fn(|lane| (tid0 + lane) % vs) };
+        // Vector positions of the 32 lanes of the warp starting at `tid0`,
+        // stepped rather than divided per lane.
+        let lane_lids = |tid0: usize| -> [usize; WARP_LANES] {
+            let mut lids = [0; WARP_LANES];
+            let mut lid = tid0 % vs;
+            for slot in &mut lids {
+                *slot = lid;
+                lid += 1;
+                if lid == vs {
+                    lid = 0;
+                }
+            }
+            lids
+        };
 
         // ---- lines 4-5: load y into registers, once ----
         blk.each_warp(|wc| {
@@ -104,10 +115,9 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                 let tid0 = wc.tid(0);
                 let lids = lane_lids(tid0);
                 for ci in 0..c {
-                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                    if rows.iter().all(Option::is_none) {
+                    let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                         break;
-                    }
+                    };
                     // lines 11-13: read the row, dot with l_y.
                     let mut lx = [[0.0f64; TL]; WARP_LANES];
                     let mut sum = [0.0f64; WARP_LANES];

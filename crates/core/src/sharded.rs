@@ -100,10 +100,9 @@ pub fn try_fused_pattern_shard(
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
-                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                    if rows.iter().all(Option::is_none) {
+                    let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                         break;
-                    }
+                    };
                     // The shard twist: the row step also persists p_r to u
                     // (one store per row), the epilogue's input.
                     fused_row_step(wc, x, y, v, Some(u), vs, &rows, |wc, idx, cols, contrib| {
@@ -123,10 +122,9 @@ pub fn try_fused_pattern_shard(
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
-                    let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                    if rows.iter().all(Option::is_none) {
+                    let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                         break;
-                    }
+                    };
                     // The shard twist: the row step also persists p_r to u
                     // (one store per row), the epilogue's input.
                     fused_row_step(wc, x, y, v, Some(u), vs, &rows, |wc, idx, cols, contrib| {

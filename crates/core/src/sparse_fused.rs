@@ -68,7 +68,9 @@ pub(crate) fn flush_shared(blk: &mut BlockCtx, sd: Shared, w: &GpuBuffer, alpha:
 
 /// Rows of the 32 lanes of the warp starting at thread `tid0` during
 /// coarsening step `ci`, per the paper's schedule `row = block_ID x NV +
-/// vid`, advancing by `gridSize / VS`. `None` past the last row.
+/// vid`, advancing by `gridSize / VS`; a lane's row is `None` past the last
+/// row. Rows only rise with the lane, so the whole warp is idle — `None` —
+/// once its first lane's row is past `m`.
 pub(crate) fn lane_rows(
     block_id: usize,
     nv: usize,
@@ -77,11 +79,14 @@ pub(crate) fn lane_rows(
     tid0: usize,
     ci: usize,
     m: usize,
-) -> [Option<usize>; WARP_LANES] {
+) -> Option<[Option<usize>; WARP_LANES]> {
     let base = block_id * nv + ci * total_vectors;
     // Vector id and position within it of each lane, stepped rather than
     // divided per lane.
     let (mut vid, mut pos) = (tid0 / vs, tid0 % vs);
+    if base + vid >= m {
+        return None;
+    }
     let mut rows = [None; WARP_LANES];
     for row in &mut rows {
         let r = base + vid;
@@ -92,7 +97,7 @@ pub(crate) fn lane_rows(
             vid += 1;
         }
     }
-    rows
+    Some(rows)
 }
 
 /// The CSR strips one warp scans during a coarsening step: lane `l` of a
@@ -271,10 +276,9 @@ pub fn try_fused_pattern_shared(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                if rows.iter().all(Option::is_none) {
+                let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
-                }
+                };
                 fused_row_step(wc, x, y, v, None, vs, &rows, |wc, idx, cols, contrib| {
                     wc.shared_atomic_add(sd, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
@@ -334,10 +338,9 @@ pub fn try_fused_xt_p_shared(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                if rows.iter().all(Option::is_none) {
+                let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
-                }
+                };
                 let strips = RowStrips::load(wc, x, &rows, vs);
                 let pr = wc.load_f64_tex(p, |l| rows[l]);
 

@@ -51,10 +51,9 @@ pub fn try_fused_pattern_global(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                if rows.iter().all(Option::is_none) {
+                let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
-                }
+                };
                 fused_row_step(wc, x, y, v, None, vs, &rows, |wc, idx, cols, contrib| {
                     // Inter-vector aggregation straight to global memory.
                     wc.atomic_add_f64(w, |lane| {
@@ -109,10 +108,9 @@ pub fn try_fused_xt_p_global(
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
-                let rows = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m);
-                if rows.iter().all(Option::is_none) {
+                let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
-                }
+                };
                 let strips = RowStrips::load(wc, x, &rows, vs);
                 let pr = wc.load_f64_tex(p, |l| rows[l]);
 

@@ -61,18 +61,23 @@ impl CacheModel {
         let set = (line as usize) & (self.num_sets - 1);
         let base = set * self.ways;
         self.clock += 1;
-        let ways = &mut self.tags[base..base + self.ways];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            self.hits += 1;
-            return true;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        // One pass finds the hit way, or else the LRU way: the first one
+        // with the smallest stamp (stamps never reach `u64::MAX`).
+        let (mut lru, mut oldest) = (0, u64::MAX);
+        for w in 0..self.ways {
+            if tags[w] == line {
+                stamps[w] = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            if stamps[w] < oldest {
+                (lru, oldest) = (w, stamps[w]);
+            }
         }
-        // Miss: replace LRU way.
-        let lru = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or_else(|| unreachable!("cache has >= 1 way"));
-        self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
+        tags[lru] = line;
+        stamps[lru] = self.clock;
         self.misses += 1;
         false
     }

@@ -21,7 +21,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::memory::{Elem, GpuBuffer};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::pool::{BufferPool, DevicePool, PoolStats};
-use crate::shared::{bank_conflict_replays, replays_and_repeats};
+use crate::shared::{bank_conflict_replays, replays_and_repeats, MAX_BANKS};
 use crate::timing::{kernel_time, TimeBreakdown};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -109,6 +109,11 @@ struct SmState {
     /// Running atomic count on this SM (drives deterministic histogram
     /// sampling independent of host-thread partitioning).
     atomic_phase: u64,
+    /// Dedup buffer of the warp instruction being accounted. Each
+    /// instruction clears it, which is two stores: what lies past its
+    /// length is never read, so it is zeroed once, here, not per
+    /// instruction.
+    dedup: FirstSeen,
 }
 
 /// Cumulative integrity-layer traffic: how many buffers were verified, how
@@ -177,20 +182,30 @@ impl Gpu {
         //
         // The warp accounting derives sector and line numbers by shifting
         // and masking, which is exact only for power-of-two sizes with a
-        // sector no larger than a line.
+        // sector no larger than a line; bank indices are masked likewise.
+        // Checked here so a bad spec fails when the device is built, not
+        // at its first memory instruction mid-launch.
         assert!(
             spec.sector_bytes.is_power_of_two()
                 && spec.cache_line_bytes.is_power_of_two()
-                && spec.sector_bytes <= spec.cache_line_bytes,
-            "sector ({}B) and cache line ({}B) must be powers of two with sector <= line",
+                && spec.sector_bytes <= spec.cache_line_bytes
+                && spec.cache_line_bytes / spec.sector_bytes <= 64,
+            "sector ({}B) and cache line ({}B) must be powers of two with sector <= line \
+             and at most 64 sectors to a line",
             spec.sector_bytes,
             spec.cache_line_bytes
+        );
+        assert!(
+            spec.shared_banks.is_power_of_two() && spec.shared_banks <= MAX_BANKS,
+            "{} shared-memory banks; a power of two up to {MAX_BANKS} supported",
+            spec.shared_banks
         );
         let sms = (0..spec.num_sms)
             .map(|_| SmState {
                 l2: CacheModel::new(spec.l2_bytes, spec.cache_line_bytes, spec.l2_ways),
                 tex: CacheModel::new(spec.tex_cache_per_sm, spec.cache_line_bytes, 4),
                 atomic_phase: 0,
+                dedup: FirstSeen::new(),
             })
             .collect();
         Gpu {
@@ -948,18 +963,73 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Record sector `s` in `sectors[..*ns]`, which keeps first-appearance
-/// order; returns whether it was new. The last sector is checked before the
-/// scan because neighbouring lanes usually share one.
-#[inline]
-fn push_unique(sectors: &mut [u64; WARP_LANES], ns: &mut usize, s: u64) -> bool {
-    let n = *ns;
-    if n > 0 && (sectors[n - 1] == s || sectors[..n - 1].contains(&s)) {
-        return false;
+/// The distinct numbers (lines, sectors or addresses) of one warp
+/// instruction, in first-appearance order — the order the caches are probed
+/// in. A 64-bit mask of `number & 63` records which low bits were seen, and
+/// `slot` the latest number pushed with each, so a new number usually costs
+/// one mask test and a repeat one comparison; only numbers that share their
+/// low bits with another pay a scan.
+struct FirstSeen {
+    items: [u64; WARP_LANES],
+    len: usize,
+    seen: u64,
+    slot: [u8; 64],
+}
+
+impl FirstSeen {
+    fn new() -> Self {
+        FirstSeen {
+            items: [0; WARP_LANES],
+            len: 0,
+            seen: 0,
+            slot: [0; 64],
+        }
     }
-    sectors[n] = s;
-    *ns = n + 1;
-    true
+
+    /// Forget every recorded number.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.seen = 0;
+    }
+
+    /// Position of `x` among the recorded numbers.
+    #[inline]
+    fn find(&self, x: u64) -> Option<usize> {
+        let b = (x & 63) as usize;
+        if self.seen & (1 << b) == 0 {
+            return None;
+        }
+        let i = usize::from(self.slot[b]);
+        if self.items[i] == x {
+            return Some(i);
+        }
+        self.items[..self.len].iter().rposition(|&y| y == x)
+    }
+
+    /// Record `x`, which is not recorded yet, and return its position.
+    #[inline]
+    fn push(&mut self, x: u64) -> usize {
+        let (b, i) = ((x & 63) as usize, self.len);
+        self.seen |= 1 << b;
+        self.slot[b] = i as u8;
+        self.items[i] = x;
+        self.len = i + 1;
+        i
+    }
+
+    /// Record `x` unless it is recorded already; returns whether it was new.
+    #[inline]
+    fn insert(&mut self, x: u64) -> bool {
+        let new = self.find(x).is_none();
+        if new {
+            self.push(x);
+        }
+        new
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.items[..self.len]
+    }
 }
 
 /// Warp-granular instruction issue: every memory operation supplies
@@ -1016,66 +1086,70 @@ impl<'a> WarpCtx<'a> {
 
     // ---------------- global memory ----------------
 
-    /// Count one warp load instruction over the given element addresses,
-    /// returning unique sectors and driving the cache model.
+    /// Count one warp load instruction over the active lanes' element
+    /// addresses (in lane order): its unique sectors, its divergence, and
+    /// the cache model's verdict on each line it touches.
     ///
-    /// One pass over the lanes: sectors are deduplicated in first-appearance
-    /// order, and each new sector bumps its line's sector count, so lines are
-    /// probed in first-appearance order with their touched bytes already
-    /// known. Sector and line numbers are shifts (both sizes are powers of
-    /// two, asserted at [`Gpu`] construction).
-    fn account_load(&mut self, addrs: &[Option<u64>; WARP_LANES], tex: bool) {
+    /// One pass over the addresses: lines are deduplicated in
+    /// first-appearance order, which is the order they are probed in, and
+    /// each line collects a mask of the sectors it has seen, so its touched
+    /// bytes are known when it is probed. Sector and line numbers are shifts
+    /// (both sizes are powers of two with at most 64 sectors to a line,
+    /// asserted at [`Gpu`] construction).
+    fn account_load(&mut self, addrs: &[u64], tex: bool) {
         self.counters.gld_instructions += 1;
         let sector_shift = self.spec.sector_bytes.trailing_zeros();
         let line_shift = self.spec.cache_line_bytes.trailing_zeros();
+        let sector_in_line = (1u64 << (line_shift - sector_shift)) - 1;
         let sector_bytes = self.spec.sector_bytes as u64;
         let line_bytes = self.spec.cache_line_bytes as u64;
 
-        let mut active = 0;
-        let mut sectors = [0u64; WARP_LANES];
-        let mut ns = 0;
-        let mut lines = [0u64; WARP_LANES];
+        let sm = &mut *self.sm;
+        let lines = &mut sm.dedup;
+        lines.clear();
         let mut line_sectors = [0u64; WARP_LANES];
-        let mut nl = 0;
-        for addr in addrs.iter().flatten() {
-            active += 1;
-            if !push_unique(&mut sectors, &mut ns, addr >> sector_shift) {
-                continue;
-            }
+        // Neighbouring lanes usually share a line: a run of them collects
+        // its sectors in `mask`, and only a change of line consults the
+        // dedup. No line number is `u64::MAX`.
+        let (mut last, mut i, mut mask) = (u64::MAX, 0, 0);
+        for &addr in addrs {
             let l = addr >> line_shift;
-            match lines[..nl].iter().rposition(|&x| x == l) {
-                Some(i) => line_sectors[i] += 1,
-                None => {
-                    lines[nl] = l;
-                    line_sectors[nl] = 1;
-                    nl += 1;
-                }
+            if l != last {
+                line_sectors[i] |= mask;
+                (last, mask) = (l, 0);
+                i = lines.find(l).unwrap_or_else(|| lines.push(l));
             }
+            mask |= 1 << ((addr >> sector_shift) & sector_in_line);
         }
+        line_sectors[i] |= mask;
+        let active = addrs.len();
         if active < WARP_LANES {
             self.counters.divergent_instructions += 1;
             self.counters.inactive_lanes += (WARP_LANES - active) as u64;
         }
-        if tex {
-            self.counters.tex_transactions += ns as u64;
-        } else {
-            self.counters.gld_transactions += ns as u64;
-        }
 
-        for (&l, &n) in lines[..nl].iter().zip(&line_sectors[..nl]) {
+        let mut ns = 0;
+        for (&l, &mask) in sm.dedup.as_slice().iter().zip(&line_sectors) {
             let byte_addr = l << line_shift;
+            let n = u64::from(mask.count_ones());
+            ns += n;
             let touched = n * sector_bytes;
-            if tex && self.sm.tex.access(byte_addr) {
+            if tex && sm.tex.access(byte_addr) {
                 self.counters.tex_read_bytes += touched;
-            } else if self.sm.l2.access(byte_addr) {
+            } else if sm.l2.access(byte_addr) {
                 if tex {
                     // Fill the texture cache from L2.
-                    self.sm.tex.access(byte_addr);
+                    sm.tex.access(byte_addr);
                 }
                 self.counters.l2_read_bytes += touched;
             } else {
                 self.counters.dram_read_bytes += line_bytes;
             }
+        }
+        if tex {
+            self.counters.tex_transactions += ns;
+        } else {
+            self.counters.gld_transactions += ns;
         }
     }
 
@@ -1084,15 +1158,17 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<usize>,
     {
         debug_assert_eq!(buf.elem(), Elem::F64, "f64 load from non-f64 buffer");
-        let mut addrs = [None; WARP_LANES];
+        let mut addrs = [0u64; WARP_LANES];
+        let mut n = 0;
         let mut vals = [0.0; WARP_LANES];
         for lane in 0..self.active_lanes {
             if let Some(i) = idx(lane) {
-                addrs[lane] = Some(buf.addr_of(i));
                 vals[lane] = f64::from_bits(buf.raw_load(i));
+                addrs[n] = buf.addr_of(i);
+                n += 1;
             }
         }
-        self.account_load(&addrs, tex);
+        self.account_load(&addrs[..n], tex);
         vals
     }
 
@@ -1120,15 +1196,17 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<usize>,
     {
         debug_assert_eq!(buf.elem(), Elem::U32, "u32 load from non-u32 buffer");
-        let mut addrs = [None; WARP_LANES];
+        let mut addrs = [0u64; WARP_LANES];
+        let mut n = 0;
         let mut vals = [0u32; WARP_LANES];
         for lane in 0..self.active_lanes {
             if let Some(i) = idx(lane) {
-                addrs[lane] = Some(buf.addr_of(i));
                 vals[lane] = buf.raw_load(i) as u32;
+                addrs[n] = buf.addr_of(i);
+                n += 1;
             }
         }
-        self.account_load(&addrs, false);
+        self.account_load(&addrs[..n], false);
         vals
     }
 
@@ -1139,15 +1217,15 @@ impl<'a> WarpCtx<'a> {
     {
         debug_assert_eq!(buf.elem(), Elem::F64);
         let sector_shift = self.spec.sector_bytes.trailing_zeros();
-        let mut sectors = [0u64; WARP_LANES];
-        let mut ns = 0;
+        let sectors = &mut self.sm.dedup;
+        sectors.clear();
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v.to_bits());
-                push_unique(&mut sectors, &mut ns, buf.addr_of(i) >> sector_shift);
+                sectors.insert(buf.addr_of(i) >> sector_shift);
             }
         }
-        self.account_store(&sectors[..ns]);
+        self.account_store();
     }
 
     /// Warp-wide global store of u32 elements (index structures built on
@@ -1158,26 +1236,29 @@ impl<'a> WarpCtx<'a> {
     {
         debug_assert_eq!(buf.elem(), Elem::U32);
         let sector_shift = self.spec.sector_bytes.trailing_zeros();
-        let mut sectors = [0u64; WARP_LANES];
-        let mut ns = 0;
+        let sectors = &mut self.sm.dedup;
+        sectors.clear();
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v as u64);
-                push_unique(&mut sectors, &mut ns, buf.addr_of(i) >> sector_shift);
+                sectors.insert(buf.addr_of(i) >> sector_shift);
             }
         }
-        self.account_store(&sectors[..ns]);
+        self.account_store();
     }
 
-    /// Count one warp store instruction over its unique sectors (in
-    /// first-appearance order) and write-allocate them into L2.
-    fn account_store(&mut self, sectors: &[u64]) {
+    /// Count one warp store instruction over its unique sectors, recorded
+    /// in the SM's dedup buffer in first-appearance order, and
+    /// write-allocate them into L2.
+    fn account_store(&mut self) {
         let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let sm = &mut *self.sm;
+        let sectors = sm.dedup.as_slice();
         self.counters.gst_instructions += 1;
         self.counters.gst_transactions += sectors.len() as u64;
         self.counters.dram_write_bytes += (sectors.len() as u64) << sector_shift;
         for &s in sectors {
-            self.sm.l2.access(s << sector_shift);
+            sm.l2.access(s << sector_shift);
         }
     }
 
@@ -1235,17 +1316,19 @@ impl<'a> WarpCtx<'a> {
     /// Atomics resolve in L2 at sector granularity: a missing target costs
     /// one sector fetch (read-modify-write), not a full line.
     fn account_atomics(&mut self, addrs: &[u64]) {
-        let mut unique = 0usize;
-        for i in 0..addrs.len() {
-            if !addrs[..i].contains(&addrs[i]) {
-                unique += 1;
-            }
+        // Element addresses are 4-byte aligned, so `a >> 2` numbers them
+        // densely for the dedup's low-bit mask.
+        let sm = &mut *self.sm;
+        sm.dedup.clear();
+        for &a in addrs {
+            sm.dedup.insert(a >> 2);
         }
+        let unique = sm.dedup.len;
         self.counters.global_atomic_warp_conflicts += (addrs.len() - unique) as u64;
         let line_mask = !(self.spec.cache_line_bytes as u64 - 1);
         let sector_bytes = self.spec.sector_bytes as u64;
         for &a in addrs {
-            if !self.sm.l2.access(a & line_mask) {
+            if !sm.l2.access(a & line_mask) {
                 self.counters.dram_read_bytes += sector_bytes;
             }
         }
@@ -1261,16 +1344,18 @@ impl<'a> WarpCtx<'a> {
     {
         let arr = self.shared[sh.0].borrow();
         let mut vals = [0.0; WARP_LANES];
-        let mut words = [None; WARP_LANES];
+        let mut words = [0usize; WARP_LANES];
+        let mut n = 0;
         for lane in 0..self.active_lanes {
             if let Some(i) = idx(lane) {
                 vals[lane] = arr[i];
-                words[lane] = Some(i);
-                self.counters.shared_accesses += 1;
+                words[n] = i;
+                n += 1;
             }
         }
+        self.counters.shared_accesses += n as u64;
         self.counters.shared_bank_conflicts +=
-            bank_conflict_replays(&words, self.spec.shared_banks);
+            bank_conflict_replays(&words[..n], self.spec.shared_banks);
         vals
     }
 
@@ -1280,16 +1365,18 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<(usize, f64)>,
     {
         let mut arr = self.shared[sh.0].borrow_mut();
-        let mut words = [None; WARP_LANES];
+        let mut words = [0usize; WARP_LANES];
+        let mut n = 0;
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 arr[i] = v;
-                words[lane] = Some(i);
-                self.counters.shared_accesses += 1;
+                words[n] = i;
+                n += 1;
             }
         }
+        self.counters.shared_accesses += n as u64;
         self.counters.shared_bank_conflicts +=
-            bank_conflict_replays(&words, self.spec.shared_banks);
+            bank_conflict_replays(&words[..n], self.spec.shared_banks);
     }
 
     /// Warp-wide shared-memory `atomicAdd` (the paper's inter-vector,
@@ -1299,16 +1386,18 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<(usize, f64)>,
     {
         let mut arr = self.shared[sh.0].borrow_mut();
-        let mut words = [None; WARP_LANES];
+        let mut words = [0usize; WARP_LANES];
+        let mut n = 0;
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 arr[i] += v;
-                words[lane] = Some(i);
-                self.counters.shared_atomics += 1;
+                words[n] = i;
+                n += 1;
             }
         }
+        self.counters.shared_atomics += n as u64;
         // Same-word atomic lanes serialize like bank conflicts.
-        let (replays, repeats) = replays_and_repeats(&words, self.spec.shared_banks);
+        let (replays, repeats) = replays_and_repeats(&words[..n], self.spec.shared_banks);
         self.counters.shared_bank_conflicts += replays + repeats;
     }
 
@@ -1326,9 +1415,14 @@ impl<'a> WarpCtx<'a> {
         while offset > 0 {
             self.counters.shuffle_instructions += 1;
             self.counters.flops += self.active_lanes as u64;
-            let snapshot = *vals;
-            for lane in 0..WARP_LANES {
-                vals[lane] = snapshot[lane] + snapshot[lane ^ offset];
+            // Exchange in place: lane `l` and its partner `l ^ offset` sit in
+            // the low and high halves of a `2 * offset` run, and each adds
+            // the other's value to its own, in that operand order.
+            for run in vals.chunks_exact_mut(2 * offset) {
+                let (lo, hi) = run.split_at_mut(offset);
+                for (a, b) in lo.iter_mut().zip(hi) {
+                    (*a, *b) = (*a + *b, *b + *a);
+                }
             }
             offset /= 2;
         }
@@ -1516,6 +1610,11 @@ mod tests {
             let g = Gpu::with_host_threads(spec, 1);
             let (sector, line) = (g.spec().sector_bytes, g.spec().cache_line_bytes);
             assert!(sector.is_power_of_two() && line.is_power_of_two() && sector <= line);
+            let banks = g.spec().shared_banks;
+            assert!(
+                banks.is_power_of_two() && banks <= MAX_BANKS,
+                "{banks} banks"
+            );
         }
     }
 
@@ -1534,6 +1633,34 @@ mod tests {
     fn sector_larger_than_line_is_rejected() {
         let spec = DeviceSpec {
             sector_bytes: 256,
+            ..DeviceSpec::gtx_titan()
+        };
+        Gpu::with_host_threads(spec, 1);
+    }
+
+    #[test]
+    fn unsupported_bank_counts_are_rejected_at_construction() {
+        for banks in [0, 48, 128] {
+            let spec = DeviceSpec {
+                shared_banks: banks,
+                ..DeviceSpec::gtx_titan()
+            };
+            let err = std::panic::catch_unwind(|| Gpu::with_host_threads(spec, 1))
+                .err()
+                .unwrap_or_else(|| panic!("{banks} banks accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .map_or("", String::as_str)
+                .to_string();
+            assert!(msg.contains("shared-memory banks"), "{banks} banks: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 sectors to a line")]
+    fn more_than_64_sectors_to_a_line_is_rejected() {
+        let spec = DeviceSpec {
+            sector_bytes: 1,
             ..DeviceSpec::gtx_titan()
         };
         Gpu::with_host_threads(spec, 1);
@@ -1795,6 +1922,22 @@ mod tests {
         assert_eq!(g.pool_stats().hits, 1);
         assert_ne!(second.addr_of(0), first_addr);
         assert_eq!(second.host_read_f64(3), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 1000 out of bounds for x of length 1000")]
+    fn lane_index_in_the_pooled_slack_panics() {
+        let g = gpu();
+        // The freed block's slack past element 1000 still holds 7.0 when
+        // the 1000-element buffer reuses it.
+        drop(g.upload_f64("old", &[7.0; 1024]));
+        let x = g.alloc_f64("x", 1000);
+        assert_eq!(g.pool_stats().hits, 1);
+        g.launch("overrun", LaunchConfig::new(1, 32), |blk| {
+            blk.each_warp(|w| {
+                w.load_f64(&x, |lane| (lane == 0).then_some(1000));
+            });
+        });
     }
 
     #[test]

@@ -136,26 +136,42 @@ impl GpuBuffer {
 
     // ----- raw cell access (used by the execution engine and host API) -----
 
+    /// The cell of element `idx`. The backing store can be longer than the
+    /// buffer (capacity is bucketed), so the logical length is the bound,
+    /// in release builds too: an index in the slack would otherwise read
+    /// what a freed buffer left there.
+    #[inline]
+    fn cell(&self, idx: usize) -> &AtomicU64 {
+        let cells = &self.inner.cells[..self.inner.len];
+        cells.get(idx).unwrap_or_else(|| {
+            panic!(
+                "index {idx} out of bounds for {} of length {}",
+                self.name(),
+                cells.len()
+            )
+        })
+    }
+
     #[inline]
     pub(crate) fn raw_load(&self, idx: usize) -> u64 {
-        self.inner.cells[idx].load(Ordering::Relaxed)
+        self.cell(idx).load(Ordering::Relaxed)
     }
 
     #[inline]
     pub(crate) fn raw_store(&self, idx: usize, bits: u64) {
-        self.inner.cells[idx].store(bits, Ordering::Relaxed);
+        self.cell(idx).store(bits, Ordering::Relaxed);
     }
 
     /// Atomic u32 fetch-add; returns the old value.
     #[inline]
     pub(crate) fn raw_atomic_add_u32(&self, idx: usize, val: u32) -> u32 {
-        self.inner.cells[idx].fetch_add(val as u64, Ordering::Relaxed) as u32
+        self.cell(idx).fetch_add(val as u64, Ordering::Relaxed) as u32
     }
 
     /// Atomic f64 add via CAS on the raw bits; returns the old value.
     #[inline]
     pub(crate) fn raw_atomic_add_f64(&self, idx: usize, val: f64) -> f64 {
-        let cell = &self.inner.cells[idx];
+        let cell = self.cell(idx);
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let new = f64::to_bits(f64::from_bits(cur) + val);

@@ -8,11 +8,12 @@
 use crate::exec::WARP_LANES;
 
 /// Most banks a device may declare.
-const MAX_BANKS: usize = 64;
+pub(crate) const MAX_BANKS: usize = 64;
 
 /// Number of extra replays for one warp-wide shared-memory access touching
-/// the given 8-byte word indices (`None` = inactive lane).
-pub fn bank_conflict_replays(word_indices: &[Option<usize>], banks: usize) -> u64 {
+/// the given 8-byte word indices, one per active lane. `banks` must be a
+/// power of two no larger than 64 (`Gpu` construction checks the device's).
+pub fn bank_conflict_replays(word_indices: &[usize], banks: usize) -> u64 {
     replays_and_repeats(word_indices, banks).0
 }
 
@@ -20,18 +21,23 @@ pub fn bank_conflict_replays(word_indices: &[Option<usize>], banks: usize) -> u6
 /// repeat a word an earlier lane already touched. Allocation-free: the
 /// distinct words are chained per bank in fixed arrays, so a lane compares
 /// only against earlier words of its own bank (a word always maps to the
-/// same bank).
-pub(crate) fn replays_and_repeats(word_indices: &[Option<usize>], banks: usize) -> (u64, u64) {
+/// same bank, `word & (banks - 1)`).
+pub(crate) fn replays_and_repeats(word_indices: &[usize], banks: usize) -> (u64, u64) {
     const NIL: u8 = u8::MAX;
     assert!(
-        banks > 0 && banks <= MAX_BANKS,
-        "{banks} shared-memory banks; 1 to {MAX_BANKS} supported"
+        banks.is_power_of_two() && banks <= MAX_BANKS,
+        "{banks} shared-memory banks; a power of two up to {MAX_BANKS} supported"
     );
     assert!(
         word_indices.len() <= WARP_LANES,
         "{} lanes in one warp access",
         word_indices.len()
     );
+    if word_indices.len() < 2 {
+        // One lane can neither conflict nor repeat.
+        return (0, 0);
+    }
+    let bank_mask = banks - 1;
     let mut words = [0usize; WARP_LANES];
     // `head[bank]` is the bank's latest distinct word, `next[i]` the one
     // before word `i` in the same bank.
@@ -41,8 +47,8 @@ pub(crate) fn replays_and_repeats(word_indices: &[Option<usize>], banks: usize) 
     let mut max_degree = 0;
     let mut nw = 0;
     let mut repeats = 0u64;
-    'lanes: for &w in word_indices.iter().flatten() {
-        let bank = w % banks;
+    'lanes: for &w in word_indices {
+        let bank = w & bank_mask;
         let mut i = head[bank];
         while i != NIL {
             if words[i as usize] == w {
@@ -67,59 +73,57 @@ mod tests {
 
     #[test]
     fn conflict_free_sequential_access() {
-        let idx: Vec<Option<usize>> = (0..32).map(Some).collect();
+        let idx: Vec<usize> = (0..32).collect();
         assert_eq!(bank_conflict_replays(&idx, 32), 0);
     }
 
     #[test]
     fn broadcast_is_free() {
-        let idx: Vec<Option<usize>> = (0..32).map(|_| Some(7)).collect();
+        let idx = [7; 32];
         assert_eq!(bank_conflict_replays(&idx, 32), 0);
     }
 
     #[test]
     fn stride_two_gives_two_way_conflict() {
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 2)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
         assert_eq!(bank_conflict_replays(&idx, 32), 1);
     }
 
     #[test]
     fn stride_32_fully_serializes() {
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 32)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| l * 32).collect();
         assert_eq!(bank_conflict_replays(&idx, 32), 31);
     }
 
     #[test]
     fn inactive_lanes_ignored() {
-        let idx: Vec<Option<usize>> = (0..32)
-            .map(|l| if l < 4 { Some(l * 32) } else { None })
-            .collect();
+        // Only the four active lanes' words are passed.
+        let idx: Vec<usize> = (0..4).map(|l| l * 32).collect();
         assert_eq!(bank_conflict_replays(&idx, 32), 3);
     }
 
     #[test]
     fn empty_warp_no_conflicts() {
-        let idx = [None; 32];
-        assert_eq!(bank_conflict_replays(&idx, 32), 0);
+        assert_eq!(bank_conflict_replays(&[], 32), 0);
     }
 
     #[test]
     fn sixteen_banks_fold_sequential_words_two_way() {
         // Words 0..32 over 16 banks: every bank holds two distinct words.
-        let idx: Vec<Option<usize>> = (0..32).map(Some).collect();
+        let idx: Vec<usize> = (0..32).collect();
         assert_eq!(bank_conflict_replays(&idx, 16), 1);
         // Stride 16 puts all 32 words in bank 0.
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 16)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| l * 16).collect();
         assert_eq!(bank_conflict_replays(&idx, 16), 31);
     }
 
     #[test]
     fn sixty_four_banks_absorb_stride_two() {
         // Stride 2 over 64 banks lands every word in its own bank.
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 2)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| l * 2).collect();
         assert_eq!(bank_conflict_replays(&idx, 64), 0);
         // Stride 32 over 64 banks alternates between banks 0 and 32.
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some(l * 32)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| l * 32).collect();
         assert_eq!(bank_conflict_replays(&idx, 64), 15);
     }
 
@@ -127,13 +131,13 @@ mod tests {
     fn duplicate_words_in_one_bank_count_once() {
         // Lanes alternate between words 0 and 32 (both bank 0): two distinct
         // words, one replay, however many lanes repeat them.
-        let idx: Vec<Option<usize>> = (0..32).map(|l| Some((l % 2) * 32)).collect();
+        let idx: Vec<usize> = (0..32).map(|l| (l % 2) * 32).collect();
         assert_eq!(bank_conflict_replays(&idx, 32), 1);
         assert_eq!(replays_and_repeats(&idx, 32), (1, 30));
         // Three distinct words in bank 5, each touched by several lanes,
         // next to conflict-free lanes elsewhere.
-        let idx: Vec<Option<usize>> = (0..32)
-            .map(|l| Some(if l < 12 { 5 + (l % 3) * 32 } else { l }))
+        let idx: Vec<usize> = (0..32)
+            .map(|l| if l < 12 { 5 + (l % 3) * 32 } else { l })
             .collect();
         assert_eq!(replays_and_repeats(&idx, 32), (2, 9));
     }
@@ -141,7 +145,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "33 lanes in one warp access")]
     fn more_lanes_than_a_warp_are_rejected() {
-        let idx: Vec<Option<usize>> = (0..33).map(Some).collect();
+        let idx: Vec<usize> = (0..33).collect();
         bank_conflict_replays(&idx, 32);
     }
 }
