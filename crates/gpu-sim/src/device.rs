@@ -5,6 +5,7 @@
 //! 48 KB shared memory per SM, 64 K 32-bit registers per SM, 288 GB/s global
 //! memory bandwidth and ~1.3 TFLOP/s double-precision peak.
 
+use crate::shared::MAX_BANKS;
 use serde::{Deserialize, Serialize};
 
 /// Static description of a simulated GPU: resource limits that drive the
@@ -200,6 +201,34 @@ impl DeviceSpec {
         h
     }
 
+    /// Whether the simulator can execute this spec. The warp accounting
+    /// derives sector and line numbers by shifting and masking, which is
+    /// exact only for power-of-two sizes with a sector no larger than a
+    /// line, and keeps a line's sectors in a 64-bit mask; bank indices
+    /// are masked likewise. [`Gpu`](crate::Gpu) construction asserts this,
+    /// so a caller that takes specs from its users checks here first to
+    /// report a bad one as an error instead of a panic.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.sector_bytes.is_power_of_two()
+            && self.cache_line_bytes.is_power_of_two()
+            && self.sector_bytes <= self.cache_line_bytes
+            && self.cache_line_bytes / self.sector_bytes <= 64)
+        {
+            return Err(format!(
+                "sector ({}B) and cache line ({}B) must be powers of two with sector <= line \
+                 and at most 64 sectors to a line",
+                self.sector_bytes, self.cache_line_bytes
+            ));
+        }
+        if !(self.shared_banks.is_power_of_two() && self.shared_banks <= MAX_BANKS) {
+            return Err(format!(
+                "{} shared-memory banks; a power of two up to {MAX_BANKS} supported",
+                self.shared_banks
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of warps a block of `block_threads` occupies.
     pub fn warps_per_block(&self, block_threads: usize) -> usize {
         block_threads.div_ceil(self.warp_size)
@@ -241,6 +270,29 @@ mod tests {
             ..DeviceSpec::gtx_titan()
         };
         assert_ne!(titan.fingerprint(), starved.fingerprint());
+    }
+
+    #[test]
+    fn validate_accepts_built_in_specs_and_names_what_it_rejects() {
+        for spec in [
+            DeviceSpec::gtx_titan(),
+            DeviceSpec::tesla_k20(),
+            DeviceSpec::tiny_test_device(),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.name);
+        }
+        let banks = DeviceSpec {
+            shared_banks: 48,
+            ..DeviceSpec::gtx_titan()
+        };
+        let err = banks.validate().unwrap_err();
+        assert!(err.contains("48 shared-memory banks"), "{err}");
+        let sector = DeviceSpec {
+            sector_bytes: 48,
+            ..DeviceSpec::gtx_titan()
+        };
+        let err = sector.validate().unwrap_err();
+        assert!(err.contains("must be powers of two"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::memory::{Elem, GpuBuffer};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::pool::{BufferPool, DevicePool, PoolStats};
-use crate::shared::{bank_conflict_replays, replays_and_repeats, MAX_BANKS};
+use crate::shared::{bank_conflict_replays, replays_and_repeats};
 use crate::timing::{kernel_time, TimeBreakdown};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -180,26 +180,11 @@ impl Gpu {
         // per-SM preserves deterministic simulation under host-thread
         // parallelism (see the module docs).
         //
-        // The warp accounting derives sector and line numbers by shifting
-        // and masking, which is exact only for power-of-two sizes with a
-        // sector no larger than a line; bank indices are masked likewise.
         // Checked here so a bad spec fails when the device is built, not
         // at its first memory instruction mid-launch.
-        assert!(
-            spec.sector_bytes.is_power_of_two()
-                && spec.cache_line_bytes.is_power_of_two()
-                && spec.sector_bytes <= spec.cache_line_bytes
-                && spec.cache_line_bytes / spec.sector_bytes <= 64,
-            "sector ({}B) and cache line ({}B) must be powers of two with sector <= line \
-             and at most 64 sectors to a line",
-            spec.sector_bytes,
-            spec.cache_line_bytes
-        );
-        assert!(
-            spec.shared_banks.is_power_of_two() && spec.shared_banks <= MAX_BANKS,
-            "{} shared-memory banks; a power of two up to {MAX_BANKS} supported",
-            spec.shared_banks
-        );
+        if let Err(msg) = spec.validate() {
+            panic!("{msg}");
+        }
         let sms = (0..spec.num_sms)
             .map(|_| SmState {
                 l2: CacheModel::new(spec.l2_bytes, spec.cache_line_bytes, spec.l2_ways),
@@ -1432,6 +1417,7 @@ impl<'a> WarpCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::MAX_BANKS;
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1)

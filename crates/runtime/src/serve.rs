@@ -9,12 +9,20 @@
 //! no wall clock — so a serve run is a pure function of its inputs and
 //! byte-identical across machines. Requests are processed in arrival
 //! order; each admitted request reserves one device slot for the
-//! *fault-free estimate* of its workload class on its admitted tier
-//! (memoized per `(class, tier)` by actually running the class once on a
-//! private fault-free device). Because the estimates, the admission
-//! decisions and the deadline checks are all fault-independent, the slot
-//! timeline — every co-tenant's start time and reserved window — is
-//! bit-identical between a faulted and a fault-free run.
+//! *fault-free estimate* of its workload class on its admitted tier: the
+//! `modeled_ms` of [`clean_run`], which runs the class once on a private
+//! fault-free device. That cost is a constant of the build and the
+//! config, so it is memoized once per process, keyed by class, tier and
+//! the whole [`ServeConfig`] (compared with `==`, a superset of the fields
+//! the estimate reads); every later `serve` call with an equal config
+//! reuses it, from any thread. An error is never cached, and
+//! [`clean_run`] itself stays uncached: it is the reference completions
+//! are compared against. One visible consequence: a trace of a later
+//! call no longer shows the estimate runs' device spans. Because the
+//! estimates, the admission decisions and the deadline checks are all
+//! fault-independent, the slot timeline — every co-tenant's start time
+//! and reserved window — is bit-identical between a faulted and a
+//! fault-free run.
 //!
 //! ## Blast radius
 //!
@@ -62,8 +70,8 @@ use fusedml_ml::{
     GlmOptions, HitsOptions, LrCgOptions, PagerankOptions, SolverError, SvmOptions, TronOptions,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Execution tier of the serving degradation ladder, fastest first.
 ///
@@ -129,7 +137,7 @@ pub enum WorkloadClass {
 }
 
 impl WorkloadClass {
-    /// Every class, in report order.
+    /// Every class, in report order, which is declaration order.
     pub const ALL: [WorkloadClass; 6] = [
         WorkloadClass::LrCg,
         WorkloadClass::Glm,
@@ -171,7 +179,9 @@ const STREAM_CHUNKS: usize = 4;
 /// Streamed pipeline depth (chunks in flight).
 const STREAM_DEPTH: usize = 2;
 
-/// The fixed dataset of one workload class, generated once per serve run.
+/// The fixed dataset of one workload class: a constant of the build,
+/// generated once per process (see [`ClassData::of`]) and shared by every
+/// `serve` and [`clean_run`] call.
 struct ClassData {
     x: CsrMatrix,
     /// Labels/targets; empty for the graph classes.
@@ -181,6 +191,13 @@ struct ClassData {
 }
 
 impl ClassData {
+    /// The dataset of `class`. The first call in a process generates all
+    /// six; every later call, from any thread, borrows them.
+    fn of(class: WorkloadClass) -> &'static ClassData {
+        static DATA: OnceLock<[ClassData; 6]> = OnceLock::new();
+        &DATA.get_or_init(|| WorkloadClass::ALL.map(ClassData::generate))[class as usize]
+    }
+
     fn generate(class: WorkloadClass) -> ClassData {
         let seed = 0xC1A5_5E10 + class as u64;
         match class {
@@ -298,8 +315,9 @@ impl TenantSpec {
     }
 }
 
-/// Knobs for one serve run.
-#[derive(Debug, Clone)]
+/// Knobs for one serve run. `PartialEq` keys the process-wide memo of
+/// slot estimates (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Device model backing every slot.
     pub device: DeviceSpec,
@@ -590,16 +608,27 @@ pub struct CleanRun {
 
 /// Run `class` on `tier` once, fault-free, on a private device — the
 /// single-session reference for a serve run under the same config.
+///
+/// Every call simulates: this is the uncached reference that completions
+/// are compared against bit for bit. [`serve`] memoizes only its
+/// `modeled_ms`, as the slot estimate (see the module docs).
 pub fn clean_run(
     class: WorkloadClass,
     tier: ServeTier,
     cfg: &ServeConfig,
 ) -> Result<CleanRun, ServeError> {
-    let data = ClassData::generate(class);
+    check_config(cfg)?;
     let ckpt = cfg.policy.checkpoint();
     let gpu =
         (tier != ServeTier::Cpu).then(|| Gpu::new(cfg.device.clone()).with_integrity_checks(true));
-    let (res, ms) = run_attempt(gpu.as_ref(), tier, class, &data, cfg, ckpt.as_ref());
+    let (res, ms) = run_attempt(
+        gpu.as_ref(),
+        tier,
+        class,
+        ClassData::of(class),
+        cfg,
+        ckpt.as_ref(),
+    );
     let result = res.map_err(|e| {
         ServeError::Config(format!(
             "fault-free reference run of {} failed: {e}",
@@ -615,8 +644,103 @@ pub fn clean_run(
     })
 }
 
+/// The config checks [`serve`] and [`clean_run`] share, so a bad config
+/// is a [`ServeError::Config`] before anything is simulated: a device spec
+/// the simulator cannot execute (building the device would panic), and
+/// numeric knobs that would make modeled times NaN, infinite or negative.
+/// The estimate memo needs the latter too: a NaN field equals nothing,
+/// itself included, so its config could never be found again.
+fn check_config(cfg: &ServeConfig) -> Result<(), ServeError> {
+    cfg.device
+        .validate()
+        .map_err(|e| ServeError::Config(format!("device: {e}")))?;
+    let (policy, transfer) = (&cfg.policy, &cfg.transfer);
+    for (name, value) in [
+        ("per_launch_overhead_ms", cfg.per_launch_overhead_ms),
+        ("policy.backoff_ms", policy.backoff_ms),
+        ("policy.backoff_multiplier", policy.backoff_multiplier),
+        ("transfer.pcie.latency_us", transfer.pcie.latency_us),
+    ] {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(ServeError::Config(format!(
+                "{name} must be finite and >= 0, got {value}"
+            )));
+        }
+    }
+    for (name, value) in [
+        (
+            "transfer.pcie.bandwidth_gbps",
+            Some(transfer.pcie.bandwidth_gbps),
+        ),
+        ("transfer.jni_gbps", transfer.jni_gbps),
+        (
+            "transfer.format_conversion_gbps",
+            transfer.format_conversion_gbps,
+        ),
+    ] {
+        if let Some(value) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
+            return Err(ServeError::Config(format!(
+                "{name} must be finite and > 0, got {value}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// One memoized slot estimate.
+struct Estimate {
+    class: WorkloadClass,
+    tier: ServeTier,
+    cfg: ServeConfig,
+    modeled_ms: f64,
+}
+
+/// Every slot estimate this process has computed, in first-use order. A
+/// linear scan is enough: a config contributes at most one entry per
+/// class and device tier.
+static ESTIMATES: Mutex<Vec<Estimate>> = Mutex::new(Vec::new());
+
+/// The slot reservation of `class` admitted on `tier`:
+/// `clean_run(class, tier, cfg)?.modeled_ms`, simulated once per process
+/// for each class, tier and config. The lock is not held while
+/// simulating; two threads that miss the same key at once both simulate
+/// and store one entry, which is harmless because the value is a pure
+/// function of the key. An error is returned, never stored.
+fn slot_estimate(
+    class: WorkloadClass,
+    tier: ServeTier,
+    cfg: &ServeConfig,
+) -> Result<f64, ServeError> {
+    // A panic elsewhere while holding the lock leaves the entries intact
+    // (each push is whole), so a poisoned memo is still a valid one.
+    let memo = || ESTIMATES.lock().unwrap_or_else(PoisonError::into_inner);
+    let find = |memo: &[Estimate]| {
+        memo.iter()
+            .find(|e| e.class == class && e.tier == tier && e.cfg == *cfg)
+            .map(|e| e.modeled_ms)
+    };
+    if let Some(ms) = find(&memo()) {
+        return Ok(ms);
+    }
+    let modeled_ms = clean_run(class, tier, cfg)?.modeled_ms;
+    let entry = Estimate {
+        class,
+        tier,
+        cfg: cfg.clone(),
+        modeled_ms,
+    };
+    let mut memo = memo();
+    // A NaN device figure makes a config equal nothing, itself included;
+    // its entry could never be found, so it is not stored.
+    if entry.cfg == *cfg && find(&memo).is_none() {
+        memo.push(entry);
+    }
+    Ok(modeled_ms)
+}
+
 /// Drive the class's solver on any backend; fixed iteration budgets
-/// (tolerances disabled) keep the cost a constant of `(class, tier)`.
+/// (tolerances disabled) keep the cost a constant of the class, tier and
+/// config.
 fn run_class<B: Backend>(
     b: &mut B,
     class: WorkloadClass,
@@ -880,6 +1004,7 @@ pub fn serve(
             "max_retries > 64 is a runaway ladder".into(),
         ));
     }
+    check_config(cfg)?;
     for (i, t) in tenants.iter().enumerate() {
         if t.queue_capacity == 0 {
             return Err(ServeError::Config(format!(
@@ -909,8 +1034,6 @@ pub fn serve(
     }
 
     let pool = DevicePool::new();
-    let mut class_data: HashMap<WorkloadClass, ClassData> = HashMap::new();
-    let mut estimates: HashMap<(WorkloadClass, ServeTier), f64> = HashMap::new();
 
     // Stable arrival order: ties broken by submission index.
     let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -932,9 +1055,7 @@ pub fn serve(
     for &seq in &order {
         let req = &requests[seq];
         let tenant = &tenants[req.tenant];
-        let data = class_data
-            .entry(req.class)
-            .or_insert_with(|| ClassData::generate(req.class));
+        let data = ClassData::of(req.class);
 
         let reject = |status: RequestStatus, at: f64| RequestOutcome {
             tenant: req.tenant,
@@ -1013,16 +1134,9 @@ pub fn serve(
             continue;
         };
 
-        // Fault-free estimate of the admitted work, memoized per
-        // (class, tier): the slot reservation currency.
-        let est = match estimates.get(&(req.class, admitted_tier)) {
-            Some(&ms) => ms,
-            None => {
-                let ms = clean_run(req.class, admitted_tier, cfg)?.modeled_ms;
-                estimates.insert((req.class, admitted_tier), ms);
-                ms
-            }
-        };
+        // Fault-free estimate of the admitted work: the slot reservation
+        // currency.
+        let est = slot_estimate(req.class, admitted_tier, cfg)?;
 
         // Slot plan: earliest-free slot, serialized per tenant on
         // *reserved* windows — all fault-independent.
@@ -1317,7 +1431,7 @@ mod tests {
     #[test]
     fn quota_degrades_to_streamed_then_rejects() {
         let cfg = quiet_cfg();
-        let data = ClassData::generate(WorkloadClass::LrCg);
+        let data = ClassData::of(WorkloadClass::LrCg);
         let fused = data.fused_footprint();
         let streamed = data.streamed_footprint();
         assert!(streamed < fused, "streaming must shrink the footprint");
@@ -1605,6 +1719,143 @@ mod tests {
             rep.tenants[0].faults_injected,
             rep.outcomes[0].faults.total()
         );
+    }
+
+    #[test]
+    fn class_order_is_declaration_order() {
+        // `ClassData::of` indexes the datasets by discriminant.
+        for (i, class) in WorkloadClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{}", class.name());
+        }
+    }
+
+    /// Entries of the estimate memo whose config satisfies `pred`.
+    fn memo_entries(pred: impl Fn(&ServeConfig) -> bool) -> usize {
+        ESTIMATES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|e| pred(&e.cfg))
+            .count()
+    }
+
+    #[test]
+    fn estimates_are_stored_once_per_class_tier_and_config() {
+        let mut cfg = quiet_cfg();
+        cfg.per_launch_overhead_ms = 0.0271; // no other test uses it
+        let tenants = vec![TenantSpec::new("t0", 4, big_quota())];
+        let reqs = vec![
+            ServeRequest::new(0, WorkloadClass::Hits, 0.0),
+            ServeRequest::new(0, WorkloadClass::Hits, 1.0),
+            ServeRequest::new(0, WorkloadClass::Pagerank, 2.0),
+        ];
+        let first = serve(&tenants, &reqs, &cfg).unwrap();
+        assert_eq!(memo_entries(|c| *c == cfg), 2);
+        assert_eq!(serve(&tenants, &reqs, &cfg).unwrap(), first);
+        assert_eq!(memo_entries(|c| *c == cfg), 2);
+    }
+
+    #[test]
+    fn a_config_that_equals_nothing_is_not_stored() {
+        let mut cfg = quiet_cfg();
+        cfg.device.l2_bandwidth_gbps = f64::NAN;
+        let tenants = vec![TenantSpec::new("t0", 4, big_quota())];
+        let reqs = vec![ServeRequest::new(0, WorkloadClass::Hits, 0.0)];
+        for _ in 0..2 {
+            serve(&tenants, &reqs, &cfg).unwrap();
+        }
+        assert_eq!(memo_entries(|c| c.device.l2_bandwidth_gbps.is_nan()), 0);
+    }
+
+    /// Both entry points refuse `cfg` with a typed error naming `field`.
+    fn assert_rejected(cfg: &ServeConfig, field: &str) {
+        let tenants = vec![TenantSpec::new("t0", 2, big_quota())];
+        let reqs = vec![ServeRequest::new(0, WorkloadClass::LrCg, 0.0)];
+        let errors = [
+            serve(&tenants, &reqs, cfg).map(|_| ()).unwrap_err(),
+            clean_run(WorkloadClass::LrCg, ServeTier::Fused, cfg)
+                .map(|_| ())
+                .unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.kind(), "config", "{err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_device_the_simulator_rejects_is_a_config_error() {
+        let mut cfg = quiet_cfg();
+        cfg.device.shared_banks = 48;
+        assert_rejected(&cfg, "48 shared-memory banks");
+        let mut cfg = quiet_cfg();
+        cfg.device.sector_bytes = 48;
+        assert_rejected(&cfg, "must be powers of two");
+    }
+
+    #[test]
+    fn per_launch_overhead_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.per_launch_overhead_ms = bad;
+            assert_rejected(&cfg, "per_launch_overhead_ms");
+        }
+    }
+
+    #[test]
+    fn backoff_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, -5.0, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.policy.backoff_ms = bad;
+            assert_rejected(&cfg, "policy.backoff_ms");
+        }
+    }
+
+    #[test]
+    fn backoff_multiplier_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, -2.0, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.policy.backoff_multiplier = bad;
+            assert_rejected(&cfg, "policy.backoff_multiplier");
+        }
+    }
+
+    #[test]
+    fn pcie_bandwidth_must_be_finite_and_positive() {
+        for bad in [0.0, -12.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.transfer.pcie.bandwidth_gbps = bad;
+            assert_rejected(&cfg, "transfer.pcie.bandwidth_gbps");
+        }
+    }
+
+    #[test]
+    fn pcie_latency_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, -10.0, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.transfer.pcie.latency_us = bad;
+            assert_rejected(&cfg, "transfer.pcie.latency_us");
+        }
+    }
+
+    #[test]
+    fn jni_bandwidth_must_be_finite_and_positive() {
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.transfer = TransferModel::systemml();
+            cfg.transfer.jni_gbps = Some(bad);
+            assert_rejected(&cfg, "transfer.jni_gbps");
+        }
+    }
+
+    #[test]
+    fn format_conversion_bandwidth_must_be_finite_and_positive() {
+        for bad in [0.0, -2.5, f64::NAN, f64::INFINITY] {
+            let mut cfg = quiet_cfg();
+            cfg.transfer = TransferModel::systemml();
+            cfg.transfer.format_conversion_gbps = Some(bad);
+            assert_rejected(&cfg, "transfer.format_conversion_gbps");
+        }
     }
 
     #[test]
