@@ -4,7 +4,7 @@
 //! fusedml-bench run --quick                      # suite -> BENCH_fusion.json
 //! fusedml-bench run --quick --out results/x.json
 //! fusedml-bench compare baseline.json cand.json  # exit 1 on regression
-//! fusedml-bench compare a.json b.json --ignore-wall --modeled-tol 0.05
+//! fusedml-bench compare a.json b.json --exact --ignore-wall
 //! fusedml-bench list --quick                     # workload ids, no run
 //! fusedml-bench trace --quick --out trace.json   # traced LR-CG -> Chrome trace
 //! fusedml-bench stream --quick --check results/baselines/STREAM_fusion.json
@@ -12,21 +12,25 @@
 //! fusedml-bench serve --check results/baselines/SERVE_fusion.json
 //! ```
 //!
-//! Exit codes (the `repro` convention from PR 6): 0 = ok / no
-//! regression, 1 = regression detected or a runtime/I-O failure,
-//! 2 = unknown subcommand, unknown flag, or other usage error.
+//! `compare` and every `--check` run one gate (`regress::gate`) with the
+//! report's rule table; `compare --exact` zeroes its tolerances.
+//!
+//! Exit codes (the `repro` convention): 0 = ok / no regression,
+//! 1 = regression detected (a config fingerprint mismatch included) or a
+//! runtime/I-O failure, 2 = unknown subcommand, unknown flag, or other
+//! usage error.
 
 // CLI failures must go through `die`/`fail` (or a worded panic), never a
 // bare unwrap/expect — the exit-code contract above depends on it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use fusedml_bench::regress::{
-    chrome_trace, compare, hostperf_summary, hostperf_table, hostperf_totals, metrics_summary,
-    plan_drift, plan_report, run_campaign, run_cpu_bench, run_scenario, run_suite,
-    serve_bench_report, serve_invariants, serve_regressions, stream_invariants, stream_regressions,
-    stream_report, workload_ids, BenchReport, ChaosOptions, CompareOptions, CpuBenchOptions,
-    FaultClass, Json, Mode, Scenario, ServeBenchOptions, ServeGateOptions, StreamGateOptions,
-    SuiteOptions, STREAM_DEFAULT_PASSES,
+    chrome_trace, gate, hostperf_summary, hostperf_table, hostperf_totals, metrics_summary,
+    plan_report, run_campaign, run_cpu_bench, run_scenario, run_suite, serve_bench_report,
+    serve_invariants, stream_invariants, stream_report, workload_ids, write_file, BenchReport,
+    ChaosOptions, CpuBenchOptions, FaultClass, Json, Mode, Rule, Scenario, ServeBenchOptions,
+    SuiteOptions, BENCH_RULES, BENCH_WALL, PLANS_RULES, SERVE_RULES, STREAM_DEFAULT_PASSES,
+    STREAM_RULES,
 };
 use fusedml_gpu_sim::{DeviceSpec, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
@@ -57,9 +61,7 @@ fn main() {
 const USAGE: &str = "usage:
   fusedml-bench run [--quick|--full] [--scale f] [--seed u64] [--device titan|k20]
                 [--out PATH] [--no-plan-cache]
-  fusedml-bench compare <baseline.json> <candidate.json>
-                [--modeled-tol f] [--counter-tol f] [--speedup-tol f]
-                [--wall-tol f] [--ignore-wall]
+  fusedml-bench compare <baseline.json> <candidate.json> [--exact] [--ignore-wall]
   fusedml-bench list [--quick|--full] [--scale f]
   fusedml-bench plans [--quick|--full] [--scale f] [--seed u64] [--device titan|k20]
                 [--out PATH] [--check GOLDEN.json]
@@ -73,10 +75,8 @@ const USAGE: &str = "usage:
                 [--threads LIST] [--out PATH]
   fusedml-bench stream [--quick|--full] [--scale f] [--seed u64] [--device titan|k20]
                 [--passes N] [--out PATH] [--check BASELINE.json]
-                [--wall-tol f] [--counter-tol f]
   fusedml-bench serve [--tenants N] [--requests N] [--slots N] [--seed u64]
-                [--device titan|k20] [--out PATH] [--check BASELINE.json]
-                [--latency-tol f] [--throughput-tol f]";
+                [--device titan|k20] [--out PATH] [--check BASELINE.json]";
 
 /// Parse the suite-shaping flags shared by `run` and `list`.
 fn parse_suite_opts(args: &[String]) -> (SuiteOptions, Vec<String>) {
@@ -151,16 +151,12 @@ fn cmd_run(args: Vec<String>) {
 }
 
 fn cmd_compare(args: Vec<String>) {
-    let mut opts = CompareOptions::default();
+    let (mut exact, mut ignore_wall) = (false, false);
     let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in &args {
         match a.as_str() {
-            "--modeled-tol" => opts.modeled_tol = next_f64(&mut it, "--modeled-tol"),
-            "--counter-tol" => opts.counter_tol = next_f64(&mut it, "--counter-tol"),
-            "--speedup-tol" => opts.speedup_tol = next_f64(&mut it, "--speedup-tol"),
-            "--wall-tol" => opts.wall_tol = next_f64(&mut it, "--wall-tol"),
-            "--ignore-wall" => opts.check_wall = false,
+            "--exact" => exact = true,
+            "--ignore-wall" => ignore_wall = true,
             flag if flag.starts_with("--") => {
                 die(&format!("unknown flag '{flag}' for compare\n{USAGE}"))
             }
@@ -180,9 +176,14 @@ fn cmd_compare(args: Vec<String>) {
         "baseline:  {} @ {}\ncandidate: {} @ {}",
         base_path, base.git_sha, cand_path, cand.git_sha
     );
-    let outcome = compare(&base, &cand, &opts).unwrap_or_else(|e| die(&e));
-    print!("{}", outcome.render());
-    if !outcome.passed() {
+    let rules: Vec<Rule> = BENCH_RULES
+        .iter()
+        .filter(|r| !(ignore_wall && r.path == BENCH_WALL))
+        .copied()
+        .collect();
+    let verdict = gate(&rules, &base.to_json(), &cand.to_json(), exact);
+    print!("{}", verdict.render());
+    if !verdict.passed() {
         std::process::exit(1);
     }
 }
@@ -217,34 +218,11 @@ fn cmd_plans(args: Vec<String>) {
     let text = report.render();
 
     if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-            }
-        }
-        std::fs::write(path, &text).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        write_file(path, &text).unwrap_or_else(|e| fail(&e));
         eprintln!("wrote {path}");
     }
     if let Some(path) = &check {
-        let golden_text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read golden {path}: {e}")));
-        let golden = Json::parse(&golden_text)
-            .unwrap_or_else(|e| fail(&format!("golden {path} does not parse: {e}")));
-        let drift = plan_drift(&golden, &report);
-        if !drift.is_empty() {
-            for d in &drift {
-                eprintln!("plan drift: {d}");
-            }
-            eprintln!(
-                "{} divergence{} from {path}; if the change is intended, regenerate the \
-                 golden with `fusedml-bench plans --out {path}`",
-                drift.len(),
-                if drift.len() == 1 { "" } else { "s" }
-            );
-            std::process::exit(1);
-        }
-        eprintln!("plans match {path}");
+        check_against("plans", path, &report, PLANS_RULES);
     }
     if out.is_none() && check.is_none() {
         println!("{text}");
@@ -324,18 +302,11 @@ fn cmd_trace(args: Vec<String>) {
         fail("trace export does not round-trip: parsed tree differs");
     }
 
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-        }
-    }
-    std::fs::write(&out, &text).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    write_file(&out, &text).unwrap_or_else(|e| fail(&e));
 
     let summary = metrics_summary(&events, dropped);
     if let Some(path) = &summary_out {
-        std::fs::write(path, summary.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        write_file(path, &summary.render()).unwrap_or_else(|e| fail(&e));
     }
 
     let categories: Vec<&str> = match summary.field("by_category") {
@@ -403,15 +374,7 @@ fn cmd_hostperf(args: Vec<String>) {
     hostperf_table(&report).print();
 
     if let Some(path) = &out {
-        let summary = hostperf_summary(&report);
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-            }
-        }
-        std::fs::write(path, summary.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        write_file(path, &hostperf_summary(&report).render()).unwrap_or_else(|e| fail(&e));
         eprintln!("wrote {path}");
     }
 
@@ -513,14 +476,7 @@ fn cmd_chaos(args: Vec<String>) {
             if r.pass() { "" } else { "  INVARIANT VIOLATED" }
         );
     });
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-        }
-    }
-    std::fs::write(&out, report.render())
-        .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    write_file(&out, &report.render()).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "wrote {} ({} scenarios, {} failure{})",
         out,
@@ -621,14 +577,7 @@ fn cmd_cpu(args: Vec<String>) {
         }
     }
 
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-        }
-    }
-    std::fs::write(&out, report.render())
-        .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    write_file(&out, &report.render()).unwrap_or_else(|e| fail(&e));
     eprintln!("wrote {out}");
 }
 
@@ -639,13 +588,12 @@ fn cmd_cpu(args: Vec<String>) {
 /// and gate it. The model-level invariants (depth 1 == serial model;
 /// pipelined residency strictly below double-buffer on wall AND H2D
 /// bytes) are enforced on every run, baseline or not; `--check` also
-/// diffs against a committed baseline with noise-aware tolerances.
+/// gates against a committed baseline by `STREAM_RULES`.
 fn cmd_stream(args: Vec<String>) {
     let (opts, rest) = parse_suite_opts(&args);
     let mut passes = STREAM_DEFAULT_PASSES;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut gate = StreamGateOptions::default();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -656,8 +604,6 @@ fn cmd_stream(args: Vec<String>) {
             }
             "--out" => out = Some(next_arg(&mut it, "--out")),
             "--check" => check = Some(next_arg(&mut it, "--check")),
-            "--wall-tol" => gate.wall_tol = next_f64(&mut it, "--wall-tol"),
-            "--counter-tol" => gate.counter_tol = next_f64(&mut it, "--counter-tol"),
             other => die(&format!("unknown flag '{other}' for stream\n{USAGE}")),
         }
     }
@@ -706,38 +652,14 @@ fn cmd_stream(args: Vec<String>) {
     }
 
     if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-            }
-        }
-        std::fs::write(path, report.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        write_file(path, &report.render()).unwrap_or_else(|e| fail(&e));
         eprintln!("wrote {path}");
     }
     if !violations.is_empty() {
         std::process::exit(1);
     }
     if let Some(path) = &check {
-        let baseline_text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        let baseline = Json::parse(&baseline_text)
-            .unwrap_or_else(|e| fail(&format!("baseline {path} does not parse: {e}")));
-        let regressions = stream_regressions(&baseline, &report, &gate);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("stream regression: {r}");
-            }
-            eprintln!(
-                "{} regression{} against {path}; if the change is intended, regenerate the \
-                 baseline with `fusedml-bench stream --out {path}`",
-                regressions.len(),
-                if regressions.len() == 1 { "" } else { "s" }
-            );
-            std::process::exit(1);
-        }
-        eprintln!("stream metrics within tolerance of {path}");
+        check_against("stream", path, &report, STREAM_RULES);
     }
     if out.is_none() && check.is_none() {
         println!("{}", report.render());
@@ -749,12 +671,10 @@ fn cmd_stream(args: Vec<String>) {
 /// schema-versioned `SERVE_fusion.json` and gate it. The structural
 /// invariants (request accounting, no ladder exhaustion, latency
 /// monotonicity, fault containment) are enforced on every run, baseline
-/// or not; `--check` also diffs against a committed baseline with
-/// noise-aware tolerances on latency and throughput and exact gates on
-/// the deterministic shed/reject counters.
+/// or not; `--check` also gates against a committed baseline by
+/// `SERVE_RULES`.
 fn cmd_serve(args: Vec<String>) {
     let mut opts = ServeBenchOptions::default();
-    let mut gate = ServeGateOptions::default();
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut it = args.iter();
@@ -785,8 +705,6 @@ fn cmd_serve(args: Vec<String>) {
             }
             "--out" => out = Some(next_arg(&mut it, "--out")),
             "--check" => check = Some(next_arg(&mut it, "--check")),
-            "--latency-tol" => gate.latency_tol = next_f64(&mut it, "--latency-tol"),
-            "--throughput-tol" => gate.throughput_tol = next_f64(&mut it, "--throughput-tol"),
             other => die(&format!("unknown flag '{other}' for serve\n{USAGE}")),
         }
     }
@@ -846,42 +764,58 @@ fn cmd_serve(args: Vec<String>) {
     }
 
     if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-            }
-        }
-        std::fs::write(path, report.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        write_file(path, &report.render()).unwrap_or_else(|e| fail(&e));
         eprintln!("wrote {path}");
     }
     if !violations.is_empty() {
         std::process::exit(1);
     }
     if let Some(path) = &check {
-        let baseline_text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        let baseline = Json::parse(&baseline_text)
-            .unwrap_or_else(|e| fail(&format!("baseline {path} does not parse: {e}")));
-        let regressions = serve_regressions(&baseline, &report, &gate);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("serve regression: {r}");
-            }
-            eprintln!(
-                "{} regression{} against {path}; if the change is intended, regenerate the \
-                 baseline with `fusedml-bench serve --out {path}`",
-                regressions.len(),
-                if regressions.len() == 1 { "" } else { "s" }
-            );
-            std::process::exit(1);
-        }
-        eprintln!("serve metrics within tolerance of {path}");
+        check_against("serve", path, &report, SERVE_RULES);
     }
     if out.is_none() && check.is_none() {
         println!("{}", report.render());
     }
+}
+
+/// Gate a fresh `report` against the committed file at `path` by `rules`:
+/// list every regression and exit 1, or print the pass line. `cmd`, the
+/// subcommand, words the messages; `plans` calls its file a golden.
+fn check_against(cmd: &str, path: &str, report: &Json, rules: &[Rule]) {
+    let golden = cmd == "plans";
+    let file = if golden { "golden" } else { "baseline" };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {file} {path}: {e}")));
+    let committed =
+        Json::parse(&text).unwrap_or_else(|e| fail(&format!("{file} {path} does not parse: {e}")));
+    let verdict = gate(rules, &committed, report, false);
+    let n = verdict.regressions().count();
+    if n == 0 {
+        if golden {
+            eprintln!("plans match {path}");
+        } else {
+            eprintln!("{cmd} metrics within tolerance of {path}");
+        }
+        return;
+    }
+    for f in verdict.regressions() {
+        if golden {
+            eprintln!("plan drift: {f}");
+        } else {
+            eprintln!("{cmd} regression: {f}");
+        }
+    }
+    let (noun, prep) = if golden {
+        ("divergence", "from")
+    } else {
+        ("regression", "against")
+    };
+    eprintln!(
+        "{n} {noun}{} {prep} {path}; if the change is intended, regenerate the {file} with \
+         `fusedml-bench {cmd} --out {path}`",
+        if n == 1 { "" } else { "s" }
+    );
+    std::process::exit(1);
 }
 
 /// Seeds print as hex in reports; accept both hex and decimal back.

@@ -196,50 +196,6 @@ pub fn plan_report(opts: &SuiteOptions) -> Result<Json, String> {
     ]))
 }
 
-/// Structural diff of two plan dumps: every divergence as one
-/// human-readable `path: golden X != current Y` line. Empty = no drift.
-pub fn plan_drift(golden: &Json, current: &Json) -> Vec<String> {
-    let mut drift = Vec::new();
-    diff("$", golden, current, &mut drift);
-    drift
-}
-
-fn diff(path: &str, a: &Json, b: &Json, out: &mut Vec<String>) {
-    match (a, b) {
-        (Json::Obj(ma), Json::Obj(mb)) => {
-            for (k, va) in ma {
-                match mb.get(k) {
-                    Some(vb) => diff(&format!("{path}.{k}"), va, vb, out),
-                    None => out.push(format!("{path}.{k}: missing from current dump")),
-                }
-            }
-            for k in mb.keys() {
-                if !ma.contains_key(k) {
-                    out.push(format!("{path}.{k}: not in golden"));
-                }
-            }
-        }
-        (Json::Arr(xa), Json::Arr(xb)) => {
-            if xa.len() != xb.len() {
-                out.push(format!(
-                    "{path}: golden has {} entries, current has {}",
-                    xa.len(),
-                    xb.len()
-                ));
-            }
-            for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
-                diff(&format!("{path}[{i}]"), va, vb, out);
-            }
-        }
-        _ if a == b => {}
-        _ => out.push(format!(
-            "{path}: golden {} != current {}",
-            a.render(),
-            b.render()
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,24 +285,34 @@ mod tests {
 
     #[test]
     fn drift_detection_flags_a_cost_change_and_a_lost_workload() {
+        use crate::regress::{gate, Severity, PLANS_RULES};
         let report = plan_report(&SuiteOptions::quick()).unwrap();
-        assert!(plan_drift(&report, &report).is_empty());
+        assert!(gate(PLANS_RULES, &report, &report, false)
+            .findings
+            .is_empty());
 
         let mut tampered = report.clone();
+        let mut lost = String::new();
         if let Json::Obj(m) = &mut tampered {
             m.insert("schema_version".into(), Json::u64(99));
             if let Some(Json::Arr(ws)) = m.get_mut("workloads") {
-                ws.pop();
+                lost = ws.pop().unwrap().field_str("id").unwrap().to_string();
             }
         }
-        let drift = plan_drift(&report, &tampered);
-        assert!(
-            drift.iter().any(|d| d.contains("schema_version")),
-            "drift: {drift:?}"
+        let drift = gate(PLANS_RULES, &report, &tampered, false);
+        assert_eq!(
+            drift.at("schema_version"),
+            Some(Severity::Regression),
+            "{}",
+            drift.render()
         );
-        assert!(
-            drift.iter().any(|d| d.contains("entries")),
-            "drift: {drift:?}"
+        assert_eq!(
+            drift.at(&format!("workloads[{lost}]")),
+            Some(Severity::Regression),
+            "{}",
+            drift.render()
         );
+        // The array length changed too.
+        assert_eq!(drift.at("workloads"), Some(Severity::Regression));
     }
 }

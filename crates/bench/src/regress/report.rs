@@ -69,8 +69,8 @@ impl ConfigFingerprint {
 /// v1 documents.
 ///
 /// These are *host* metrics: they vary with the plan cache on vs. off
-/// while the modeled counters stay bit-identical, so `compare` reports
-/// but never gates them.
+/// while the modeled counters stay bit-identical, so `compare` never
+/// gates them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostPerf {
     /// Times the analytical tuner actually ran (cache misses + uncached
@@ -367,12 +367,7 @@ impl BenchReport {
     }
 
     pub fn save(&self, path: &str) -> Result<(), String> {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
-            }
-        }
-        std::fs::write(path, self.render()).map_err(|e| format!("write {path}: {e}"))
+        write_file(path, &self.render())
     }
 
     pub fn load(path: &str) -> Result<Self, String> {
@@ -380,10 +375,18 @@ impl BenchReport {
         let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         Self::from_json(&json).map_err(|e| format!("{path}: {e}"))
     }
+}
 
-    pub fn find(&self, id: &str) -> Option<&WorkloadResult> {
-        self.workloads.iter().find(|w| w.id == id)
+/// Write `text` to `path`, creating its parent directory first. The one
+/// output writer of every report the bench CLI produces.
+pub fn write_file(path: &str, text: &str) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        }
     }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Current git commit, or "unknown".

@@ -12,8 +12,8 @@
 //! shared-pool contention gauges), so the report is byte-identical for
 //! a fixed fingerprint and gates in CI exactly like `regress` and
 //! `stream`: [`serve_invariants`] holds the structural guarantees on
-//! every run, [`serve_regressions`] diffs a candidate against the
-//! committed baseline with noise-aware relative tolerances.
+//! every run, [`SERVE_RULES`](super::SERVE_RULES) gate a candidate
+//! against the committed baseline.
 
 use super::json::Json;
 use fusedml_gpu_sim::{DeviceSpec, FaultProfile};
@@ -22,26 +22,6 @@ use std::sync::Arc;
 
 /// Bumped when the report's structure changes incompatibly.
 pub const SERVE_SCHEMA_VERSION: u64 = 1;
-
-/// Gate tolerances: relative changes beyond these fail the compare.
-/// Latency/throughput gates only fire on the *bad* direction
-/// (increase/decrease); deterministic counters must not regress at all.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeGateOptions {
-    /// Modeled latency percentiles (relative increase).
-    pub latency_tol: f64,
-    /// Modeled throughput (relative decrease).
-    pub throughput_tol: f64,
-}
-
-impl Default for ServeGateOptions {
-    fn default() -> Self {
-        ServeGateOptions {
-            latency_tol: 0.02,
-            throughput_tol: 0.02,
-        }
-    }
-}
 
 /// Shape of one serve bench run; becomes the report's fingerprint.
 #[derive(Debug, Clone)]
@@ -369,138 +349,18 @@ pub fn serve_invariants(report: &Json) -> Vec<String> {
     bad
 }
 
-fn rel_increase(base: f64, cand: f64) -> f64 {
-    if base <= 0.0 {
-        if cand > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    } else {
-        (cand - base) / base
-    }
-}
-
-fn find_tenant<'a>(report: &'a Json, name: &str) -> Option<&'a Json> {
-    report
-        .get("tenants")?
-        .as_arr()?
-        .iter()
-        .find(|t| t.get("name").and_then(Json::as_str) == Some(name))
-}
-
-/// Diff a candidate serve report against the committed baseline. Returns
-/// one message per regression; empty means the gate passes. The
-/// shed/reject/failed counters are fully deterministic, so any *increase*
-/// is a real behavioral regression and gates exactly; the latency and
-/// throughput gates carry the noise-aware tolerances.
-pub fn serve_regressions(
-    baseline: &Json,
-    candidate: &Json,
-    gate: &ServeGateOptions,
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    let (bv, cv) = (
-        baseline.field_u64("schema_version").unwrap_or(0),
-        candidate.field_u64("schema_version").unwrap_or(0),
-    );
-    if bv != cv {
-        bad.push(format!("schema_version: baseline {bv} != candidate {cv}"));
-        return bad;
-    }
-    match (
-        baseline.field("fingerprint"),
-        candidate.field("fingerprint"),
-    ) {
-        (Ok(b), Ok(c)) if b == c => {}
-        (Ok(b), Ok(c)) => bad.push(format!(
-            "fingerprint mismatch: baseline {} vs candidate {} — regenerate the baseline \
-             instead of comparing different configurations",
-            b.render().trim(),
-            c.render().trim()
-        )),
-        _ => bad.push("a report is missing its fingerprint".to_string()),
-    }
-
-    // Latency percentiles: increases beyond tolerance fail.
-    for key in ["p50", "p99", "p999"] {
-        let get = |r: &Json| r.field("latency_ms").and_then(|l| l.field_f64(key));
-        match (get(baseline), get(candidate)) {
-            (Ok(b), Ok(c)) => {
-                let up = rel_increase(b, c);
-                if up > gate.latency_tol {
-                    bad.push(format!(
-                        "latency {key} regressed {:.1}% ({b} -> {c})",
-                        up * 100.0
-                    ));
-                }
-            }
-            _ => bad.push(format!("latency {key} missing from a report")),
-        }
-    }
-    // Throughput: decreases beyond tolerance fail.
-    match (
-        baseline.field_f64("throughput_rps"),
-        candidate.field_f64("throughput_rps"),
-    ) {
-        (Ok(b), Ok(c)) => {
-            let down = rel_increase(c, b);
-            if down > gate.throughput_tol {
-                bad.push(format!(
-                    "throughput regressed {:.1}% ({b} -> {c} req/s)",
-                    down * 100.0
-                ));
-            }
-        }
-        _ => bad.push("throughput missing from a report".to_string()),
-    }
-    // Deterministic counters: completions must not drop, failure-shaped
-    // counters must not grow.
-    let count = |r: &Json, key: &str| r.field("totals").and_then(|t| t.field_u64(key));
-    match (count(baseline, "completed"), count(candidate, "completed")) {
-        (Ok(b), Ok(c)) if c < b => {
-            bad.push(format!("completed requests dropped {b} -> {c}"));
-        }
-        (Ok(_), Ok(_)) => {}
-        _ => bad.push("completed count missing from a report".to_string()),
-    }
-    for key in [
-        "rejected_queue",
-        "rejected_quota",
-        "shed",
-        "failed",
-        "deadline_misses",
-    ] {
-        if let (Ok(b), Ok(c)) = (count(baseline, key), count(candidate, key)) {
-            if c > b {
-                bad.push(format!("{key} grew {b} -> {c}"));
-            }
-        }
-    }
-    // Per-tenant structure: a tenant disappearing means the grids differ.
-    let empty = Vec::new();
-    for bt in baseline
-        .get("tenants")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty)
-    {
-        let name = bt.field_str("name").unwrap_or("?");
-        let Some(ct) = find_tenant(candidate, name) else {
-            bad.push(format!("tenant {name} missing from candidate"));
-            continue;
-        };
-        if let (Ok(b), Ok(c)) = (bt.field_u64("completed"), ct.field_u64("completed")) {
-            if c < b {
-                bad.push(format!("tenant {name}: completed dropped {b} -> {c}"));
-            }
-        }
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{gate, Severity, SERVE_RULES};
+
+    fn find_tenant<'a>(report: &'a Json, name: &str) -> Option<&'a Json> {
+        report
+            .get("tenants")?
+            .as_arr()?
+            .iter()
+            .find(|t| t.get("name").and_then(Json::as_str) == Some(name))
+    }
 
     fn tiny_opts() -> ServeBenchOptions {
         ServeBenchOptions {
@@ -517,10 +377,7 @@ mod tests {
         assert_eq!(a.render(), b.render(), "serve report must be deterministic");
         assert_eq!(serve_invariants(&a), Vec::<String>::new());
         assert_eq!(Json::parse(&a.render()).unwrap(), a);
-        assert_eq!(
-            serve_regressions(&a, &b, &ServeGateOptions::default()),
-            Vec::<String>::new()
-        );
+        assert!(gate(SERVE_RULES, &a, &b, false).findings.is_empty());
     }
 
     #[test]
@@ -557,9 +414,9 @@ mod tests {
     fn gate_flags_latency_counter_and_structural_regressions() {
         let opts = tiny_opts();
         let base = serve_bench_report(&opts).unwrap();
-        let gate = ServeGateOptions::default();
 
         let mut cand = base.clone();
+        let mut lost = String::new();
         if let Json::Obj(m) = &mut cand {
             if let Some(Json::Obj(l)) = m.get_mut("latency_ms") {
                 let p99 = l["p99"].as_f64().unwrap();
@@ -570,25 +427,64 @@ mod tests {
                 t.insert("shed".into(), Json::u64(shed + 3));
             }
             if let Some(Json::Arr(ts)) = m.get_mut("tenants") {
-                ts.pop();
+                lost = ts.pop().unwrap().field_str("name").unwrap().to_string();
             }
         }
-        let bad = serve_regressions(&base, &cand, &gate);
-        assert!(
-            bad.iter().any(|b| b.contains("latency p99 regressed")),
-            "{bad:?}"
-        );
-        assert!(bad.iter().any(|b| b.contains("shed grew")), "{bad:?}");
-        assert!(
-            bad.iter().any(|b| b.contains("missing from candidate")),
-            "{bad:?}"
-        );
+        let lost = format!("tenants[{lost}]");
+        let bad = gate(SERVE_RULES, &base, &cand, false);
+        for path in ["latency_ms.p99", "totals.shed", &lost] {
+            assert_eq!(
+                bad.at(path),
+                Some(Severity::Regression),
+                "{path}: {}",
+                bad.render()
+            );
+        }
 
-        // Improvements never fail: swapping roles only leaves the
-        // structural finding.
-        assert!(serve_regressions(&cand, &base, &gate)
-            .iter()
-            .all(|b| b.contains("missing")));
+        // Improvements never fail: swapping roles leaves the tenant the
+        // candidate gained as a note.
+        let swapped = gate(SERVE_RULES, &cand, &base, false);
+        assert!(swapped.passed(), "{}", swapped.render());
+        assert_eq!(swapped.at(&lost), Some(Severity::Note));
+    }
+
+    #[test]
+    fn a_gated_value_missing_from_the_candidate_fails() {
+        let base = Json::parse(include_str!(
+            "../../../../results/baselines/SERVE_fusion.json"
+        ))
+        .unwrap();
+        let mut cand = base.clone();
+        let mut tenants = Vec::new();
+        if let Json::Obj(m) = &mut cand {
+            if let Some(Json::Obj(t)) = m.get_mut("totals") {
+                t.remove("shed");
+                t.remove("failed");
+            }
+            if let Some(Json::Arr(ts)) = m.get_mut("tenants") {
+                for t in ts {
+                    if let Json::Obj(t) = t {
+                        t.remove("completed");
+                        tenants.push(t["name"].as_str().unwrap().to_string());
+                    }
+                }
+            }
+        }
+        let bad = gate(SERVE_RULES, &base, &cand, false);
+        let missing = ["totals.shed".to_string(), "totals.failed".to_string()]
+            .into_iter()
+            .chain(tenants.iter().map(|t| format!("tenants[{t}].completed")));
+        for path in missing {
+            assert_eq!(
+                bad.at(&path),
+                Some(Severity::Regression),
+                "{path}: {}",
+                bad.render()
+            );
+        }
+        // Missing from the baseline, the values cannot be compared either.
+        let swapped = gate(SERVE_RULES, &cand, &base, false);
+        assert_eq!(swapped.at("totals.shed"), Some(Severity::Regression));
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //!
 //! Every metric in the report is modeled (simulated device time, copy
 //! engine counters), so the dump is deterministic for a fixed
-//! fingerprint; [`stream_regressions`] diffs a candidate against the
-//! committed baseline with the same noise-aware relative tolerances the
-//! main bench gate uses. Legacy reports that predate the pipeline
-//! fields (`depth`, `bubble_ms`, `residency_hits`, ...) still load: the
-//! reader applies the double-buffer defaults, mirroring the serde
-//! defaults on the runtime's `StreamReport`.
+//! fingerprint; [`STREAM_RULES`](super::STREAM_RULES) gate a candidate
+//! against the committed baseline. Legacy reports that predate the
+//! pipeline fields (`depth`, `bubble_ms`, `residency_hits`, ...) still
+//! load: the reader applies the double-buffer defaults, mirroring the
+//! serde defaults on the runtime's `StreamReport`.
 
 use super::json::Json;
 use super::suite::SuiteOptions;
@@ -42,25 +41,6 @@ pub const STREAM_SCHEMA_VERSION: u64 = 1;
 /// Solver passes per leg. Pass 0 streams cold; the rest replay the same
 /// access pattern, which is what gives residency something to serve.
 pub const STREAM_DEFAULT_PASSES: usize = 3;
-
-/// Gate tolerances: relative *increases* beyond these fail the compare.
-/// Decreases never fail (an improvement re-baselines on merge).
-#[derive(Debug, Clone, Copy)]
-pub struct StreamGateOptions {
-    /// Modeled pipeline wall (simulated ms).
-    pub wall_tol: f64,
-    /// Deterministic copy-engine counters (H2D bytes).
-    pub counter_tol: f64,
-}
-
-impl Default for StreamGateOptions {
-    fn default() -> Self {
-        StreamGateOptions {
-            wall_tol: 0.02,
-            counter_tol: 0.02,
-        }
-    }
-}
 
 /// One streaming workload: a synthetic matrix plus the fixed chunking
 /// shared by the non-auto legs so their schedules are comparable.
@@ -293,120 +273,10 @@ pub fn stream_invariants(report: &Json) -> Vec<String> {
     bad
 }
 
-fn rel_increase(base: f64, cand: f64) -> f64 {
-    if base <= 0.0 {
-        if cand > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    } else {
-        (cand - base) / base
-    }
-}
-
-/// Diff a candidate report against the committed baseline. Returns one
-/// message per regression; empty means the gate passes. Structural
-/// mismatches (schema, fingerprint, lost workloads or legs) are
-/// regressions — a gate that silently compares different configurations
-/// gates nothing.
-pub fn stream_regressions(
-    baseline: &Json,
-    candidate: &Json,
-    gate: &StreamGateOptions,
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    let (bv, cv) = (
-        baseline.field_u64("schema_version").unwrap_or(0),
-        candidate.field_u64("schema_version").unwrap_or(0),
-    );
-    if bv != cv {
-        bad.push(format!("schema_version: baseline {bv} != candidate {cv}"));
-        return bad;
-    }
-    match (
-        baseline.field("fingerprint"),
-        candidate.field("fingerprint"),
-    ) {
-        (Ok(b), Ok(c)) if b == c => {}
-        (Ok(b), Ok(c)) => bad.push(format!(
-            "fingerprint mismatch: baseline {} vs candidate {} — regenerate the baseline \
-             instead of comparing different configurations",
-            b.render().trim(),
-            c.render().trim()
-        )),
-        _ => bad.push("a report is missing its fingerprint".to_string()),
-    }
-    let (bp, cp) = (
-        baseline.field_u64("passes").unwrap_or(0),
-        candidate.field_u64("passes").unwrap_or(0),
-    );
-    if bp != cp {
-        bad.push(format!("passes: baseline {bp} != candidate {cp}"));
-    }
-
-    let empty = Vec::new();
-    let b_wls = baseline
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let c_wls = candidate
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for bw in b_wls {
-        let id = bw.field_str("id").unwrap_or("?");
-        let Some(cw) = c_wls
-            .iter()
-            .find(|w| w.get("id").and_then(Json::as_str) == Some(id))
-        else {
-            bad.push(format!("{id}: workload missing from candidate"));
-            continue;
-        };
-        let b_legs = bw.get("legs").and_then(Json::as_arr).unwrap_or(&empty);
-        for bl in b_legs {
-            let name = bl.get("name").and_then(Json::as_str).unwrap_or("?");
-            let Some(cl) = find_leg(cw, name) else {
-                bad.push(format!("{id}/{name}: leg missing from candidate"));
-                continue;
-            };
-            let (bm, cm) = match (leg_metrics(bl), leg_metrics(cl)) {
-                (Ok(b), Ok(c)) => (b, c),
-                (b, c) => {
-                    for r in [b, c] {
-                        if let Err(e) = r {
-                            bad.push(format!("{id}/{name}: {e}"));
-                        }
-                    }
-                    continue;
-                }
-            };
-            let wall_up = rel_increase(bm.wall, cm.wall);
-            if wall_up > gate.wall_tol {
-                bad.push(format!(
-                    "{id}/{name}: modeled wall regressed {:.1}% ({} -> {})",
-                    wall_up * 100.0,
-                    bm.wall,
-                    cm.wall
-                ));
-            }
-            let bytes_up = rel_increase(bm.bytes as f64, cm.bytes as f64);
-            if bytes_up > gate.counter_tol {
-                bad.push(format!(
-                    "{id}/{name}: H2D bytes regressed {:.1}% ({} -> {})",
-                    bytes_up * 100.0,
-                    bm.bytes,
-                    cm.bytes
-                ));
-            }
-        }
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{gate, Severity, STREAM_RULES};
 
     fn tiny_opts() -> SuiteOptions {
         let mut opts = SuiteOptions::quick();
@@ -448,25 +318,24 @@ mod tests {
                 "double-buffer must re-stream"
             );
         }
-        assert_eq!(
-            stream_regressions(&a, &b, &StreamGateOptions::default()),
-            Vec::<String>::new()
-        );
+        assert!(gate(STREAM_RULES, &a, &b, false).findings.is_empty());
     }
 
     #[test]
     fn gate_flags_wall_and_byte_regressions_and_structural_drift() {
         let opts = tiny_opts();
         let base = stream_report(&opts, 2).unwrap();
-        let gate = StreamGateOptions::default();
 
         // Inflate the first workload's first leg by 10% wall and bytes.
         let mut cand = base.clone();
+        let (mut id, mut first, mut last) = (String::new(), String::new(), String::new());
         if let Json::Obj(m) = &mut cand {
             if let Some(Json::Arr(wls)) = m.get_mut("workloads") {
                 if let Some(Json::Obj(w)) = wls.first_mut() {
+                    id = w["id"].as_str().unwrap().to_string();
                     if let Some(Json::Arr(legs)) = w.get_mut("legs") {
                         if let Some(Json::Obj(leg)) = legs.first_mut() {
+                            first = leg["name"].as_str().unwrap().to_string();
                             let wall = leg["modeled_wall_ms"].as_f64().unwrap();
                             leg.insert("modeled_wall_ms".into(), Json::num(wall * 1.10));
                             let bytes = leg["h2d_bytes"].as_u64().unwrap();
@@ -475,26 +344,27 @@ mod tests {
                     }
                     // And drop the last leg entirely.
                     if let Some(Json::Arr(legs)) = w.get_mut("legs") {
-                        legs.pop();
+                        last = legs.pop().unwrap().field_str("name").unwrap().to_string();
                     }
                 }
             }
         }
-        let bad = stream_regressions(&base, &cand, &gate);
+        let leg = |name: &str| format!("workloads[{id}].legs[{name}]");
+        let bad = gate(STREAM_RULES, &base, &cand, false);
+        let regressed = |path: String| bad.at(&path) == Some(Severity::Regression);
         assert!(
-            bad.iter().any(|b| b.contains("modeled wall regressed")),
-            "{bad:?}"
+            regressed(leg(&first) + ".modeled_wall_ms"),
+            "{}",
+            bad.render()
         );
-        assert!(
-            bad.iter().any(|b| b.contains("H2D bytes regressed")),
-            "{bad:?}"
-        );
-        assert!(bad.iter().any(|b| b.contains("leg missing")), "{bad:?}");
+        assert!(regressed(leg(&first) + ".h2d_bytes"), "{}", bad.render());
+        assert!(regressed(leg(&last)), "{}", bad.render());
 
         // Improvements never fail: swap roles so the candidate is faster.
-        assert!(stream_regressions(&cand, &base, &gate)
-            .iter()
-            .all(|b| b.contains("leg missing") || b.contains("not in")));
+        // The leg it gained is only a note.
+        let swapped = gate(STREAM_RULES, &cand, &base, false);
+        assert!(swapped.passed(), "{}", swapped.render());
+        assert_eq!(swapped.at(&leg(&last)), Some(Severity::Note));
     }
 
     #[test]
@@ -539,10 +409,12 @@ mod tests {
             ("residency_hits", Json::u64(0)),
         ]);
         let modern = wrap(modern_leg);
-        let bad = stream_regressions(&legacy, &modern, &StreamGateOptions::default());
-        assert!(
-            bad.iter().any(|b| b.contains("modeled wall regressed")),
-            "legacy baseline must still gate the shared metrics: {bad:?}"
+        let bad = gate(STREAM_RULES, &legacy, &modern, false);
+        assert_eq!(
+            bad.at("workloads[stream/legacy/1x1].legs[double_buffer].modeled_wall_ms"),
+            Some(Severity::Regression),
+            "legacy baseline must still gate the shared metrics: {}",
+            bad.render()
         );
     }
 

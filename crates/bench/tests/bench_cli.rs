@@ -3,6 +3,7 @@
 //! 2 = unknown subcommand/flag) and the `plans` dump/check round-trip
 //! behind the CI plan-regression gate.
 
+use fusedml_bench::regress::Json;
 use std::process::Command;
 
 fn bench() -> Command {
@@ -254,4 +255,171 @@ fn plans_dump_is_byte_deterministic() {
         run(),
         "two dumps of one config must be byte-identical"
     );
+}
+
+/// Rewrite the JSON report at `path` in place.
+fn doctor(path: &str, edit: impl FnOnce(&mut std::collections::BTreeMap<String, Json>)) {
+    let text = std::fs::read_to_string(path).expect("report must be written");
+    let mut doc = Json::parse(&text).expect("report must parse");
+    let Json::Obj(m) = &mut doc else {
+        panic!("report is an object")
+    };
+    edit(m);
+    std::fs::write(path, doc.render()).expect("doctored report must be written");
+}
+
+/// The first entry of the array `key` in a report object.
+fn first_entry<'a>(
+    m: &'a mut std::collections::BTreeMap<String, Json>,
+    key: &str,
+) -> &'a mut std::collections::BTreeMap<String, Json> {
+    match m.get_mut(key) {
+        Some(Json::Arr(items)) => match items.first_mut() {
+            Some(Json::Obj(e)) => e,
+            _ => panic!("{key} has no object entry"),
+        },
+        _ => panic!("{key} is not an array"),
+    }
+}
+
+fn scale(field: &mut Json, by: f64) {
+    *field = Json::num(field.as_f64().expect("a number") * by);
+}
+
+/// Run `argv` and assert its exit code and that stderr names each needle.
+fn expect_exit(argv: &[&str], code: i32, needles: &[&str]) {
+    let out = bench().args(argv).output().expect("bench binary must run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{argv:?}: {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "{argv:?} stderr lacks {needle:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn stream_and_serve_gates_pass_on_their_own_output_and_fail_when_doctored() {
+    let stream = tmp("stream.json");
+    let stream_cmd = |flag: &'static str| {
+        [
+            "stream",
+            "--quick",
+            "--scale",
+            "0.1",
+            "--passes",
+            "2",
+            flag,
+            stream.as_str(),
+        ]
+    };
+    expect_exit(&stream_cmd("--out"), 0, &["wrote"]);
+    expect_exit(
+        &stream_cmd("--check"),
+        0,
+        &["stream metrics within tolerance"],
+    );
+    // A baseline twice as fast on one leg makes the fresh run a regression.
+    doctor(&stream, |m| {
+        let leg = first_entry(first_entry(m, "workloads"), "legs");
+        scale(leg.get_mut("modeled_wall_ms").unwrap(), 0.5);
+    });
+    expect_exit(
+        &stream_cmd("--check"),
+        1,
+        &["stream regression", "regenerate the baseline"],
+    );
+
+    let serve = tmp("serve.json");
+    let serve_cmd = |flag: &'static str| ["serve", "--requests", "24", flag, serve.as_str()];
+    expect_exit(&serve_cmd("--out"), 0, &["wrote"]);
+    expect_exit(
+        &serve_cmd("--check"),
+        0,
+        &["serve metrics within tolerance"],
+    );
+    doctor(&serve, |m| {
+        let Some(Json::Obj(lat)) = m.get_mut("latency_ms") else {
+            panic!("latency_ms is an object")
+        };
+        scale(lat.get_mut("p50").unwrap(), 0.5);
+    });
+    expect_exit(
+        &serve_cmd("--check"),
+        1,
+        &["serve regression", "regenerate the baseline"],
+    );
+
+    std::fs::remove_file(&stream).ok();
+    std::fs::remove_file(&serve).ok();
+}
+
+#[test]
+fn compare_fails_on_a_doctored_report_and_a_fingerprint_mismatch() {
+    let committed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baselines/BENCH_fusion.json"
+    );
+    expect_exit(&["compare", committed, committed], 0, &["baseline:"]);
+
+    let slower = tmp("bench_slower.json");
+    std::fs::copy(committed, &slower).unwrap();
+    doctor(&slower, |m| {
+        let Some(Json::Obj(fused)) = first_entry(m, "workloads").get_mut("fused") else {
+            panic!("fused is an object")
+        };
+        scale(fused.get_mut("modeled_ms").unwrap(), 2.0);
+    });
+    let out = bench()
+        .args(["compare", committed, &slower, "--ignore-wall"])
+        .output()
+        .expect("bench binary must run");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a 2x modeled slowdown must fail"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
+
+    let other = tmp("bench_other_seed.json");
+    std::fs::copy(committed, &other).unwrap();
+    doctor(&other, |m| {
+        let Some(Json::Obj(fp)) = m.get_mut("fingerprint") else {
+            panic!("fingerprint is an object")
+        };
+        fp.insert("seed".into(), Json::num(7.0));
+    });
+    let out = bench()
+        .args(["compare", committed, &other, "--ignore-wall"])
+        .output()
+        .expect("bench binary must run");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a fingerprint mismatch is a regression"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("fingerprint.seed"));
+
+    std::fs::remove_file(&slower).ok();
+    std::fs::remove_file(&other).ok();
+}
+
+#[test]
+fn removed_tolerance_flags_are_unknown() {
+    let compare = ["compare", "a.json", "b.json"];
+    let cases = [
+        (&compare[..], "--modeled-tol"),
+        (&compare, "--counter-tol"),
+        (&compare, "--speedup-tol"),
+        (&compare, "--wall-tol"),
+        (&["stream", "--quick"], "--wall-tol"),
+        (&["stream", "--quick"], "--counter-tol"),
+        (&["serve"], "--latency-tol"),
+        (&["serve"], "--throughput-tol"),
+    ];
+    for (cmd, flag) in cases {
+        let argv: Vec<&str> = cmd.iter().copied().chain([flag, "0"]).collect();
+        expect_exit(&argv, 2, &["unknown flag"]);
+    }
 }

@@ -4,7 +4,7 @@
 //! move strictly less DRAM traffic than the operator composition.
 
 use fusedml_bench::regress::{
-    compare, run_suite, workload_ids, BenchReport, CompareOptions, Json, Severity, SuiteOptions,
+    gate, run_suite, workload_ids, BenchReport, Json, Severity, SuiteOptions, BENCH_RULES,
     SCHEMA_VERSION,
 };
 
@@ -63,9 +63,9 @@ fn suite_is_deterministic_and_gate_passes_on_self() {
     // Two identical runs must sail through the gate with the tight
     // default thresholds (wall-clock included: same machine, and the
     // loose wall tolerance absorbs scheduler noise).
-    let outcome = compare(&a, &b, &CompareOptions::default()).unwrap();
+    let outcome = gate(BENCH_RULES, &a.to_json(), &b.to_json(), false);
     assert!(outcome.passed(), "{}", outcome.render());
-    assert_eq!(outcome.workloads_compared, a.workloads.len());
+    assert!(outcome.compared > a.workloads.len());
 }
 
 #[test]
@@ -98,12 +98,10 @@ fn injected_modeled_regression_trips_the_gate() {
         w.fused.modeled_cycles = (w.fused.modeled_cycles as f64 * 1.10) as u64;
         w.speedup = w.baseline.modeled_ms / w.fused.modeled_ms;
     }
-    let outcome = compare(&base, &cand, &CompareOptions::default()).unwrap();
+    let outcome = gate(BENCH_RULES, &base.to_json(), &cand.to_json(), false);
     assert!(!outcome.passed());
-    assert!(outcome
-        .findings
-        .iter()
-        .any(|f| f.metric == "fused.modeled_ms" && f.severity == Severity::Regression));
+    let path = format!("workloads[{}].fused.modeled_ms", cand.workloads[0].id);
+    assert_eq!(outcome.at(&path), Some(Severity::Regression));
 }
 
 #[test]
