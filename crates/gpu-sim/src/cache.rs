@@ -6,20 +6,35 @@
 //! hits in cache when the row was recently loaded by the same vector of
 //! threads, halving DRAM traffic exactly as the paper argues.
 
+/// Tag of an empty way. A real tag is `line >> set bits` and stays below
+/// it for every address under [`CacheModel::addr_limit`], which `Gpu`'s
+/// allocator never passes.
+const EMPTY: u32 = u32::MAX;
+
 /// A set-associative cache with LRU replacement, tracked at line
-/// granularity. Timestamps implement LRU without list manipulation.
+/// granularity.
+///
+/// Each set keeps its 32-bit tags in recency order, most recently used
+/// first, so empty ways trail the valid ones and the last way is the LRU
+/// victim. Ways are symmetric, so the order is all the state a set has:
+/// the hit and miss sequence is that of an LRU cache that stamps each way
+/// with its last use.
+///
+/// A flush is O(1): it advances `epoch`, and a set last touched in an
+/// earlier epoch reads as empty on its next probe. Construction fills
+/// nothing either: every set starts in epoch 0, before the first.
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     /// log2(line size in bytes).
     line_shift: u32,
-    /// Number of sets (power of two).
-    num_sets: usize,
+    /// log2(number of sets).
+    set_bits: u32,
     ways: usize,
-    /// `num_sets * ways` line tags; `u64::MAX` marks an empty way.
-    tags: Vec<u64>,
-    /// Last-use timestamp per way.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// `ways` tags per set, most recently used first.
+    tags: Vec<u32>,
+    /// The epoch each set was last touched in.
+    set_epoch: Vec<u32>,
+    epoch: u32,
     hits: u64,
     misses: u64,
 }
@@ -39,11 +54,12 @@ impl CacheModel {
         let num_sets = 1usize << (lines / ways).max(1).ilog2();
         CacheModel {
             line_shift: line_bytes.trailing_zeros(),
-            num_sets,
+            set_bits: num_sets.trailing_zeros(),
             ways,
-            tags: vec![u64::MAX; num_sets * ways],
-            stamps: vec![0; num_sets * ways],
-            clock: 0,
+            // Zeroed allocations: no page is written until its set is.
+            tags: vec![0; num_sets * ways],
+            set_epoch: vec![0; num_sets],
+            epoch: 1,
             hits: 0,
             misses: 0,
         }
@@ -54,30 +70,40 @@ impl CacheModel {
         1usize << self.line_shift
     }
 
+    /// The first byte address past the tag range: every address below it
+    /// has a 32-bit tag. Addresses at or above it would alias.
+    pub fn addr_limit(&self) -> u64 {
+        let limit = u128::from(EMPTY) << (self.line_shift + self.set_bits);
+        u64::try_from(limit).unwrap_or(u64::MAX)
+    }
+
     /// Probe the cache with a byte address. Returns `true` on hit. On miss
     /// the line is installed, evicting the LRU way of its set.
     pub fn access(&mut self, byte_addr: u64) -> bool {
+        debug_assert!(byte_addr < self.addr_limit(), "{byte_addr:#x} has no tag");
         let line = byte_addr >> self.line_shift;
-        let set = (line as usize) & (self.num_sets - 1);
-        let base = set * self.ways;
-        self.clock += 1;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        // One pass finds the hit way, or else the LRU way: the first one
-        // with the smallest stamp (stamps never reach `u64::MAX`).
-        let (mut lru, mut oldest) = (0, u64::MAX);
-        for w in 0..self.ways {
-            if tags[w] == line {
-                stamps[w] = self.clock;
+        let set = line as usize & ((1 << self.set_bits) - 1);
+        let tag = (line >> self.set_bits) as u32;
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        if self.set_epoch[set] != self.epoch {
+            self.set_epoch[set] = self.epoch;
+            ways.fill(EMPTY);
+        }
+        // Put the tag in front and move each tag behind it one way back,
+        // up to the tag's old way (a hit) or the first empty way (a miss
+        // into free space). A full set that misses drops its LRU tag.
+        let mut carry = tag;
+        for way in ways.iter_mut() {
+            let t = std::mem::replace(way, carry);
+            if t == tag {
                 self.hits += 1;
                 return true;
             }
-            if stamps[w] < oldest {
-                (lru, oldest) = (w, stamps[w]);
+            if t == EMPTY {
+                break;
             }
+            carry = t;
         }
-        tags[lru] = line;
-        stamps[lru] = self.clock;
         self.misses += 1;
         false
     }
@@ -86,8 +112,12 @@ impl CacheModel {
     /// simulator keeps caches warm across launches by default, matching
     /// real hardware).
     pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Once every 2^32 flushes: restart the epochs.
+            self.set_epoch.fill(0);
+            self.epoch = 1;
+        }
     }
 
     pub fn hits(&self) -> u64 {
@@ -100,13 +130,198 @@ impl CacheModel {
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.num_sets * self.ways * self.line_bytes()
+        self.set_epoch.len() * self.ways * self.line_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stamp-based LRU this model replaced: `u64` tags and last-use
+    /// stamps per way, the victim being the first way with the smallest
+    /// stamp. Kept as the reference the compact model must agree with.
+    struct StampLru {
+        line_shift: u32,
+        num_sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        fn new(capacity_bytes: usize, line_bytes: usize, ways: usize) -> Self {
+            let ways = ways.max(1);
+            let lines = (capacity_bytes / line_bytes).max(ways);
+            let num_sets = 1usize << (lines / ways).max(1).ilog2();
+            StampLru {
+                line_shift: line_bytes.trailing_zeros(),
+                num_sets,
+                ways,
+                tags: vec![u64::MAX; num_sets * ways],
+                stamps: vec![0; num_sets * ways],
+                clock: 0,
+            }
+        }
+
+        fn access(&mut self, byte_addr: u64) -> bool {
+            let line = byte_addr >> self.line_shift;
+            let base = (line as usize & (self.num_sets - 1)) * self.ways;
+            self.clock += 1;
+            let tags = &mut self.tags[base..base + self.ways];
+            let stamps = &mut self.stamps[base..base + self.ways];
+            let (mut lru, mut oldest) = (0, u64::MAX);
+            for w in 0..self.ways {
+                if tags[w] == line {
+                    stamps[w] = self.clock;
+                    return true;
+                }
+                if stamps[w] < oldest {
+                    (lru, oldest) = (w, stamps[w]);
+                }
+            }
+            tags[lru] = line;
+            stamps[lru] = self.clock;
+            false
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+        }
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// One seeded address stream: phases of hot reuse (a small working
+    /// set), streaming (a sequential scan larger than the cache) and random
+    /// probes over a wide range, with a flush between some phases.
+    fn stream(seed: u64, capacity: u64, flushes: bool) -> Vec<Option<u64>> {
+        let mut rng = Rng(seed);
+        let mut out = Vec::new();
+        for _ in 0..24 {
+            match rng.below(3) {
+                0 => {
+                    let base = rng.below(1 << 30) & !127;
+                    let span = 1 + rng.below(capacity / 2);
+                    for _ in 0..400 {
+                        out.push(Some(base + rng.below(span)));
+                    }
+                }
+                1 => {
+                    let base = rng.below(1 << 30);
+                    let stride = [8, 64, 128, 1024][rng.below(4) as usize];
+                    for i in 0..(3 * capacity / stride).min(2000) {
+                        out.push(Some(base + i * stride));
+                    }
+                }
+                _ => {
+                    for _ in 0..400 {
+                        out.push(Some(rng.below(1 << 36)));
+                    }
+                }
+            }
+            if flushes && rng.below(3) == 0 {
+                out.push(None);
+            }
+        }
+        out
+    }
+
+    /// Drive both models through `ops` (`None` = flush) and require the same
+    /// hit/miss verdict on every probe.
+    fn assert_agree(c: &mut CacheModel, r: &mut StampLru, ops: &[Option<u64>], what: &str) {
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Some(a) => assert_eq!(c.access(a), r.access(a), "{what}: probe {i} at {a:#x}"),
+                None => {
+                    c.flush();
+                    r.flush();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hit_miss_sequence_matches_the_stamp_lru() {
+        for (seed, (capacity, line, ways)) in [
+            (4096, 128, 4),
+            (512, 128, 2),
+            (1536 * 1024, 128, 16),
+            (48 * 1024, 128, 4),
+            (1000, 32, 3),
+            (128, 128, 1),
+            (64, 128, 8),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for flushes in [false, true] {
+                let ops = stream(
+                    seed as u64 * 2 + u64::from(flushes),
+                    capacity as u64,
+                    flushes,
+                );
+                let mut c = CacheModel::new(capacity, line, ways);
+                let mut r = StampLru::new(capacity, line, ways);
+                let what = format!("{capacity}B/{line}B/{ways}-way, flushes {flushes}");
+                assert_agree(&mut c, &mut r, &ops, &what);
+                assert_eq!(c.hits() + c.misses(), ops.iter().flatten().count() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn hit_miss_sequence_matches_across_an_epoch_wrap() {
+        let (capacity, line, ways) = (4096, 128, 4);
+        let mut c = CacheModel::new(capacity, line, ways);
+        let mut r = StampLru::new(capacity, line, ways);
+        c.epoch = u32::MAX - 3;
+        let ops = stream(99, capacity as u64, true);
+        // A flush every 97 probes: the fourth wraps the epoch, early in the
+        // stream, with sets of every age still holding lines.
+        let mut wrapped = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            wrapped.push(*op);
+            if i % 97 == 0 {
+                wrapped.push(None);
+            }
+        }
+        assert_agree(&mut c, &mut r, &wrapped, "epoch wrap");
+        let flushes = wrapped.iter().filter(|o| o.is_none()).count() as u32;
+        assert!(flushes > 8);
+        assert_eq!(c.epoch, flushes - 3, "the epoch wrapped once, to 1");
+    }
+
+    #[test]
+    fn addresses_below_the_limit_have_distinct_tags() {
+        let mut c = CacheModel::new(1024, 128, 2);
+        assert_eq!(c.addr_limit(), u64::from(u32::MAX) << (7 + 2));
+        // The highest line below the limit and the line one set-stride
+        // below it share a set and must not alias.
+        let top = c.addr_limit() - 128;
+        let below = top - (4 << 7);
+        assert!(!c.access(top));
+        assert!(!c.access(below));
+        assert!(c.access(top));
+        assert!(c.access(below));
+    }
 
     #[test]
     fn repeated_access_hits() {

@@ -31,6 +31,15 @@ pub enum DeviceError {
         capacity_bytes: u64,
         injected: bool,
     },
+    /// The allocation would carry the device's simulated addresses past
+    /// the range its cache models can tag. Permanent until
+    /// [`crate::Gpu::reset`]: the bump allocator never reuses an address.
+    AddressSpaceExhausted {
+        name: String,
+        requested_bytes: u64,
+        next_addr: u64,
+        limit: u64,
+    },
     /// An injected host/device transfer timeout.
     TransferTimeout {
         buffer: String,
@@ -75,6 +84,7 @@ impl DeviceError {
             DeviceError::TransientFault { .. } => "transient-fault",
             DeviceError::WatchdogTimeout { .. } => "watchdog-timeout",
             DeviceError::AllocFailed { .. } => "alloc-failed",
+            DeviceError::AddressSpaceExhausted { .. } => "address-space-exhausted",
             DeviceError::TransferTimeout { .. } => "transfer-timeout",
             DeviceError::DataCorruption { .. } => "data-corruption",
             DeviceError::DeviceLost { .. } => "device-lost",
@@ -123,6 +133,18 @@ impl std::fmt::Display for DeviceError {
                     f,
                     "alloc {name}: {requested_bytes}B failed ({cause}; \
                      {allocated_bytes}B of {capacity_bytes}B in use)"
+                )
+            }
+            DeviceError::AddressSpaceExhausted {
+                name,
+                requested_bytes,
+                next_addr,
+                limit,
+            } => {
+                write!(
+                    f,
+                    "alloc {name}: {requested_bytes}B failed (address space; \
+                     next address {next_addr:#x}, limit {limit:#x})"
                 )
             }
             DeviceError::TransferTimeout {
