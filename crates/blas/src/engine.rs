@@ -56,6 +56,11 @@ impl<'g> BaselineEngine<'g> {
         self.flavor
     }
 
+    /// The one-element buffer `dot` and `nrm2_sq` reduce into.
+    pub fn scalar(&self) -> &GpuBuffer {
+        &self.scalar
+    }
+
     /// Total simulated milliseconds since the last reset.
     pub fn total_sim_ms(&self) -> f64 {
         self.launches.iter().map(|l| l.sim_ms()).sum()

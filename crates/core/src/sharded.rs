@@ -61,6 +61,33 @@ pub fn shard_rows(rows: usize, n: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// Start the canonical epilogue: `w = beta * z`, or zero without `z`,
+/// before any row range contributes.
+pub fn epilogue_init(w: &mut [f64], beta: f64, z: Option<&[f64]>) {
+    match z {
+        Some(z) => {
+            for (wc, zc) in w.iter_mut().zip(z) {
+                *wc = beta * zc;
+            }
+        }
+        None => w.fill(0.0),
+    }
+}
+
+/// Add one row range to the canonical epilogue: `w[c] += alpha * u[r] *
+/// X[r, c]` for each row `r` of the slice `x`, in ascending order, where
+/// `u` holds the range's row values. Applied range by range in ascending
+/// global row order, it sums every `w[c]` in the same order for any
+/// contiguous row partition, so the bits of `w` never depend on it.
+pub fn epilogue_rows(w: &mut [f64], alpha: f64, x: &CsrMatrix, u: &[f64]) {
+    assert_eq!(u.len(), x.rows(), "one row value per row");
+    for (r, &ur) in u.iter().enumerate() {
+        for (c, xv) in x.row_entries(r) {
+            w[c as usize] += alpha * ur * xv;
+        }
+    }
+}
+
 /// The per-shard fused pattern kernel (`fused_sparse_shard`): evaluates
 /// `p = v (.) (X y)` for the shard's rows, stores `p` to `u` (the value
 /// the fused epilogue reduction consumes), and scatters
@@ -174,6 +201,8 @@ impl Shard {
 /// shard count (see the module docs).
 pub struct ShardedExecutor<'g> {
     group: &'g DeviceGroup,
+    /// The first device alive at construction.
+    root: &'g Gpu,
     rows: usize,
     cols: usize,
     /// `VS` from the *full* matrix's mean nnz/row, held fixed for every
@@ -254,6 +283,7 @@ impl<'g> ShardedExecutor<'g> {
         }
         Ok(ShardedExecutor {
             group,
+            root: group.device(alive[0]),
             rows: x.rows(),
             cols: x.cols(),
             base_vs,
@@ -267,6 +297,12 @@ impl<'g> ShardedExecutor<'g> {
             plan_cache: RefCell::new(PlanCache::new()),
             plan_cache_on: Cell::new(crate::plancache::plan_cache_enabled()),
         })
+    }
+
+    /// The first device alive at construction: where a solver keeps its
+    /// vectors and runs BLAS-1.
+    pub fn root(&self) -> &'g Gpu {
+        self.root
     }
 
     pub fn rows(&self) -> usize {
@@ -527,20 +563,9 @@ impl<'g> ShardedExecutor<'g> {
         // Canonical epilogue reduction: ascending global row order, so the
         // sum order — and therefore every bit of w — is independent of the
         // shard layout.
-        for (c, wc) in w.iter_mut().enumerate() {
-            *wc = match z {
-                Some(z) => spec.beta * z[c],
-                None => 0.0,
-            };
-        }
+        epilogue_init(w, spec.beta, z);
         for shard in &self.shards {
-            let u = shard.u.to_vec_f64();
-            for r in 0..shard.rows() {
-                let ur = u[r];
-                for (c, xv) in shard.host.row_entries(r) {
-                    w[c as usize] += spec.alpha * ur * xv;
-                }
-            }
+            epilogue_rows(w, spec.alpha, &shard.host, &shard.u.to_vec_f64());
         }
         Ok(())
     }
@@ -602,14 +627,9 @@ impl<'g> ShardedExecutor<'g> {
         })?;
         self.charge_epilogue_reduction();
 
-        out.fill(0.0);
+        epilogue_init(out, 0.0, None);
         for shard in &self.shards {
-            for r in 0..shard.rows() {
-                let ur = u[shard.start + r];
-                for (c, xv) in shard.host.row_entries(r) {
-                    out[c as usize] += alpha * ur * xv;
-                }
-            }
+            epilogue_rows(out, alpha, &shard.host, &u[shard.start..shard.end]);
         }
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! DAG-compiled execution backend.
 //!
-//! [`DagBackend`] routes the Equation-1 pattern and `alpha * X^T y`
-//! evaluations through the operator-DAG fusion compiler
+//! [`DagEngine`], the matrix engine of [`DagBackend`], routes the
+//! Equation-1 pattern and `alpha * X^T y` evaluations through the operator-DAG fusion compiler
 //! ([`fusedml_core::fusion`]) instead of calling the hand-fused kernels
 //! directly: each evaluation is expressed as a [`Dag`], the compiler
 //! enumerates and prices candidate fusion plans, and the selected plan is
@@ -12,92 +12,53 @@
 //! decides* the kernel grouping — a cost model over the DAG rather than a
 //! hard-coded pattern match.
 
-use crate::ops::{BackendStats, DeviceMatrix};
-use fusedml_blas::{level1, GpuCsr, GpuDense, SpmvStyle};
-use fusedml_core::{Dag, DagExecutor, DagInputs, DagMatrix, PatternInstance, PatternSpec};
-use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, PoolStats};
-use fusedml_matrix::{CsrMatrix, DenseMatrix};
-
-use crate::ops::Backend;
+use crate::ops::{BackendStats, DeviceBackend, DeviceMatrix, MatrixEngine, UploadEngine};
+use fusedml_core::{Dag, DagExecutor, DagInputs, DagMatrix, PatternSpec, PlanCacheStats};
+use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer};
 
 /// Pattern and transpose-MV evaluations through the DAG fusion compiler;
-/// BLAS-1 stays operator-level (the `ours-end2end` shape with a compiler
+/// `X y` stays operator-level (the `ours-end2end` shape with a compiler
 /// in the loop).
-pub struct DagBackend<'g> {
-    gpu: &'g Gpu,
+pub struct DagEngine<'g> {
     matrix: DeviceMatrix,
     exec: DagExecutor<'g>,
-    scalar: GpuBuffer,
-    stats: BackendStats,
-    /// Pool snapshot at construction / last reset (see `FusedBackend`).
-    pool_base: PoolStats,
 }
 
-impl<'g> DagBackend<'g> {
-    /// Upload and wrap a sparse matrix, reporting device faults.
-    pub fn try_new_sparse(gpu: &'g Gpu, x: &CsrMatrix) -> Result<Self, DeviceError> {
-        Self::try_from_matrix(gpu, DeviceMatrix::Sparse(GpuCsr::try_upload(gpu, "X", x)?))
-    }
+/// The device backend whose products go through the DAG compiler.
+pub type DagBackend<'g> = DeviceBackend<'g, DagEngine<'g>>;
 
-    /// Upload and wrap a dense matrix, reporting device faults.
-    pub fn try_new_dense(gpu: &'g Gpu, x: &DenseMatrix) -> Result<Self, DeviceError> {
-        Self::try_from_matrix(gpu, DeviceMatrix::Dense(GpuDense::try_upload(gpu, "X", x)?))
+impl<'g> UploadEngine<'g> for DagEngine<'g> {
+    fn try_build(gpu: &'g Gpu, matrix: DeviceMatrix) -> Result<(Self, GpuBuffer), DeviceError> {
+        let exec = DagExecutor::try_new(gpu)?;
+        Ok((
+            DagEngine { matrix, exec },
+            gpu.try_alloc_f64("dagbackend.scalar", 1)?,
+        ))
     }
+}
 
-    pub fn try_from_matrix(gpu: &'g Gpu, matrix: DeviceMatrix) -> Result<Self, DeviceError> {
-        Ok(DagBackend {
-            gpu,
-            matrix,
-            exec: DagExecutor::try_new(gpu)?,
-            scalar: gpu.try_alloc_f64("dagbackend.scalar", 1)?,
-            stats: BackendStats::default(),
-            pool_base: gpu.pool_stats(),
-        })
-    }
-
-    pub fn new_sparse(gpu: &'g Gpu, x: &CsrMatrix) -> Self {
-        Self::try_new_sparse(gpu, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    pub fn new_dense(gpu: &'g Gpu, x: &DenseMatrix) -> Self {
-        Self::try_new_dense(gpu, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    pub fn from_matrix(gpu: &'g Gpu, matrix: DeviceMatrix) -> Self {
-        Self::try_from_matrix(gpu, matrix).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    pub fn matrix(&self) -> &DeviceMatrix {
-        &self.matrix
-    }
-
-    /// Hit/miss accounting for the DAG fusion-plan cache alone (the
-    /// `stats().plan` field merges it with the launch-plan sides).
-    pub fn dag_plan_stats(&self) -> fusedml_core::PlanCacheStats {
-        self.exec.dag_plan_stats()
-    }
-
-    fn absorb_exec(&mut self) {
-        self.stats.sim_ms += self.exec.total_sim_ms();
-        self.stats.launches += self.exec.launch_count();
-        self.stats.counters.merge(&self.exec.counters_total());
-        for l in self.exec.launches() {
-            self.stats.occupancy_ms += l.occupancy.occupancy * l.sim_ms();
-        }
+impl DagEngine<'_> {
+    /// Compile and run `dag` over the matrix, charging its launches as
+    /// one batch.
+    fn try_run(
+        &mut self,
+        stats: &mut BackendStats,
+        dag: &Dag,
+        inputs: &DagInputs,
+        out: &GpuBuffer,
+    ) -> Result<(), DeviceError> {
+        let matrix = match &self.matrix {
+            DeviceMatrix::Sparse(x) => DagMatrix::Sparse(x),
+            DeviceMatrix::Dense(x) => DagMatrix::Dense(x),
+        };
+        let res = self.exec.try_run(dag, &matrix, inputs, out);
+        stats.absorb(self.exec.total_sim_ms(), self.exec.launches());
         self.exec.reset();
-    }
-
-    fn charge(&mut self, s: fusedml_gpu_sim::LaunchStats) {
-        self.stats.sim_ms += s.sim_ms();
-        self.stats.launches += 1;
-        self.stats.counters.merge(&s.counters);
-        self.stats.occupancy_ms += s.occupancy.occupancy * s.sim_ms();
+        res.map(drop)
     }
 }
 
-impl<'g> Backend for DagBackend<'g> {
-    type Vector = GpuBuffer;
-
+impl MatrixEngine for DagEngine<'_> {
     fn rows(&self) -> usize {
         self.matrix.rows()
     }
@@ -106,20 +67,9 @@ impl<'g> Backend for DagBackend<'g> {
         self.matrix.cols()
     }
 
-    fn try_from_host(&mut self, name: &str, data: &[f64]) -> Result<GpuBuffer, DeviceError> {
-        self.gpu.try_upload_f64(name, data)
-    }
-
-    fn try_zeros(&mut self, name: &str, len: usize) -> Result<GpuBuffer, DeviceError> {
-        self.gpu.try_alloc_f64(name, len)
-    }
-
-    fn to_host(&self, v: &GpuBuffer) -> Vec<f64> {
-        v.to_vec_f64()
-    }
-
     fn try_pattern(
         &mut self,
+        stats: &mut BackendStats,
         spec: PatternSpec,
         v: Option<&GpuBuffer>,
         y: &GpuBuffer,
@@ -136,7 +86,6 @@ impl<'g> Backend for DagBackend<'g> {
             z.is_some(),
             "spec.with_z disagrees with the z operand"
         );
-        let dag = Dag::equation1(spec);
         let mut inputs = DagInputs::new().vector("y", y);
         if let Some(v) = v {
             inputs = inputs.vector("v", v);
@@ -144,118 +93,36 @@ impl<'g> Backend for DagBackend<'g> {
         if let Some(z) = z {
             inputs = inputs.vector("z", z);
         }
-        let matrix = match &self.matrix {
-            DeviceMatrix::Sparse(x) => DagMatrix::Sparse(x),
-            DeviceMatrix::Dense(x) => DagMatrix::Dense(x),
-        };
-        let res = self.exec.try_run(&dag, &matrix, &inputs, w);
-        // Launches performed before a fault still cost simulated time.
-        self.absorb_exec();
-        res?;
-        self.stats.record_instance(spec.instance());
-        Ok(())
+        self.try_run(stats, &Dag::equation1(spec), &inputs, w)
     }
 
-    fn try_mv(&mut self, y: &GpuBuffer, out: &mut GpuBuffer) -> Result<(), DeviceError> {
-        let s = match &self.matrix {
-            DeviceMatrix::Sparse(x) => fusedml_blas::try_csrmv(
-                self.gpu,
-                x,
-                y,
-                out,
-                SpmvStyle::Vector {
-                    vs: fusedml_blas::vector_size_for_mean_nnz(x.mean_nnz_per_row()),
-                },
-            )?,
-            DeviceMatrix::Dense(x) => fusedml_blas::try_gemv(self.gpu, x, y, out)?,
-        };
-        self.charge(s);
+    fn try_mv(
+        &mut self,
+        stats: &mut BackendStats,
+        y: &GpuBuffer,
+        out: &mut GpuBuffer,
+    ) -> Result<(), DeviceError> {
+        stats.charge(&self.matrix.try_mv(self.exec.gpu(), y, out)?);
         Ok(())
     }
 
     fn try_tmv(
         &mut self,
+        stats: &mut BackendStats,
         alpha: f64,
         u: &GpuBuffer,
         out: &mut GpuBuffer,
     ) -> Result<(), DeviceError> {
-        let dag = Dag::xt_y(alpha);
         let inputs = DagInputs::new().vector("y", u);
-        let matrix = match &self.matrix {
-            DeviceMatrix::Sparse(x) => DagMatrix::Sparse(x),
-            DeviceMatrix::Dense(x) => DagMatrix::Dense(x),
-        };
-        let res = self.exec.try_run(&dag, &matrix, &inputs, out);
-        self.absorb_exec();
-        res?;
-        self.stats.record_instance(PatternInstance::XtY);
-        Ok(())
+        self.try_run(stats, &Dag::xt_y(alpha), &inputs, out)
     }
 
-    fn try_axpy(&mut self, a: f64, x: &GpuBuffer, y: &mut GpuBuffer) -> Result<(), DeviceError> {
-        let s = level1::try_axpy(self.gpu, a, x, y)?;
-        self.charge(s);
-        Ok(())
+    fn plan_stats(&self) -> PlanCacheStats {
+        self.exec.plan_stats()
     }
 
-    fn try_scal(&mut self, a: f64, x: &mut GpuBuffer) -> Result<(), DeviceError> {
-        let s = level1::try_scal(self.gpu, a, x)?;
-        self.charge(s);
-        Ok(())
-    }
-
-    fn try_copy(&mut self, src: &GpuBuffer, dst: &mut GpuBuffer) -> Result<(), DeviceError> {
-        let s = level1::try_copy(self.gpu, src, dst)?;
-        self.charge(s);
-        Ok(())
-    }
-
-    fn try_ewmul(
-        &mut self,
-        x: &GpuBuffer,
-        y: &GpuBuffer,
-        out: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let s = level1::try_ewmul(self.gpu, x, y, out)?;
-        self.charge(s);
-        Ok(())
-    }
-
-    fn try_dot(&mut self, x: &GpuBuffer, y: &GpuBuffer) -> Result<f64, DeviceError> {
-        let (d, s) = level1::try_dot(self.gpu, x, y, &self.scalar)?;
-        self.charge(s);
-        Ok(d)
-    }
-
-    fn try_nrm2_sq(&mut self, x: &GpuBuffer) -> Result<f64, DeviceError> {
-        let (d, s) = level1::try_nrm2_sq(self.gpu, x, &self.scalar)?;
-        self.charge(s);
-        Ok(d)
-    }
-
-    fn try_map2(
-        &mut self,
-        x: &GpuBuffer,
-        y: &GpuBuffer,
-        out: &mut GpuBuffer,
-        f: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> Result<(), DeviceError> {
-        let s = crate::ops::try_device_map2(self.gpu, x, y, out, f)?;
-        self.charge(s);
-        Ok(())
-    }
-
-    fn stats(&self) -> BackendStats {
-        let mut s = self.stats.clone();
-        s.plan = self.exec.plan_stats();
-        s.pool = self.gpu.pool_stats().delta_since(&self.pool_base);
-        s
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = BackendStats::default();
+    fn reset_plan_stats(&mut self) {
         self.exec.reset_plan_stats();
-        self.pool_base = self.gpu.pool_stats();
     }
 }
 
@@ -263,7 +130,7 @@ impl<'g> Backend for DagBackend<'g> {
 mod tests {
     use super::*;
     use crate::lr_cg::{try_lr_cg, LrCgOptions};
-    use crate::ops::FusedBackend;
+    use crate::ops::{Backend, FusedBackend};
     use fusedml_gpu_sim::{DeviceSpec, Gpu};
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
 
@@ -316,7 +183,7 @@ mod tests {
             },
         )
         .unwrap();
-        let s = dag.dag_plan_stats();
+        let s = dag.engine().exec.dag_plan_stats();
         // One plan for the init X^T y DAG, one for the iteration DAG.
         assert_eq!(s.misses, 2, "dag stats: {s:?}");
         assert_eq!(s.hits as usize, iters - 1, "dag stats: {s:?}");
@@ -339,7 +206,7 @@ mod tests {
             fusedml_matrix::reference::rel_l2_error(&out.to_vec_f64(), &expect) < 1e-12,
             "dense alpha*X^T u through the DAG compiler"
         );
-        assert!(dag.dag_plan_stats().misses >= 1);
+        assert!(dag.engine().exec.dag_plan_stats().misses >= 1);
         Ok(())
     }
 }

@@ -3,9 +3,10 @@
 //! The ML algorithms the paper's Table 1 surveys — linear regression
 //! conjugate gradient (Listing 1), trust-region logistic regression,
 //! primal L2-SVM, GLM via IRLS, and HITS — written once against a
-//! [`Backend`] trait and runnable on the fused-kernel,
-//! operator-baseline and CPU engines with identical numerics and full
-//! time/launch/pattern instrumentation.
+//! [`Backend`] trait and runnable on the CPU reference or on one
+//! [`DeviceBackend`] per matrix engine (fused kernels, DAG compiler,
+//! operator baseline, device shards, streamed chunks) with identical
+//! numerics and full time/launch/pattern instrumentation.
 
 // Production solver code must surface faults as typed errors, never
 // panic; tests may unwrap freely.
@@ -34,7 +35,8 @@ pub use logreg::{
 };
 pub use lr_cg::{lr_cg, try_lr_cg, try_lr_cg_ckpt, LrCgOptions, LrCgResult};
 pub use ops::{
-    try_device_map2, Backend, BackendStats, BaselineBackend, CpuBackend, DeviceMatrix, FusedBackend,
+    Backend, BackendStats, BaselineBackend, CpuBackend, DeviceBackend, DeviceMatrix, FusedBackend,
+    MatrixEngine,
 };
 pub use pagerank::{
     inv_out_degrees, pagerank, try_pagerank, try_pagerank_backend, try_pagerank_backend_ckpt,

@@ -36,8 +36,5 @@ pub use session::{
 };
 pub use shard_recovery::ShardTier;
 pub use streamed_backend::StreamedBackend;
-pub use streaming::{
-    choose_stream_plan, stream_pattern_sparse, try_stream_pattern_sparse, SparseStreamer,
-    StreamConfig, StreamError, StreamReport,
-};
+pub use streaming::{choose_stream_plan, SparseStreamer, StreamConfig, StreamError, StreamReport};
 pub use transfer::TransferModel;

@@ -61,8 +61,7 @@ use crate::recovery::{
     run_with_recovery, LadderError, RecoveryEvent, RecoveryPolicy, RecoveryTier,
 };
 use crate::session::FaultCountsReport;
-use crate::streamed_backend::StreamedBackend;
-use crate::streaming::{StreamConfig, StreamError};
+use crate::streaming::{SparseStreamer, StreamConfig, StreamError};
 use crate::transfer::TransferModel;
 use fusedml_gpu_sim::{DevicePool, DeviceSpec, FaultProfile, Gpu, PoolStats};
 use fusedml_matrix::gen::{random_labels, random_vector, uniform_sparse};
@@ -942,12 +941,9 @@ fn run_attempt(
             Err(e) => (Err(SolverError::Device(e)), 0.0, 0),
         },
         ServeTier::Streamed => {
-            match StreamedBackend::try_new_sparse(
-                gpu,
-                &data.x,
-                cfg.transfer.clone(),
-                data.stream_config(),
-            ) {
+            match SparseStreamer::try_new(gpu, &data.x, cfg.transfer.clone(), data.stream_config())
+                .and_then(SparseStreamer::try_into_backend)
+            {
                 Ok(mut b) => {
                     let res = run_class(&mut b, class, data, ckpt);
                     let s = b.stats();

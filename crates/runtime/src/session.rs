@@ -8,6 +8,7 @@ use crate::memman::MemoryManager;
 use crate::recovery::{run_with_recovery, BackendTier, LadderError, RecoveryEvent, RecoveryPolicy};
 use crate::shard_recovery::ShardTier;
 use crate::transfer::TransferModel;
+use fusedml_core::ShardedExecutor;
 use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceGroup, Gpu};
 use fusedml_matrix::{CsrMatrix, DenseMatrix};
 use fusedml_ml::ops::TransposePolicy;
@@ -590,12 +591,14 @@ pub fn run_sharded_fault_tolerant(
                     return Ok((r, s, 0));
                 }
             };
-            let mut b = ShardedBackend::try_new_sparse_on(group, x, &ordinals)?
+            let exec = ShardedExecutor::try_new_on(group, x, &ordinals)?
                 .with_straggler_policy(straggler_factor, true);
+            let mut b = ShardedBackend::try_new(exec)?;
             let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
-            stragglers += b.stragglers_detected();
-            reexecs += b.speculative_reexecs();
-            Ok((res?, b.stats(), b.shard_count()))
+            let exec = b.engine();
+            stragglers += exec.stragglers_detected();
+            reexecs += exec.speculative_reexecs();
+            Ok((res?, b.stats(), exec.shard_count()))
         },
     )?;
     drop(solve_span);

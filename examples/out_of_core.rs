@@ -10,7 +10,7 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_runtime::{stream_pattern_sparse, TransferModel};
+use fusedml_runtime::{SparseStreamer, StreamConfig, TransferModel};
 
 fn main() {
     // Pretend this matrix exceeds device memory and must stream.
@@ -30,16 +30,14 @@ fn main() {
     let mut last = None;
     for chunk_rows in [10_000usize, 25_000, 50_000, 200_000] {
         gpu.flush_caches();
-        let (w, report) = stream_pattern_sparse(
-            &gpu,
-            spec,
-            &x,
-            None,
-            &y,
-            None,
-            chunk_rows,
-            &TransferModel::native(),
-        );
+        // Depth 2 is double buffering; no chunk stays resident.
+        let cfg = StreamConfig::fixed(chunk_rows, 2);
+        let mut streamer = SparseStreamer::try_new(&gpu, &x, TransferModel::native(), cfg)
+            .expect("valid stream config");
+        let mut w = vec![0.0; n];
+        let report = streamer
+            .try_pattern_host(spec, None, &y, None, &mut w)
+            .expect("streamed pass");
         println!(
             "{chunk_rows:>10}  {:>6}  {:>11.3}  {:>9.3}  {:>13.3}  {:>9.3}",
             report.chunks,

@@ -214,7 +214,9 @@ fn with_backend<R>(
     solve: impl FnOnce(&mut StreamedBackend) -> R,
 ) -> R {
     let g = gpu();
-    let mut b = StreamedBackend::new_sparse(&g, x, TransferModel::native(), cfg);
+    let mut b = SparseStreamer::try_new(&g, x, TransferModel::native(), cfg)
+        .and_then(SparseStreamer::try_into_backend)
+        .unwrap_or_else(|e| panic!("{e}"));
     solve(&mut b)
 }
 
