@@ -142,20 +142,32 @@ impl GpuBuffer {
 
     // ----- raw cell access (used by the execution engine and host API) -----
 
-    /// The cell of element `idx`. The backing store can be longer than the
-    /// buffer (capacity is bucketed), so the logical length is the bound,
-    /// in release builds too: an index in the slack would otherwise read
-    /// what a freed buffer left there.
+    /// The cells of the buffer's elements. The backing store can be longer
+    /// than the buffer (capacity is bucketed), so the logical length is the
+    /// bound, in release builds too: an index in the slack would otherwise
+    /// read what a freed buffer left there.
+    #[inline]
+    pub(crate) fn cells(&self) -> &[AtomicU64] {
+        &self.inner.cells[..self.inner.len]
+    }
+
+    /// The panic of an element access at `idx`, past the buffer's length.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn out_of_bounds(&self, idx: usize) -> ! {
+        panic!(
+            "index {idx} out of bounds for {} of length {}",
+            self.name(),
+            self.len()
+        )
+    }
+
+    /// The cell of element `idx`.
     #[inline]
     fn cell(&self, idx: usize) -> &AtomicU64 {
-        let cells = &self.inner.cells[..self.inner.len];
-        cells.get(idx).unwrap_or_else(|| {
-            panic!(
-                "index {idx} out of bounds for {} of length {}",
-                self.name(),
-                cells.len()
-            )
-        })
+        self.cells()
+            .get(idx)
+            .unwrap_or_else(|| self.out_of_bounds(idx))
     }
 
     #[inline]
@@ -266,8 +278,7 @@ impl GpuBuffer {
     /// device-side checksum, comparable against [`fnv1a_cells`] of the host
     /// data that produced the buffer. Host-side work, not event-counted.
     pub fn fnv_checksum(&self) -> u64 {
-        let cells = &self.inner.cells[..self.inner.len];
-        fnv1a_cells(cells.iter().map(|c| c.load(Ordering::Relaxed)))
+        fnv1a_cells(self.cells().iter().map(|c| c.load(Ordering::Relaxed)))
     }
 }
 
