@@ -109,13 +109,12 @@ pub fn try_fused_pattern_ell(
         blk.each_warp(|wc| {
             let mut row0 = wc.gtid(0);
             while row0 < m {
-                // Pass 1: p[r] = X[r,:] . y per lane, slot loop.
+                // Pass 1: p[r] = X[r,:] . y per lane, slot loop. Slots are
+                // column-major, so the warp's rows read one run per slot.
                 let mut sum = [0.0f64; WARP_LANES];
                 for slot in 0..width {
-                    let cols =
-                        wc.load_u32(&x.col_idx, |l| (row0 + l < m).then(|| slot * m + row0 + l));
-                    let vals =
-                        wc.load_f64(&x.values, |l| (row0 + l < m).then(|| slot * m + row0 + l));
+                    let cols = wc.load_u32_run(&x.col_idx, slot * m + row0, m - row0);
+                    let vals = wc.load_f64_run(&x.values, slot * m + row0, m - row0);
                     let ys = wc.load_f64_tex(y, |l| {
                         (row0 + l < m && cols[l] != ELL_PAD).then(|| cols[l] as usize)
                     });
@@ -138,10 +137,8 @@ pub fn try_fused_pattern_ell(
                 }
                 // Pass 2: scatter X[r,:]^T * p[r]; slots now cache-hot.
                 for slot in 0..width {
-                    let cols =
-                        wc.load_u32(&x.col_idx, |l| (row0 + l < m).then(|| slot * m + row0 + l));
-                    let vals =
-                        wc.load_f64(&x.values, |l| (row0 + l < m).then(|| slot * m + row0 + l));
+                    let cols = wc.load_u32_run(&x.col_idx, slot * m + row0, m - row0);
+                    let vals = wc.load_f64_run(&x.values, slot * m + row0, m - row0);
                     let mut active = 0u64;
                     for lane in 0..WARP_LANES {
                         if row0 + lane < m && cols[lane] != ELL_PAD {
