@@ -38,9 +38,7 @@ where
 pub fn try_fill(gpu: &Gpu, buf: &GpuBuffer, value: f64) -> Result<LaunchStats, DeviceError> {
     let n = buf.len();
     elementwise(gpu, "fill", n, |w, base| {
-        w.store_f64(buf, |lane| {
-            (base + lane < n).then_some((base + lane, value))
-        });
+        w.store_f64_run(buf, base, n - base, &[value; WARP_LANES]);
     })
 }
 
@@ -54,10 +52,8 @@ pub fn try_copy(gpu: &Gpu, src: &GpuBuffer, dst: &GpuBuffer) -> Result<LaunchSta
     assert_eq!(src.len(), dst.len());
     let n = src.len();
     elementwise(gpu, "copy", n, |w, base| {
-        let v = w.load_f64(src, |lane| (base + lane < n).then_some(base + lane));
-        w.store_f64(dst, |lane| {
-            (base + lane < n).then_some((base + lane, v[lane]))
-        });
+        let v = w.load_f64_run(src, base, n - base);
+        w.store_f64_run(dst, base, n - base, &v);
     })
 }
 
@@ -76,12 +72,13 @@ pub fn try_axpy(
     assert_eq!(x.len(), y.len());
     let n = x.len();
     elementwise(gpu, "axpy", n, |w, base| {
-        let xs = w.load_f64(x, |lane| (base + lane < n).then_some(base + lane));
-        let ys = w.load_f64(y, |lane| (base + lane < n).then_some(base + lane));
+        let xs = w.load_f64_run(x, base, n - base);
+        let mut ys = w.load_f64_run(y, base, n - base);
         w.flops(2 * (n - base).min(WARP_LANES) as u64);
-        w.store_f64(y, |lane| {
-            (base + lane < n).then(|| (base + lane, ys[lane] + a * xs[lane]))
-        });
+        for (y, x) in ys.iter_mut().zip(xs) {
+            *y += a * x;
+        }
+        w.store_f64_run(y, base, n - base, &ys);
     })
 }
 
@@ -94,11 +91,9 @@ pub fn axpy(gpu: &Gpu, a: f64, x: &GpuBuffer, y: &GpuBuffer) -> LaunchStats {
 pub fn try_scal(gpu: &Gpu, a: f64, x: &GpuBuffer) -> Result<LaunchStats, DeviceError> {
     let n = x.len();
     elementwise(gpu, "scal", n, |w, base| {
-        let xs = w.load_f64(x, |lane| (base + lane < n).then_some(base + lane));
+        let xs = w.load_f64_run(x, base, n - base);
         w.flops((n - base).min(WARP_LANES) as u64);
-        w.store_f64(x, |lane| {
-            (base + lane < n).then(|| (base + lane, a * xs[lane]))
-        });
+        w.store_f64_run(x, base, n - base, &xs.map(|x| a * x));
     })
 }
 
@@ -118,12 +113,13 @@ pub fn try_ewmul(
     assert_eq!(x.len(), out.len());
     let n = x.len();
     elementwise(gpu, "ewmul", n, |w, base| {
-        let xs = w.load_f64(x, |lane| (base + lane < n).then_some(base + lane));
-        let ys = w.load_f64(y, |lane| (base + lane < n).then_some(base + lane));
+        let mut xs = w.load_f64_run(x, base, n - base);
+        let ys = w.load_f64_run(y, base, n - base);
         w.flops((n - base).min(WARP_LANES) as u64);
-        w.store_f64(out, |lane| {
-            (base + lane < n).then(|| (base + lane, xs[lane] * ys[lane]))
-        });
+        for (x, y) in xs.iter_mut().zip(ys) {
+            *x *= y;
+        }
+        w.store_f64_run(out, base, n - base, &xs);
     })
 }
 
@@ -155,8 +151,8 @@ pub fn try_dot(
             let mut sum = [0.0f64; WARP_LANES];
             let mut base = w.gtid(0);
             while base < n {
-                let xs = w.load_f64(x, |lane| (base + lane < n).then_some(base + lane));
-                let ys = w.load_f64(y, |lane| (base + lane < n).then_some(base + lane));
+                let xs = w.load_f64_run(x, base, n - base);
+                let ys = w.load_f64_run(y, base, n - base);
                 for lane in 0..WARP_LANES {
                     if base + lane < n {
                         sum[lane] += xs[lane] * ys[lane];

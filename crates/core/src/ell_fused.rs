@@ -88,18 +88,11 @@ pub fn try_fused_pattern_ell(
         .with_ilp(2.0);
 
     gpu.try_launch("fused_ell", cfg, |blk| {
-        let bs = blk.block_dim();
-        let grid_threads = blk.grid_dim() * bs;
+        let grid_threads = blk.grid_dim() * blk.block_dim();
         let sd = use_shared.then(|| blk.shared_f64(n));
 
         if let Some(sd) = sd {
-            blk.each_warp(|wc| {
-                let mut base = wc.tid(0);
-                while base < n {
-                    wc.shared_store(sd, |l| (base + l < n).then_some((base + l, 0.0)));
-                    base += bs;
-                }
-            });
+            crate::sparse_fused::zero_shared(blk, sd, n);
         }
         if let Some(z) = z {
             crate::sparse_fused::beta_z_init(blk, w, z, beta, n);

@@ -660,13 +660,12 @@ fn try_ew_chain(
         blk.each_warp(|w| {
             let mut base = w.gtid(0);
             while base < n {
-                let mut vals = w.load_f64(primary, |lane| (base + lane < n).then_some(base + lane));
+                let mut vals = w.load_f64_run(primary, base, n - base);
                 let active = (n - base).min(WARP_LANES) as u64;
                 for step in steps {
                     match step {
                         EwStep::Mul(side) => {
-                            let ss =
-                                w.load_f64(side, |lane| (base + lane < n).then_some(base + lane));
+                            let ss = w.load_f64_run(side, base, n - base);
                             for lane in 0..WARP_LANES {
                                 if base + lane < n {
                                     vals[lane] *= ss[lane];
@@ -683,8 +682,7 @@ fn try_ew_chain(
                             w.flops(active);
                         }
                         EwStep::Axpy(beta, side) => {
-                            let ss =
-                                w.load_f64(side, |lane| (base + lane < n).then_some(base + lane));
+                            let ss = w.load_f64_run(side, base, n - base);
                             for lane in 0..WARP_LANES {
                                 if base + lane < n {
                                     vals[lane] += *beta * ss[lane];
@@ -694,9 +692,7 @@ fn try_ew_chain(
                         }
                     }
                 }
-                w.store_f64(out, |lane| {
-                    (base + lane < n).then(|| (base + lane, vals[lane]))
-                });
+                w.store_f64_run(out, base, n - base, &vals);
                 base += grid_threads;
             }
         });

@@ -111,14 +111,14 @@ impl CacheModel {
         false
     }
 
-    /// Count a probe of the line this cache was just probed with, without
-    /// making it. That probe, hit or miss, left the line most recently used
-    /// in its set, so a second one is a hit that changes no state; this
-    /// counts the hit, so [`CacheModel::hits`] stays what the probe would
-    /// make it.
+    /// Count `n` probes of the line this cache was just probed with,
+    /// without making them. That probe, hit or miss, left the line most
+    /// recently used in its set, so a second one is a hit that changes no
+    /// state; this counts the hits, so [`CacheModel::hits`] stays what the
+    /// probes would make it.
     #[inline]
-    pub(crate) fn repeat_hit(&mut self) {
-        self.hits += 1;
+    pub(crate) fn repeat_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// Invalidate all lines (e.g. between launches if desired; the
@@ -319,7 +319,7 @@ mod tests {
                         assert_eq!(hit, r.access(a), "probe {i} at {a:#x}");
                         assert_eq!(hit, twice.access(a), "probe {i} at {a:#x}");
                         if i % 3 == 0 {
-                            c.repeat_hit();
+                            c.repeat_hits(1);
                             assert!(r.access(a), "probe {i}: a second probe hits");
                             assert!(twice.access(a), "probe {i}: a second probe hits");
                         }

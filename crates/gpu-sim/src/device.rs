@@ -205,18 +205,20 @@ impl DeviceSpec {
     /// derives sector and line numbers by shifting and masking, which is
     /// exact only for power-of-two sizes with a sector no larger than a
     /// line, and keeps a line's sectors in a 64-bit mask; bank indices
-    /// are masked likewise. [`Gpu`](crate::Gpu) construction asserts this,
-    /// so a caller that takes specs from its users checks here first to
-    /// report a bad one as an error instead of a panic.
+    /// are masked likewise. Lines hold at least one 8-byte element, so no
+    /// element spans two lines. [`Gpu`](crate::Gpu) construction asserts
+    /// this, so a caller that takes specs from its users checks here first
+    /// to report a bad one as an error instead of a panic.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.sector_bytes.is_power_of_two()
             && self.cache_line_bytes.is_power_of_two()
             && self.sector_bytes <= self.cache_line_bytes
-            && self.cache_line_bytes / self.sector_bytes <= 64)
+            && self.cache_line_bytes / self.sector_bytes <= 64
+            && self.cache_line_bytes >= 8)
         {
             return Err(format!(
-                "sector ({}B) and cache line ({}B) must be powers of two with sector <= line \
-                 and at most 64 sectors to a line",
+                "sector ({}B) and cache line ({}B) must be powers of two with sector <= line, \
+                 at most 64 sectors to a line and lines of at least 8B",
                 self.sector_bytes, self.cache_line_bytes
             ));
         }
@@ -293,6 +295,20 @@ mod tests {
         };
         let err = sector.validate().unwrap_err();
         assert!(err.contains("must be powers of two"), "{err}");
+        // A 4-byte line would split every f64 element over two lines.
+        let line = DeviceSpec {
+            sector_bytes: 4,
+            cache_line_bytes: 4,
+            ..DeviceSpec::gtx_titan()
+        };
+        let err = line.validate().unwrap_err();
+        assert!(err.contains("lines of at least 8B"), "{err}");
+        let narrowest = DeviceSpec {
+            sector_bytes: 8,
+            cache_line_bytes: 8,
+            ..DeviceSpec::gtx_titan()
+        };
+        assert_eq!(narrowest.validate(), Ok(()));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Buffers are arrays of `AtomicU64` cells so that thread blocks executing in
 //! parallel on host threads can perform device `atomicAdd` correctly (f64
 //! values are bit-cast into the cells, CAS-updated — the same technique CUDA
-//! uses to implement double-precision atomics on cc < 6.0 hardware).
+//! uses to implement double-precision atomics on cc < 6.0 hardware). A
+//! launch on one host worker is the only thread touching the cells while it
+//! runs, so it adds with a plain load and store instead.
 //!
 //! Every buffer carries a disjoint base address from a bump allocator so that
 //! the cache and coalescing models can reason about real-looking addresses.
@@ -180,24 +182,16 @@ impl GpuBuffer {
         self.cell(idx).store(bits, Ordering::Relaxed);
     }
 
-    /// Atomic u32 fetch-add; returns the old value.
+    /// u32 add on element `idx`; returns the old value. See [`add_u32`].
     #[inline]
-    pub(crate) fn raw_atomic_add_u32(&self, idx: usize, val: u32) -> u32 {
-        self.cell(idx).fetch_add(val as u64, Ordering::Relaxed) as u32
+    pub(crate) fn raw_add_u32(&self, idx: usize, val: u32, plain: bool) -> u32 {
+        add_u32(self.cell(idx), val, plain)
     }
 
-    /// Atomic f64 add via CAS on the raw bits; returns the old value.
+    /// f64 add on element `idx`; returns the old value. See [`add_f64`].
     #[inline]
-    pub(crate) fn raw_atomic_add_f64(&self, idx: usize, val: f64) -> f64 {
-        let cell = self.cell(idx);
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = f64::to_bits(f64::from_bits(cur) + val);
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return f64::from_bits(cur),
-                Err(actual) => cur = actual,
-            }
-        }
+    pub(crate) fn raw_add_f64(&self, idx: usize, val: f64, plain: bool) -> f64 {
+        add_f64(self.cell(idx), val, plain)
     }
 
     // ----- host-side (cudaMemcpy-like) access; not event counted -----
@@ -282,6 +276,41 @@ impl GpuBuffer {
     }
 }
 
+/// Add `val` to the u32 in `cell` and return the old value. With `plain`
+/// the add is a relaxed load and store, which is exact only while no other
+/// thread updates the cell: a launch on one host worker. Otherwise it is a
+/// `fetch_add`. Both wrap the 64-bit cell alike, so the cell's bits agree.
+#[inline]
+pub(crate) fn add_u32(cell: &AtomicU64, val: u32, plain: bool) -> u32 {
+    if plain {
+        let cur = cell.load(Ordering::Relaxed);
+        cell.store(cur.wrapping_add(u64::from(val)), Ordering::Relaxed);
+        cur as u32
+    } else {
+        cell.fetch_add(u64::from(val), Ordering::Relaxed) as u32
+    }
+}
+
+/// Add `val` to the f64 bit-cast into `cell` and return the old value. With
+/// `plain` the add is a relaxed load and store, which is exact only while
+/// no other thread updates the cell: a launch on one host worker. Otherwise
+/// it is a compare-exchange loop. Both store `old + val`, so the bits agree.
+#[inline]
+pub(crate) fn add_f64(cell: &AtomicU64, val: f64, plain: bool) -> f64 {
+    let mut cur = cell.load(Ordering::Relaxed);
+    if plain {
+        cell.store(f64::to_bits(f64::from_bits(cur) + val), Ordering::Relaxed);
+        return f64::from_bits(cur);
+    }
+    loop {
+        let new = f64::to_bits(f64::from_bits(cur) + val);
+        match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return f64::from_bits(cur),
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
 /// FNV-1a over a stream of 64-bit cell values, one step per cell: the
 /// state is xored with the whole cell, then multiplied by the FNV prime.
 /// Both halves of a step are bijections of the state (the prime is odd), so
@@ -316,11 +345,13 @@ mod tests {
 
     #[test]
     fn atomic_add_accumulates() {
-        let b = GpuBuffer::new("w", 0, Elem::F64, 1);
-        let old = b.raw_atomic_add_f64(0, 1.5);
-        assert_eq!(old, 0.0);
-        b.raw_atomic_add_f64(0, 2.5);
-        assert_eq!(b.host_read_f64(0), 4.0);
+        for plain in [false, true] {
+            let b = GpuBuffer::new("w", 0, Elem::F64, 1);
+            let old = b.raw_add_f64(0, 1.5, plain);
+            assert_eq!(old, 0.0);
+            b.raw_add_f64(0, 2.5, plain);
+            assert_eq!(b.host_read_f64(0), 4.0);
+        }
     }
 
     #[test]
@@ -331,12 +362,29 @@ mod tests {
                 let b = b.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        b.raw_atomic_add_f64(0, 1.0);
+                        b.raw_add_f64(0, 1.0, false);
                     }
                 });
             }
         });
         assert_eq!(b.host_read_f64(0), 4000.0);
+    }
+
+    #[test]
+    fn plain_and_atomic_adds_leave_the_same_bits() {
+        let f = GpuBuffer::new("w", 0, Elem::F64, 2);
+        let u = GpuBuffer::new("c", 0x100, Elem::U32, 2);
+        // Rounding f64 sums, and a u32 add that carries past 32 bits.
+        u.raw_store(0, u64::from(u32::MAX) - 1);
+        u.raw_store(1, u64::from(u32::MAX) - 1);
+        for v in [0.1, 1e16, -3.25, 0.7, f64::MIN_POSITIVE] {
+            let olds = [f.raw_add_f64(0, v, true), f.raw_add_f64(1, v, false)];
+            assert_eq!(olds[0].to_bits(), olds[1].to_bits());
+            assert_eq!(f.raw_load(0), f.raw_load(1));
+            let olds = [u.raw_add_u32(0, 3, true), u.raw_add_u32(1, 3, false)];
+            assert_eq!(olds[0], olds[1]);
+            assert_eq!(u.raw_load(0), u.raw_load(1));
+        }
     }
 
     #[test]

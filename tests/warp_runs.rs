@@ -1,16 +1,20 @@
-//! The contiguous-run loads, `WarpCtx::load_f64_run` and `load_u32_run`,
-//! against the lane-closure loads they stand for,
-//! `|l| (l < lanes).then_some(first + l)`.
+//! The contiguous-run warp operations against the lane-closure forms they
+//! stand for: the loads `WarpCtx::load_f64_run` and `load_u32_run` against
+//! `|l| (l < lanes).then_some(first + l)`, and `store_f64_run`,
+//! `atomic_add_f64_run`, `shared_load_run` and `shared_store_run` against
+//! their lane forms with `|l| (l < lanes).then(|| (first + l, vals[l]))`
+//! (or, for the shared load, the load's closure).
 //!
 //! For every start offset within a line, every run length from 0 to 32
 //! lanes, a full warp and a partial one (a 40-thread block), and cold and
-//! warmed caches, the run form must read the lane form's values and count
-//! every `Counters` field the same. Twin one-thread devices with identical
-//! allocation sequences run the two forms. A fixed probe afterwards loads
-//! each line of both buffers in a launch of its own, so its counters show
-//! whether the line sits in the texture cache, in L2 or in neither: the
-//! run form must leave both caches as the lane form does. An out-of-bounds
-//! run must panic with the lane form's message.
+//! warmed caches, the run form must read the lane form's values, leave the
+//! same output bits, and count every `Counters` field the same. Twin
+//! devices with identical allocation sequences run the two forms, on one
+//! host worker, and for the atomic run also on two. A fixed probe
+//! afterwards loads each line of both buffers in a launch of its own, so
+//! its counters show where the line sits: the run form must leave the
+//! caches as the lane form does. An out-of-bounds run must panic with the
+//! lane form's message.
 
 use fusedml_gpu_sim::{Counters, DeviceSpec, Elem, Gpu, GpuBuffer, LaunchConfig, WarpCtx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,7 +100,11 @@ struct Device {
 
 impl Device {
     fn new(spec: &DeviceSpec) -> Self {
-        let gpu = Gpu::with_host_threads(spec.clone(), 1);
+        Self::with_workers(spec, 1)
+    }
+
+    fn with_workers(spec: &DeviceSpec, workers: usize) -> Self {
+        let gpu = Gpu::with_host_threads(spec.clone(), workers);
         let f_host: Vec<f64> = (0..F64_LEN).map(|i| i as f64 * 1.5 - 7.25).collect();
         let u_host: Vec<u32> = (0..U32_LEN as u32).map(|i| i * 7 + 3).collect();
         let f = gpu.upload_f64("f", &f_host);
@@ -260,7 +268,7 @@ fn run_loads_count_what_lane_loads_count() {
 
 /// Other sector sizes. With 16-byte sectors a line has eight, past the
 /// lane form's 4-bit count table; 4-byte sectors are narrower than an f64
-/// element, so f64 runs skip sectors and are counted lane by lane.
+/// element, so each f64 lane charges the two sectors it spans.
 #[test]
 fn run_loads_match_on_devices_with_other_sector_sizes() {
     for sector_bytes in [16, 4] {
@@ -307,6 +315,224 @@ fn an_out_of_bounds_run_panics_as_the_lane_form_does() {
             } else {
                 assert_eq!(run, None);
             }
+        }
+    }
+}
+
+// ---------------- stores, atomics and shared accesses ----------------
+
+/// Words of the shared array the shared-memory runs address.
+const SHARED_LEN: usize = 96;
+
+/// The run operations besides loads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Store,
+    AtomicAdd,
+    SharedLoad,
+    SharedStore,
+}
+
+const OPS: [Op; 4] = [Op::Store, Op::AtomicAdd, Op::SharedLoad, Op::SharedStore];
+
+impl Op {
+    fn is_shared(self) -> bool {
+        matches!(self, Op::SharedLoad | Op::SharedStore)
+    }
+}
+
+/// The values warp `warp` stores or adds: multiples of 1/4 this small
+/// sum exactly, so adds from several workers leave the same bits in any
+/// order.
+fn run_vals(warp: usize) -> [f64; 32] {
+    std::array::from_fn(|l| 1.0 + l as f64 * 0.25 + warp as f64 * 16.0)
+}
+
+impl Device {
+    /// One launch of `blocks` blocks of `threads` threads whose every warp
+    /// issues `op` in `form` on the run of `lanes` lanes from `first`: the
+    /// bits each warp read (shared loads) and the output bits (each
+    /// block's shared array for shared ops, else the f64 buffer), and the
+    /// launch's counters. Warp 0 first fills the shared array with
+    /// distinct values, in the lane form.
+    fn run_op(
+        &self,
+        op: Op,
+        form: Form,
+        first: usize,
+        lanes: usize,
+        threads: usize,
+        blocks: usize,
+    ) -> (Vec<u64>, Counters) {
+        let out = Mutex::new(Vec::new());
+        let cfg = LaunchConfig::new(blocks, threads).with_shared_bytes(SHARED_LEN * 8);
+        let stats = self.gpu.launch("run_op", cfg, |blk| {
+            let sh = blk.shared_f64(SHARED_LEN);
+            blk.each_warp(|w| {
+                if w.warp_id() == 0 {
+                    for base in (0..SHARED_LEN).step_by(32) {
+                        w.shared_store(sh, |l| Some((base + l, (base + l) as f64 * 0.5 - 3.0)));
+                    }
+                }
+            });
+            blk.each_warp(|w| {
+                let vals = run_vals(w.warp_id());
+                let src = |l: usize| (l < lanes).then(|| (first + l, vals[l]));
+                match (op, form) {
+                    (Op::Store, Form::Run) => w.store_f64_run(&self.f, first, lanes, &vals),
+                    (Op::Store, Form::Lanes) => w.store_f64(&self.f, src),
+                    (Op::AtomicAdd, Form::Run) => {
+                        w.atomic_add_f64_run(&self.f, first, lanes, &vals);
+                    }
+                    (Op::AtomicAdd, Form::Lanes) => w.atomic_add_f64(&self.f, src),
+                    (Op::SharedLoad, _) => {
+                        let v = if form == Form::Run {
+                            w.shared_load_run(sh, first, lanes)
+                        } else {
+                            w.shared_load(sh, |l| (l < lanes).then_some(first + l))
+                        };
+                        out.lock().unwrap().extend(v.map(f64::to_bits));
+                    }
+                    (Op::SharedStore, Form::Run) => w.shared_store_run(sh, first, lanes, &vals),
+                    (Op::SharedStore, Form::Lanes) => w.shared_store(sh, src),
+                }
+            });
+            if op.is_shared() {
+                let words = (0..SHARED_LEN).map(|i| blk.shared_peek(sh, i).to_bits());
+                out.lock().unwrap().extend(words);
+            }
+        });
+        let mut out = out.into_inner().unwrap();
+        if !op.is_shared() {
+            out.extend(self.f.to_vec_f64().into_iter().map(f64::to_bits));
+        }
+        (out, stats.counters)
+    }
+
+    /// The counters of one launch of `blocks` blocks per line of either
+    /// buffer, whose every block loads the line's first element through
+    /// L2, so they show on how many of those blocks' SMs the line sits in
+    /// L2.
+    fn probe_l2(&self, blocks: usize) -> Vec<Counters> {
+        let mut out = Vec::new();
+        for elem in [Elem::F64, Elem::U32] {
+            let (buf, fl) = (self.buffer(elem), self.line_elems(elem));
+            for line in 0..buf.len() / fl {
+                let at = line * fl;
+                let cfg = LaunchConfig::new(blocks, 32);
+                let stats = self.gpu.launch("probe_l2", cfg, |blk| {
+                    blk.each_warp(|w| match elem {
+                        Elem::F64 => {
+                            w.load_f64(buf, |l| (l == 0).then_some(at));
+                        }
+                        Elem::U32 => {
+                            w.load_u32(buf, |l| (l == 0).then_some(at));
+                        }
+                    });
+                });
+                out.push(stats.counters);
+            }
+        }
+        out
+    }
+}
+
+/// Run every case of `op` on twin `spec` devices of `workers` host
+/// workers, in launches of `blocks` blocks. Global runs start at every
+/// element of the buffer's second line, shared runs at every bank of the
+/// array's second row of banks.
+fn sweep_op(spec: &DeviceSpec, op: Op, workers: usize, blocks: usize) {
+    let run_dev = Device::with_workers(spec, workers);
+    let lane_dev = Device::with_workers(spec, workers);
+    assert_eq!(run_dev.f.base_addr(), lane_dev.f.base_addr());
+    let starts = if op.is_shared() {
+        spec.shared_banks
+    } else {
+        run_dev.line_elems(Elem::F64)
+    };
+    let mut cases = 0;
+    for first in starts..2 * starts {
+        for lanes in 0..=32 {
+            for threads in [32, 40] {
+                for warm in [false, true] {
+                    let case = format!(
+                        "{}: {op:?} run {first}.. of {lanes} lanes, {threads} threads, \
+                         {workers} workers, warm {warm}",
+                        spec.name
+                    );
+                    for d in [&run_dev, &lane_dev] {
+                        d.gpu.flush_caches();
+                        if warm {
+                            d.warm();
+                        }
+                    }
+                    let (run_out, run_counters) =
+                        run_dev.run_op(op, Form::Run, first, lanes, threads, blocks);
+                    let (lane_out, lane_counters) =
+                        lane_dev.run_op(op, Form::Lanes, first, lanes, threads, blocks);
+                    assert_eq!(run_out, lane_out, "{case}: values");
+                    assert_eq!(
+                        fields(&run_counters),
+                        fields(&lane_counters),
+                        "{case}: counters"
+                    );
+                    let (run_probe, lane_probe) =
+                        (run_dev.probe_l2(blocks), lane_dev.probe_l2(blocks));
+                    for (line, (r, l)) in run_probe.iter().zip(&lane_probe).enumerate() {
+                        assert_eq!(fields(r), fields(l), "{case}: probe launch {line}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, starts * 33 * 4);
+}
+
+#[test]
+fn run_stores_atomics_and_shared_accesses_count_what_lane_forms_count() {
+    for op in OPS {
+        sweep_op(&DeviceSpec::gtx_titan(), op, 1, 1);
+    }
+}
+
+/// Four blocks over two workers: the atomic run takes the compare-exchange
+/// path there, and the blocks land on four SMs.
+#[test]
+fn the_atomic_run_matches_its_lane_form_on_two_workers() {
+    sweep_op(&DeviceSpec::gtx_titan(), Op::AtomicAdd, 2, 4);
+}
+
+/// 4-byte sectors, so each f64 lane spans two, and 16 banks, so a shared
+/// run of more than 16 words replays.
+#[test]
+fn runs_match_with_narrow_sectors_and_sixteen_banks() {
+    let spec = DeviceSpec {
+        sector_bytes: 4,
+        shared_banks: 16,
+        ..DeviceSpec::gtx_titan()
+    };
+    for op in OPS {
+        sweep_op(&spec, op, 1, 1);
+    }
+}
+
+#[test]
+fn out_of_bounds_store_atomic_and_shared_runs_panic_as_lane_forms_do() {
+    let spec = DeviceSpec::gtx_titan();
+    for op in OPS {
+        let len = if op.is_shared() { SHARED_LEN } else { F64_LEN };
+        // Past the end, wholly past it, and empty (which touches nothing).
+        for (first, lanes) in [(len - 8, 16), (len + 2, 1), (len + 2, 0)] {
+            let message = |form| {
+                let d = Device::new(&spec);
+                panic_message(|| {
+                    d.run_op(op, form, first, lanes, 32, 1);
+                })
+            };
+            let (run, lane) = (message(Form::Run), message(Form::Lanes));
+            assert_eq!(run, lane, "{op:?} run {first}.. of {lanes} lanes");
+            assert_eq!(run.is_some(), lanes > 0, "{op:?}: {run:?}");
         }
     }
 }
