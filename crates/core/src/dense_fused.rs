@@ -16,7 +16,7 @@
 //! dispatch table lives in [`crate::codegen`].
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::{beta_z_init, lane_rows};
+use crate::sparse_fused::{beta_z_init, each_row_warp, lane_rows};
 use crate::tuner::DensePlan;
 use fusedml_blas::GpuDense;
 use fusedml_gpu_sim::{
@@ -113,7 +113,7 @@ pub fn try_dense_fused_kernel<const TL: usize>(
 
         if vs <= WARP_LANES {
             // ---- intra-warp vectors: the whole row pipeline per warp ----
-            blk.each_warp(|wc| {
+            each_row_warp(blk, nv, vs, m, |wc| {
                 let tid0 = wc.tid(0);
                 let lids = lane_lids(tid0);
                 for ci in 0..c {

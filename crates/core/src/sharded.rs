@@ -33,7 +33,7 @@
 use crate::pattern::PatternSpec;
 use crate::plancache::{PlanCache, PlanCacheStats};
 use crate::sparse_fused::{
-    flush_shared, fused_row_step, lane_rows, try_fused_xt_p_shared, zero_shared,
+    each_row_warp, flush_shared, fused_row_step, lane_rows, try_fused_xt_p_shared, zero_shared,
 };
 use crate::sparse_large::try_fused_xt_p_global;
 use crate::tuner::{try_plan_sparse_with_vs, SparsePlan};
@@ -124,7 +124,7 @@ pub fn try_fused_pattern_shard(
             blk.sync();
 
             let block_id = blk.block_id();
-            blk.each_warp(|wc| {
+            each_row_warp(blk, nv, vs, m, |wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
                     let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
@@ -146,7 +146,7 @@ pub fn try_fused_pattern_shard(
     } else {
         gpu.try_launch("fused_sparse_shard", cfg, |blk| {
             let block_id = blk.block_id();
-            blk.each_warp(|wc| {
+            each_row_warp(blk, nv, vs, m, |wc| {
                 let tid0 = wc.tid(0);
                 for ci in 0..c {
                     let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {

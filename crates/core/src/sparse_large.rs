@@ -7,7 +7,7 @@
 //! ultra-sparse data rarely collides on a column.
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::{beta_z_init, fused_row_step, lane_rows, RowStrips};
+use crate::sparse_fused::{beta_z_init, each_row_warp, fused_row_step, lane_rows, RowStrips};
 use crate::tuner::SparsePlan;
 use fusedml_blas::GpuCsr;
 use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
@@ -48,7 +48,7 @@ pub fn try_fused_pattern_global(
             beta_z_init(blk, w, z, beta, n);
         }
         let block_id = blk.block_id();
-        blk.each_warp(|wc| {
+        each_row_warp(blk, nv, vs, m, |wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
@@ -105,7 +105,7 @@ pub fn try_fused_xt_p_global(
 
     gpu.try_launch("fused_xt_p_global", cfg, |blk| {
         let block_id = blk.block_id();
-        blk.each_warp(|wc| {
+        each_row_warp(blk, nv, vs, m, |wc| {
             let tid0 = wc.tid(0);
             for ci in 0..c {
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
