@@ -16,8 +16,8 @@
 //!   `double_buffer` — that gap is the point of the whole subsystem,
 //!   and [`stream_invariants`] fails the run if it ever closes.
 //! * `auto_resident` — the cost-model search picks chunk size and depth
-//!   (memoized under the plan cache's streaming key), with the same
-//!   residency budget. Informative and gated like any other leg.
+//!   (once, when the leg's streamer is built), with the same residency
+//!   budget. Informative and gated like any other leg.
 //!
 //! Every metric in the report is modeled (simulated device time, copy
 //! engine counters), so the dump is deterministic for a fixed

@@ -12,7 +12,7 @@ use crate::tuner::{try_plan_dense, try_plan_sparse, DensePlan, SparsePlan};
 use fusedml_blas::level1::try_fill;
 use fusedml_blas::{vector_size_for_mean_nnz, GpuCsr, GpuDense};
 use fusedml_gpu_sim::{Counters, DeviceError, Gpu, GpuBuffer, LaunchStats};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Fused-kernel execution engine; the counterpart of
@@ -43,9 +43,6 @@ pub struct FusedExecutor<'g> {
     /// Memoized tuner results (see [`crate::plancache`]); interior
     /// mutability because planning is conceptually a read-only query.
     plan_cache: RefCell<PlanCache>,
-    /// Per-executor caching switch, seeded from the process-wide default
-    /// ([`crate::plancache::plan_cache_enabled`]).
-    plan_cache_on: Cell<bool>,
 }
 
 impl<'g> FusedExecutor<'g> {
@@ -54,7 +51,6 @@ impl<'g> FusedExecutor<'g> {
             gpu,
             launches: Vec::new(),
             plan_cache: RefCell::new(PlanCache::new()),
-            plan_cache_on: Cell::new(crate::plancache::plan_cache_enabled()),
         }
     }
 
@@ -101,12 +97,7 @@ impl<'g> FusedExecutor<'g> {
     /// Enable or disable plan memoization on this executor (does not drop
     /// already-cached plans; see [`FusedExecutor::invalidate_plan_cache`]).
     pub fn set_plan_cache(&self, enabled: bool) {
-        self.plan_cache_on.set(enabled);
-    }
-
-    /// Whether this executor memoizes plans.
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache_on.get()
+        self.plan_cache.borrow_mut().set_enabled(enabled);
     }
 
     /// The shared plan cache, so sibling executors layered on top of this
@@ -136,7 +127,7 @@ impl<'g> FusedExecutor<'g> {
     /// admit no configuration — the recovery ladder degrades instead of
     /// aborting.
     ///
-    /// Memoized: repeated calls for the same device/shape/VS-bucket return
+    /// Memoized: repeated calls for the same shape/VS-bucket return
     /// the cached plan without re-running the BS×C tuner sweep, so an
     /// iterative solver plans once per solve instead of once per
     /// iteration. Planning errors are never cached.
@@ -146,14 +137,9 @@ impl<'g> FusedExecutor<'g> {
         let (plan, cached) = self
             .plan_cache
             .borrow_mut()
-            .sparse_plan(
-                self.plan_cache_on.get(),
-                spec,
-                x.rows,
-                x.cols,
-                vector_size_for_mean_nnz(mu),
-                || try_plan_sparse(spec, x.rows, x.cols, mu),
-            )
+            .sparse_plan(x.rows, x.cols, vector_size_for_mean_nnz(mu), || {
+                try_plan_sparse(spec, x.rows, x.cols, mu)
+            })
             .map_err(DeviceError::from)?;
         if cached {
             if fusedml_trace::is_enabled() {
@@ -211,15 +197,13 @@ impl<'g> FusedExecutor<'g> {
 
     /// The launch plan the tuner would pick for this dense matrix, or a
     /// typed (permanent) [`DeviceError`]. Memoized like
-    /// [`FusedExecutor::try_sparse_plan`], keyed by device and shape.
+    /// [`FusedExecutor::try_sparse_plan`], keyed by shape.
     pub fn try_dense_plan(&self, x: &GpuDense) -> Result<DensePlan, DeviceError> {
         let spec = self.gpu.spec();
         let (plan, cached) = self
             .plan_cache
             .borrow_mut()
-            .dense_plan(self.plan_cache_on.get(), spec, x.rows, x.cols, || {
-                try_plan_dense(spec, x.rows, x.cols)
-            })
+            .dense_plan(x.rows, x.cols, || try_plan_dense(spec, x.rows, x.cols))
             .map_err(DeviceError::from)?;
         if cached {
             if fusedml_trace::is_enabled() {

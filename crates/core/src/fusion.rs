@@ -782,8 +782,6 @@ impl<'g> DagExecutor<'g> {
         let spec = self.gpu().spec();
         let fp = dag.fingerprint();
         let (plan, cached) = self.exec.plan_cache_ref().borrow_mut().dag_plan(
-            self.exec.plan_cache_enabled(),
-            spec,
             fp,
             shape.rows,
             shape.cols,

@@ -15,8 +15,10 @@
 //! * [`dense_fused`] + [`codegen`] — Algorithm 3 with const-generic thread
 //!   load, the Rust analog of the paper's unrolling code generator,
 //! * [`tuner`] — the §3.3 analytical launch-parameter model (Equations 4-6
-//!   plus the occupancy calculator), and
-//! * [`executor`] — a one-call API that plans, dispatches and accounts.
+//!   plus the occupancy calculator),
+//! * [`executor`] — a one-call API that plans, dispatches and accounts, and
+//! * [`rowranges`] + [`sharded`] — the row-range core that sharded and
+//!   streamed execution share, and its multi-device placement.
 
 // Lane-indexed loops over parallel arrays are the natural idiom for
 // warp-level kernel code; iterator zips would obscure the SIMT shape.
@@ -35,6 +37,7 @@ pub mod executor;
 pub mod fusion;
 pub mod pattern;
 pub mod plancache;
+pub mod rowranges;
 pub mod sharded;
 pub mod sparse_fused;
 pub mod sparse_large;
@@ -51,8 +54,9 @@ pub use fusion::{
 };
 pub use pattern::{PatternInstance, PatternSpec};
 pub use plancache::{
-    plan_cache_enabled, set_plan_cache_enabled, Invalidation, PlanCache, PlanCacheStats, StreamPlan,
+    plan_cache_enabled, set_plan_cache_enabled, Invalidation, PlanCache, PlanCacheStats,
 };
+pub use rowranges::{RowRange, RowRangeExecutor, RowRanges};
 pub use sharded::{shard_rows, try_fused_pattern_shard, ShardedExecutor};
 pub use tuner::{
     plan_dense, plan_sparse, plan_sparse_with_vs, try_plan_dense, try_plan_sparse,

@@ -10,19 +10,22 @@
 //! ## Cache key derivation
 //!
 //! A plan is a pure function of the device and a small set of matrix
-//! statistics, so the key captures exactly those inputs:
+//! statistics. Every cache belongs to one executor, and that executor is
+//! bound to one device, or to a device group whose devices share one
+//! spec, for its whole life (a reshard builds a new executor). So the
+//! device never varies inside one cache, and the key holds only what
+//! does:
 //!
-//! * **Device fingerprint** ([`DeviceSpec::fingerprint`]): any change to a
-//!   resource limit or throughput figure changes the key, so a plan tuned
-//!   for one device is never served for another.
 //! * **Shape** (`rows`, `cols`): `rows` drives the coarsening factor C and
-//!   grid, `cols` drives the shared-vs-global aggregation choice.
+//!   grid, `cols` drives the shared-vs-global aggregation choice. A
+//!   row-range executor plans each range at its own row count.
 //! * **Bucketed mean-nnz/row** (sparse only): the tuner consumes the mean
 //!   nnz/row `mu` *only* through the Equation 4 vector size
 //!   `VS = vector_size_for_mean_nnz(mu)`, so the key stores the VS bucket.
 //!   Two matrices whose `mu` falls in the same bucket genuinely share a
 //!   plan — a cached hit is bit-identical to a fresh tuner run — while a
 //!   bucket-boundary crossing (say `mu` 32 → 33) misses and replans.
+//!   Row-range executors pass the VS pinned from the full matrix.
 //!
 //! Planning *errors* are never cached: [`PlanError::NoFeasibleConfig`](crate::tuner::PlanError) and
 //! empty-matrix rejections re-run the tuner on every call, so a transient
@@ -30,15 +33,14 @@
 
 use crate::fusion::FusionPlan;
 use crate::tuner::{DensePlan, SparsePlan};
-use fusedml_gpu_sim::DeviceSpec;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Process-wide default for plan caching, read once per
-/// [`crate::FusedExecutor`] construction. The bench CLI flips this to A/B
-/// host overhead with caching on vs. off (`fusedml-bench run
-/// --no-plan-cache`); modeled counters are bit-identical either way.
+/// Process-wide default for plan caching, read once per [`PlanCache`]
+/// construction. The bench CLI flips this to A/B host overhead with
+/// caching on vs. off (`fusedml-bench run --no-plan-cache`); modeled
+/// counters are bit-identical either way.
 static PLAN_CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Set the process-wide default for plan caching in newly constructed
@@ -108,221 +110,131 @@ impl PlanCacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct SparseKey {
-    device: u64,
-    rows: usize,
-    cols: usize,
-    /// Equation 4 vector size — the only channel through which mean
-    /// nnz/row reaches the sparse tuner.
-    vs: usize,
-    /// Device-group width the plan was made for (1 = single device). A
-    /// sharded executor plans against per-shard row counts, so the same
-    /// matrix under a different shard count must not reuse the plan.
-    shards: usize,
+/// One side of the cache: plans by key, plus that side's traffic.
+#[derive(Debug)]
+struct Memo<K, V> {
+    plans: BTreeMap<K, V>,
+    stats: PlanCacheStats,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct DenseKey {
-    device: u64,
-    rows: usize,
-    cols: usize,
-    /// Device-group width the plan was made for (1 = single device).
-    shards: usize,
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo {
+            plans: BTreeMap::new(),
+            stats: PlanCacheStats::default(),
+        }
+    }
 }
 
-/// A memoized streaming configuration: the chunk size and pipeline depth
-/// the out-of-core cost search selected for one matrix on one device,
-/// plus the modeled wall time of one streamed pattern evaluation under
-/// that configuration. The search itself lives in `fusedml-runtime`
-/// (it prices PCIe transfers); this cache gives it the PR-4 property —
-/// a 500-iteration streamed CG solve searches once, not 500 times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamPlan {
-    /// Rows per streamed chunk.
-    pub rows_per_chunk: usize,
-    /// Pipeline depth (staging buffers in flight).
-    pub depth: usize,
-    /// Modeled wall milliseconds of one full streamed pass under the
-    /// selected configuration (cold residency).
-    pub modeled_ms: f64,
+impl<K: Ord, V: Clone> Memo<K, V> {
+    /// The plan under `key`, computing and (when `enabled`) inserting it
+    /// on a miss; the flag reports a cache hit. `enabled = false` bypasses
+    /// the map but still counts the tuner run.
+    fn get_or_try<E>(
+        &mut self,
+        enabled: bool,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        if enabled {
+            if let Some(plan) = self.plans.get(&key) {
+                self.stats.hits += 1;
+                return Ok((plan.clone(), true));
+            }
+        }
+        match compute() {
+            Ok(plan) => {
+                if enabled {
+                    self.plans.insert(key, plan.clone());
+                    self.stats.misses += 1;
+                } else {
+                    self.stats.uncached += 1;
+                }
+                Ok((plan, false))
+            }
+            Err(e) => {
+                self.stats.errors += 1;
+                Err(e)
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.plans.clear();
+        self.stats.invalidations += 1;
+    }
 }
 
-/// Key for a memoized streaming configuration. Unlike the launch-plan
-/// keys, `nnz` enters directly (transfer cost scales with the exact byte
-/// count, not a bucket) alongside the VS bucket the per-chunk kernel
-/// plans hinge on; the copy-engine queue count and the residency budget
-/// are part of the key because both change the pipeline schedule the
-/// search prices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct StreamKey {
-    device: u64,
-    rows: usize,
-    cols: usize,
-    nnz: u64,
-    vs: usize,
-    queues: usize,
-    resident_bytes_cap: u64,
-}
-
-/// Key for a memoized DAG fusion plan: the structural DAG fingerprint
-/// plus the matrix statistics the cost model consumes. `nnz` enters the
-/// key directly (not VS-bucketed) because candidate costs scale with the
-/// exact nonzero count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct DagKey {
-    device: u64,
-    dag: u64,
-    rows: usize,
-    cols: usize,
-    nnz: u64,
-    dense: bool,
-}
-
-/// Memoized sparse and dense launch plans for one device, plus traffic
-/// counters. Owned by [`crate::FusedExecutor`]; the executor consults it
-/// before every tuner run. The `dag` side memoizes whole fusion plans
+/// Memoized sparse and dense launch plans for one executor, plus traffic
+/// counters and the executor's caching switch. Owned by
+/// [`crate::FusedExecutor`] and [`crate::RowRanges`]; the owner consults
+/// it before every tuner run. The `dag` side memoizes whole fusion plans
 /// (candidate enumeration + cost-based selection) keyed by DAG
-/// fingerprint — the PR-4 key extended to operator graphs.
-#[derive(Debug, Default)]
+/// fingerprint.
+#[derive(Debug)]
 pub struct PlanCache {
-    sparse: BTreeMap<SparseKey, SparsePlan>,
-    dense: BTreeMap<DenseKey, DensePlan>,
-    dag: BTreeMap<DagKey, Arc<FusionPlan>>,
-    stream: BTreeMap<StreamKey, StreamPlan>,
-    sparse_stats: PlanCacheStats,
-    dense_stats: PlanCacheStats,
-    dag_stats: PlanCacheStats,
-    stream_stats: PlanCacheStats,
+    /// Whether lookups use the map, seeded from the process default.
+    enabled: bool,
+    /// Key `(rows, cols, vs)`: the Equation 4 vector size is the only
+    /// channel through which mean nnz/row reaches the sparse tuner.
+    sparse: Memo<(usize, usize, usize), SparsePlan>,
+    /// Key `(rows, cols)`.
+    dense: Memo<(usize, usize), DensePlan>,
+    /// Key `(dag fingerprint, rows, cols, nnz, dense)`: `nnz` enters
+    /// directly (not VS-bucketed) because candidate costs scale with the
+    /// exact nonzero count.
+    dag: Memo<(u64, usize, usize, u64, bool), Arc<FusionPlan>>,
+}
+
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache::new()
+    }
 }
 
 impl PlanCache {
+    /// An empty cache, enabled per the process default
+    /// ([`plan_cache_enabled`]).
     pub fn new() -> Self {
-        PlanCache::default()
+        PlanCache {
+            enabled: plan_cache_enabled(),
+            sparse: Memo::default(),
+            dense: Memo::default(),
+            dag: Memo::default(),
+        }
     }
 
-    /// Memoize `compute` under the sparse key `(device, rows, cols, vs)`
-    /// for a single-device executor.
-    /// `enabled = false` bypasses the map but still counts the tuner run.
-    /// `pub` (not `pub(crate)`) because the streaming layer in
-    /// `fusedml-runtime` memoizes its per-chunk launch plans here: all
-    /// equal-shaped chunks share one entry, so a streamed pass plans once
-    /// per distinct chunk shape (body + remainder), not once per chunk.
-    pub fn sparse_plan<E>(
+    /// Enable or disable memoization (does not drop cached plans).
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
+        self.enabled = enabled;
+    }
+
+    /// Memoize `compute` under the sparse key `(rows, cols, vs)`.
+    pub(crate) fn sparse_plan<E>(
         &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
         rows: usize,
         cols: usize,
         vs: usize,
         compute: impl FnOnce() -> Result<SparsePlan, E>,
     ) -> Result<(SparsePlan, bool), E> {
-        self.sparse_plan_sharded(enabled, device, rows, cols, vs, 1, compute)
+        self.sparse
+            .get_or_try(self.enabled, (rows, cols, vs), compute)
     }
 
-    /// Memoize `compute` under the sparse key
-    /// `(device, rows, cols, vs, shards)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sparse_plan_sharded<E>(
-        &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
-        rows: usize,
-        cols: usize,
-        vs: usize,
-        shards: usize,
-        compute: impl FnOnce() -> Result<SparsePlan, E>,
-    ) -> Result<(SparsePlan, bool), E> {
-        let key = SparseKey {
-            device: device.fingerprint(),
-            rows,
-            cols,
-            vs,
-            shards,
-        };
-        if enabled {
-            if let Some(plan) = self.sparse.get(&key) {
-                self.sparse_stats.hits += 1;
-                return Ok((*plan, true));
-            }
-        }
-        match compute() {
-            Ok(plan) => {
-                if enabled {
-                    self.sparse.insert(key, plan);
-                    self.sparse_stats.misses += 1;
-                } else {
-                    self.sparse_stats.uncached += 1;
-                }
-                Ok((plan, false))
-            }
-            Err(e) => {
-                self.sparse_stats.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Memoize `compute` under the dense key `(device, rows, cols)` for a
-    /// single-device executor.
+    /// Memoize `compute` under the dense key `(rows, cols)`.
     pub(crate) fn dense_plan<E>(
         &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
         rows: usize,
         cols: usize,
         compute: impl FnOnce() -> Result<DensePlan, E>,
     ) -> Result<(DensePlan, bool), E> {
-        self.dense_plan_sharded(enabled, device, rows, cols, 1, compute)
-    }
-
-    /// Memoize `compute` under the dense key `(device, rows, cols, shards)`.
-    pub(crate) fn dense_plan_sharded<E>(
-        &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
-        rows: usize,
-        cols: usize,
-        shards: usize,
-        compute: impl FnOnce() -> Result<DensePlan, E>,
-    ) -> Result<(DensePlan, bool), E> {
-        let key = DenseKey {
-            device: device.fingerprint(),
-            rows,
-            cols,
-            shards,
-        };
-        if enabled {
-            if let Some(plan) = self.dense.get(&key) {
-                self.dense_stats.hits += 1;
-                return Ok((*plan, true));
-            }
-        }
-        match compute() {
-            Ok(plan) => {
-                if enabled {
-                    self.dense.insert(key, plan);
-                    self.dense_stats.misses += 1;
-                } else {
-                    self.dense_stats.uncached += 1;
-                }
-                Ok((plan, false))
-            }
-            Err(e) => {
-                self.dense_stats.errors += 1;
-                Err(e)
-            }
-        }
+        self.dense.get_or_try(self.enabled, (rows, cols), compute)
     }
 
     /// Memoize a whole DAG fusion plan under
-    /// `(device, dag fingerprint, rows, cols, nnz, dense)`. Errors are
-    /// never cached, matching the sparse/dense sides.
-    #[allow(clippy::too_many_arguments)]
+    /// `(dag fingerprint, rows, cols, nnz, dense)`.
     pub(crate) fn dag_plan<E>(
         &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
         dag_fingerprint: u64,
         rows: usize,
         cols: usize,
@@ -330,89 +242,9 @@ impl PlanCache {
         dense: bool,
         compute: impl FnOnce() -> Result<FusionPlan, E>,
     ) -> Result<(Arc<FusionPlan>, bool), E> {
-        let key = DagKey {
-            device: device.fingerprint(),
-            dag: dag_fingerprint,
-            rows,
-            cols,
-            nnz,
-            dense,
-        };
-        if enabled {
-            if let Some(plan) = self.dag.get(&key) {
-                self.dag_stats.hits += 1;
-                return Ok((Arc::clone(plan), true));
-            }
-        }
-        match compute() {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                if enabled {
-                    self.dag.insert(key, Arc::clone(&plan));
-                    self.dag_stats.misses += 1;
-                } else {
-                    self.dag_stats.uncached += 1;
-                }
-                Ok((plan, false))
-            }
-            Err(e) => {
-                self.dag_stats.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Memoize a streaming configuration under
-    /// `(device, rows, cols, nnz, vs, queues, resident_bytes_cap)`.
-    /// This is the PR-4 streaming-key extension: the out-of-core cost
-    /// search in `fusedml-runtime` runs once per (matrix, device,
-    /// copy-engine, budget) tuple and every later solver iteration reuses
-    /// the result. Errors are never cached, matching the other sides.
-    /// `pub` (not `pub(crate)`) because the search lives downstream in
-    /// the runtime crate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stream_plan<E>(
-        &mut self,
-        enabled: bool,
-        device: &DeviceSpec,
-        rows: usize,
-        cols: usize,
-        nnz: u64,
-        vs: usize,
-        queues: usize,
-        resident_bytes_cap: u64,
-        compute: impl FnOnce() -> Result<StreamPlan, E>,
-    ) -> Result<(StreamPlan, bool), E> {
-        let key = StreamKey {
-            device: device.fingerprint(),
-            rows,
-            cols,
-            nnz,
-            vs,
-            queues,
-            resident_bytes_cap,
-        };
-        if enabled {
-            if let Some(plan) = self.stream.get(&key) {
-                self.stream_stats.hits += 1;
-                return Ok((*plan, true));
-            }
-        }
-        match compute() {
-            Ok(plan) => {
-                if enabled {
-                    self.stream.insert(key, plan);
-                    self.stream_stats.misses += 1;
-                } else {
-                    self.stream_stats.uncached += 1;
-                }
-                Ok((plan, false))
-            }
-            Err(e) => {
-                self.stream_stats.errors += 1;
-                Err(e)
-            }
-        }
+        let key = (dag_fingerprint, rows, cols, nnz, dense);
+        self.dag
+            .get_or_try(self.enabled, key, || compute().map(Arc::new))
     }
 
     /// Drop every cached plan, recording the typed reason.
@@ -420,11 +252,6 @@ impl PlanCache {
         self.sparse.clear();
         self.dense.clear();
         self.dag.clear();
-        self.stream.clear();
-        self.sparse_stats.invalidations += 1;
-        self.dense_stats.invalidations += 1;
-        self.dag_stats.invalidations += 1;
-        self.stream_stats.invalidations += 1;
         if fusedml_trace::is_enabled() {
             fusedml_trace::instant(
                 "plan",
@@ -437,56 +264,34 @@ impl PlanCache {
 
     /// Cached entries: `(sparse, dense)`.
     pub fn len(&self) -> (usize, usize) {
-        (self.sparse.len(), self.dense.len())
+        (self.sparse.plans.len(), self.dense.plans.len())
     }
 
     /// Cached DAG fusion plans.
     pub fn dag_len(&self) -> usize {
-        self.dag.len()
-    }
-
-    /// Cached streaming configurations.
-    pub fn stream_len(&self) -> usize {
-        self.stream.len()
+        self.dag.plans.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sparse.is_empty()
-            && self.dense.is_empty()
-            && self.dag.is_empty()
-            && self.stream.is_empty()
+        self.len() == (0, 0) && self.dag_len() == 0
     }
 
-    /// Sparse, dense, DAG and streaming counters merged.
+    /// Sparse, dense and DAG counters merged.
     pub fn stats(&self) -> PlanCacheStats {
-        let mut s = self.sparse_stats;
-        s.merge(&self.dense_stats);
-        s.merge(&self.dag_stats);
-        s.merge(&self.stream_stats);
+        let mut s = self.sparse.stats;
+        s.merge(&self.dense.stats);
+        s.merge(&self.dag.stats);
         s
     }
 
-    pub fn sparse_stats(&self) -> PlanCacheStats {
-        self.sparse_stats
-    }
-
-    pub fn dense_stats(&self) -> PlanCacheStats {
-        self.dense_stats
-    }
-
     pub fn dag_stats(&self) -> PlanCacheStats {
-        self.dag_stats
-    }
-
-    pub fn stream_stats(&self) -> PlanCacheStats {
-        self.stream_stats
+        self.dag.stats
     }
 
     pub fn reset_stats(&mut self) {
-        self.sparse_stats = PlanCacheStats::default();
-        self.dense_stats = PlanCacheStats::default();
-        self.dag_stats = PlanCacheStats::default();
-        self.stream_stats = PlanCacheStats::default();
+        self.sparse.stats = PlanCacheStats::default();
+        self.dense.stats = PlanCacheStats::default();
+        self.dag.stats = PlanCacheStats::default();
     }
 }
 
@@ -495,6 +300,7 @@ mod tests {
     use super::*;
     use crate::tuner::{try_plan_dense, try_plan_sparse, PlanError};
     use fusedml_blas::vector_size_for_mean_nnz;
+    use fusedml_gpu_sim::DeviceSpec;
 
     fn titan() -> DeviceSpec {
         DeviceSpec::gtx_titan()
@@ -517,12 +323,13 @@ mod tests {
         mu: f64,
     ) -> Result<(SparsePlan, bool), PlanError> {
         let vs = vector_size_for_mean_nnz(mu);
-        cache.sparse_plan(true, spec, m, n, vs, || try_plan_sparse(spec, m, n, mu))
+        cache.sparse_plan(m, n, vs, || try_plan_sparse(spec, m, n, mu))
     }
 
     #[test]
     fn second_identical_request_hits() {
         let mut cache = PlanCache::new();
+        cache.set_enabled(true);
         let spec = titan();
         let (p1, hit1) = plan_sparse_via_cache(&mut cache, &spec, 10_000, 512, 20.0).unwrap();
         let (p2, hit2) = plan_sparse_via_cache(&mut cache, &spec, 10_000, 512, 20.0).unwrap();
@@ -534,19 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn different_device_fingerprints_do_not_share_plans() {
-        let mut cache = PlanCache::new();
-        let titan = titan();
-        let k20 = DeviceSpec::tesla_k20();
-        let (_, hit1) = plan_sparse_via_cache(&mut cache, &titan, 10_000, 512, 20.0).unwrap();
-        let (_, hit2) = plan_sparse_via_cache(&mut cache, &k20, 10_000, 512, 20.0).unwrap();
-        assert!(!hit1 && !hit2, "k20 must not reuse the titan plan");
-        assert_eq!(cache.len(), (2, 0));
-    }
-
-    #[test]
     fn mean_nnz_bucket_boundary_crossing_replans() {
         let mut cache = PlanCache::new();
+        cache.set_enabled(true);
         let spec = titan();
         // VS buckets per Equation 4: mu in (16, 32] -> VS 16, mu > 32 -> 32.
         assert_eq!(vector_size_for_mean_nnz(20.0), 16);
@@ -564,6 +361,7 @@ mod tests {
     #[test]
     fn planning_errors_are_not_cached_as_success() {
         let mut cache = PlanCache::new();
+        cache.set_enabled(true);
         let starved = register_starved();
         for _ in 0..2 {
             let err = plan_sparse_via_cache(&mut cache, &starved, 10_000, 512, 20.0)
@@ -579,12 +377,11 @@ mod tests {
     #[test]
     fn disabled_cache_always_recomputes() {
         let mut cache = PlanCache::new();
+        cache.set_enabled(false);
         let spec = titan();
         for _ in 0..3 {
             let (_, hit) = cache
-                .dense_plan(false, &spec, 5_000, 128, || {
-                    try_plan_dense(&spec, 5_000, 128)
-                })
+                .dense_plan(5_000, 128, || try_plan_dense(&spec, 5_000, 128))
                 .unwrap();
             assert!(!hit);
         }
@@ -597,100 +394,18 @@ mod tests {
     #[test]
     fn invalidation_flushes_and_counts() {
         let mut cache = PlanCache::new();
+        cache.set_enabled(true);
         let spec = titan();
         plan_sparse_via_cache(&mut cache, &spec, 10_000, 512, 20.0).unwrap();
         cache
-            .dense_plan(true, &spec, 5_000, 128, || {
-                try_plan_dense(&spec, 5_000, 128)
-            })
+            .dense_plan(5_000, 128, || try_plan_dense(&spec, 5_000, 128))
             .unwrap();
         assert_eq!(cache.len(), (1, 1));
         cache.invalidate(Invalidation::DeviceChanged);
         assert!(cache.is_empty());
         let (_, hit) = plan_sparse_via_cache(&mut cache, &spec, 10_000, 512, 20.0).unwrap();
         assert!(!hit, "invalidation forces a replan");
-        // sparse + dense + dag + stream sides each record the flush.
-        assert_eq!(cache.stats().invalidations, 4);
-    }
-
-    #[test]
-    fn stream_key_isolates_device_shape_queues_and_budget() {
-        let mut cache = PlanCache::new();
-        let spec = titan();
-        let mk = |rows_per_chunk| StreamPlan {
-            rows_per_chunk,
-            depth: 3,
-            modeled_ms: 1.0,
-        };
-        let plan = |cache: &mut PlanCache, queues: usize, cap: u64| {
-            cache.stream_plan::<()>(true, &spec, 10_000, 512, 200_000, 16, queues, cap, || {
-                Ok(mk(1024))
-            })
-        };
-        let (_, h1) = plan(&mut cache, 1, 0).unwrap();
-        let (_, h1b) = plan(&mut cache, 1, 0).unwrap();
-        assert!(!h1 && h1b, "second identical request hits");
-        let (_, hq) = plan(&mut cache, 2, 0).unwrap();
-        let (_, hb) = plan(&mut cache, 1, 1 << 20).unwrap();
-        assert!(!hq, "queue count is part of the key");
-        assert!(!hb, "residency budget is part of the key");
-        let (_, hk20) = cache
-            .stream_plan::<()>(
-                true,
-                &DeviceSpec::tesla_k20(),
-                10_000,
-                512,
-                200_000,
-                16,
-                1,
-                0,
-                || Ok(mk(512)),
-            )
-            .unwrap();
-        assert!(!hk20, "device fingerprint is part of the key");
-        assert_eq!(cache.stream_len(), 4);
-        let s = cache.stream_stats();
-        assert_eq!((s.hits, s.misses), (1, 4));
-        assert_eq!(s.plans_computed(), 4);
-    }
-
-    #[test]
-    fn stream_plan_errors_are_not_cached() {
-        let mut cache = PlanCache::new();
-        let spec = titan();
-        for _ in 0..2 {
-            let res: Result<(StreamPlan, bool), &str> =
-                cache.stream_plan(true, &spec, 100, 10, 1000, 4, 1, 0, || {
-                    Err("no feasible chunk")
-                });
-            assert!(res.is_err());
-        }
-        assert_eq!(cache.stream_len(), 0, "errors must never enter the cache");
-        assert_eq!(cache.stream_stats().errors, 2);
-    }
-
-    #[test]
-    fn shard_count_is_part_of_the_key() {
-        let mut cache = PlanCache::new();
-        let spec = titan();
-        let vs = vector_size_for_mean_nnz(20.0);
-        let plan = |cache: &mut PlanCache, shards| {
-            cache.sparse_plan_sharded(true, &spec, 10_000, 512, vs, shards, || {
-                try_plan_sparse(&spec, 10_000, 512, 20.0)
-            })
-        };
-        let (_, h1) = plan(&mut cache, 1).unwrap();
-        let (_, h2) = plan(&mut cache, 2).unwrap();
-        let (_, h2b) = plan(&mut cache, 2).unwrap();
-        assert!(!h1 && !h2, "a different shard count must not share plans");
-        assert!(h2b, "same shard count hits");
-        assert_eq!(cache.len(), (2, 0));
-        // The unsharded entry point is the shards=1 key.
-        let (_, h1b) = cache
-            .sparse_plan(true, &spec, 10_000, 512, vs, || {
-                try_plan_sparse(&spec, 10_000, 512, 20.0)
-            })
-            .unwrap();
-        assert!(h1b);
+        // sparse + dense + dag sides each record the flush.
+        assert_eq!(cache.stats().invalidations, 3);
     }
 }

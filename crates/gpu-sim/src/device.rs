@@ -146,61 +146,6 @@ impl DeviceSpec {
         }
     }
 
-    /// A stable 64-bit fingerprint of every field, used as the device part
-    /// of plan-cache keys: two specs with any differing resource limit or
-    /// throughput figure produce different fingerprints, so a plan tuned
-    /// for one device is never served for another.
-    ///
-    /// FNV-1a over the field bytes; floats are hashed by their exact bit
-    /// patterns (`to_bits`), so this is deterministic across processes and
-    /// platforms (unlike `std`'s `DefaultHasher`, whose seed is stable but
-    /// whose identity is not guaranteed across releases).
-    pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        for v in [
-            self.num_sms as u64,
-            self.cores_per_sm as u64,
-            self.clock_ghz.to_bits(),
-            self.global_mem_bytes as u64,
-            self.dram_bandwidth_gbps.to_bits(),
-            self.peak_dp_gflops.to_bits(),
-            self.shared_mem_per_sm as u64,
-            self.shared_mem_per_block as u64,
-            self.registers_per_sm as u64,
-            self.max_regs_per_thread as u64,
-            self.warp_size as u64,
-            self.max_threads_per_block as u64,
-            self.max_threads_per_sm as u64,
-            self.max_blocks_per_sm as u64,
-            self.reg_alloc_granularity as u64,
-            self.shared_alloc_granularity as u64,
-            self.shared_banks as u64,
-            self.l2_bytes as u64,
-            self.l2_ways as u64,
-            self.tex_cache_per_sm as u64,
-            self.cache_line_bytes as u64,
-            self.sector_bytes as u64,
-            self.launch_overhead_us.to_bits(),
-            self.atomic_ops_per_ns.to_bits(),
-            self.atomic_int_ops_per_ns.to_bits(),
-            self.atomic_serial_ns.to_bits(),
-            self.shared_ops_per_ns_per_sm.to_bits(),
-            self.l2_bandwidth_gbps.to_bits(),
-        ] {
-            eat(&v.to_le_bytes());
-        }
-        h
-    }
-
     /// Whether the simulator can execute this spec. The warp accounting
     /// derives sector and line numbers by shifting and masking, which is
     /// exact only for power-of-two sizes with a sector no larger than a
@@ -255,23 +200,6 @@ mod tests {
         assert_eq!(d.registers_per_sm, 64 * 1024);
         assert_eq!(d.max_warps_per_sm(), 64);
         assert!((d.dram_bandwidth_gbps - 288.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_devices() {
-        let titan = DeviceSpec::gtx_titan();
-        assert_eq!(titan.fingerprint(), DeviceSpec::gtx_titan().fingerprint());
-        assert_ne!(titan.fingerprint(), DeviceSpec::tesla_k20().fingerprint());
-        assert_ne!(
-            titan.fingerprint(),
-            DeviceSpec::tiny_test_device().fingerprint()
-        );
-        // Any single field change must change the fingerprint.
-        let starved = DeviceSpec {
-            registers_per_sm: 1024,
-            ..DeviceSpec::gtx_titan()
-        };
-        assert_ne!(titan.fingerprint(), starved.fingerprint());
     }
 
     #[test]

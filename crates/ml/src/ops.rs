@@ -23,7 +23,10 @@
 //! is how the Table 1 experiment regenerates the paper's matrix.
 
 use fusedml_blas::{level1, BaselineEngine, CpuEngine, Flavor, GpuCsr, GpuDense, SpmvStyle};
-use fusedml_core::{CpuFusedPattern, FusedExecutor, PatternInstance, PatternSpec, PlanCacheStats};
+use fusedml_core::{
+    CpuFusedPattern, FusedExecutor, PatternInstance, PatternSpec, PlanCacheStats, RowRangeExecutor,
+    RowRanges,
+};
 use fusedml_gpu_sim::{
     AggregationBreakdown, Counters, DeviceError, Gpu, GpuBuffer, LaunchStats, PoolStats,
 };
@@ -372,6 +375,86 @@ impl<E: MatrixEngine> Backend for DeviceBackend<'_, E> {
         self.engine.reset_plan_stats();
         self.pool_base = self.gpu.pool_stats();
     }
+}
+
+/// Every row-range executor (`core::ShardedExecutor`,
+/// `runtime::SparseStreamer`) is a matrix engine. The executor takes host
+/// slices, so each product copies its operands off the device and its
+/// result back. After every product, failed or not, the executor's
+/// recorded launches move into `stats` as one batch that took the
+/// executor's modeled wall time: the slowest shard plus fabric time, or
+/// the streaming pipeline's wall, not the kernel sum.
+impl<T: RowRangeExecutor> MatrixEngine for T {
+    fn rows(&self) -> usize {
+        self.ranges().rows()
+    }
+
+    fn cols(&self) -> usize {
+        self.ranges().cols()
+    }
+
+    fn try_pattern(
+        &mut self,
+        stats: &mut BackendStats,
+        spec: PatternSpec,
+        v: Option<&GpuBuffer>,
+        y: &GpuBuffer,
+        z: Option<&GpuBuffer>,
+        w: &mut GpuBuffer,
+    ) -> Result<(), DeviceError> {
+        let vh = v.map(GpuBuffer::to_vec_f64);
+        let zh = z.map(GpuBuffer::to_vec_f64);
+        let mut wh = vec![0.0; self.ranges().cols()];
+        let res =
+            self.try_pattern_host(spec, vh.as_deref(), &y.to_vec_f64(), zh.as_deref(), &mut wh);
+        drain_ranges(self.ranges_mut(), stats);
+        res?;
+        w.copy_from_f64(&wh);
+        Ok(())
+    }
+
+    fn try_mv(
+        &mut self,
+        stats: &mut BackendStats,
+        y: &GpuBuffer,
+        out: &mut GpuBuffer,
+    ) -> Result<(), DeviceError> {
+        let mut ph = vec![0.0; self.ranges().rows()];
+        let res = self.try_mv_host(&y.to_vec_f64(), &mut ph);
+        drain_ranges(self.ranges_mut(), stats);
+        res?;
+        out.copy_from_f64(&ph);
+        Ok(())
+    }
+
+    fn try_tmv(
+        &mut self,
+        stats: &mut BackendStats,
+        alpha: f64,
+        u: &GpuBuffer,
+        out: &mut GpuBuffer,
+    ) -> Result<(), DeviceError> {
+        let mut wh = vec![0.0; self.ranges().cols()];
+        let res = self.try_tmv_host(alpha, &u.to_vec_f64(), &mut wh);
+        drain_ranges(self.ranges_mut(), stats);
+        res?;
+        out.copy_from_f64(&wh);
+        Ok(())
+    }
+
+    fn plan_stats(&self) -> PlanCacheStats {
+        self.ranges().plan_stats()
+    }
+
+    fn reset_plan_stats(&mut self) {
+        self.ranges_mut().reset_plan_stats();
+    }
+}
+
+/// Move a row-range ledger into `stats` and clear it.
+fn drain_ranges(ranges: &mut RowRanges, stats: &mut BackendStats) {
+    stats.absorb(ranges.wall_ms(), &ranges.launches);
+    ranges.reset();
 }
 
 /// Element-wise `out[i] = f(x[i], y[i])` device kernel (models the single

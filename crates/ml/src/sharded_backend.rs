@@ -5,13 +5,14 @@
 //! search directions on one rank.
 //!
 //! Solver-visible numerics are **bit-identical for any shard count** (the
-//! executor's canonical epilogue reduction — see `fusedml_core::sharded`),
-//! which is what lets the runtime reshard across survivors after a device
-//! loss and resume from a checkpoint without perturbing convergence.
+//! row-range core's canonical epilogue reduction — see
+//! `fusedml_core::rowranges`), which is what lets the runtime reshard
+//! across survivors after a device loss and resume from a checkpoint
+//! without perturbing convergence.
 
-use crate::ops::{BackendStats, DeviceBackend, MatrixEngine};
-use fusedml_core::{PatternSpec, PlanCacheStats, ShardedExecutor};
-use fusedml_gpu_sim::{DeviceError, DeviceGroup, GpuBuffer};
+use crate::ops::DeviceBackend;
+use fusedml_core::ShardedExecutor;
+use fusedml_gpu_sim::{DeviceError, DeviceGroup};
 use fusedml_matrix::CsrMatrix;
 
 /// [`Backend`](crate::Backend) over a sharded multi-device group (sparse
@@ -34,88 +35,12 @@ impl<'g> ShardedBackend<'g> {
     }
 }
 
-/// Move the executor's recorded launches into `stats` as one batch that
-/// took the executor's wall time. Called after every matrix op, error or
-/// not.
-fn drain_launches(exec: &mut ShardedExecutor, stats: &mut BackendStats) {
-    stats.absorb(exec.wall_ms(), &exec.launches);
-    exec.reset();
-}
-
-/// The executor takes host slices, so each product copies its operands
-/// off the root device and its result back.
-impl MatrixEngine for ShardedExecutor<'_> {
-    fn rows(&self) -> usize {
-        ShardedExecutor::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        ShardedExecutor::cols(self)
-    }
-
-    fn try_pattern(
-        &mut self,
-        stats: &mut BackendStats,
-        spec: PatternSpec,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let vh = v.map(GpuBuffer::to_vec_f64);
-        let zh = z.map(GpuBuffer::to_vec_f64);
-        let mut wh = vec![0.0; ShardedExecutor::cols(self)];
-        let res =
-            self.try_pattern_host(spec, vh.as_deref(), &y.to_vec_f64(), zh.as_deref(), &mut wh);
-        drain_launches(self, stats);
-        res?;
-        w.copy_from_f64(&wh);
-        Ok(())
-    }
-
-    fn try_mv(
-        &mut self,
-        stats: &mut BackendStats,
-        y: &GpuBuffer,
-        out: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let mut ph = vec![0.0; ShardedExecutor::rows(self)];
-        let res = self.try_mv_host(&y.to_vec_f64(), &mut ph);
-        drain_launches(self, stats);
-        res?;
-        out.copy_from_f64(&ph);
-        Ok(())
-    }
-
-    fn try_tmv(
-        &mut self,
-        stats: &mut BackendStats,
-        alpha: f64,
-        u: &GpuBuffer,
-        out: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let mut wh = vec![0.0; ShardedExecutor::cols(self)];
-        let res = self.try_tmv_host(alpha, &u.to_vec_f64(), &mut wh);
-        drain_launches(self, stats);
-        res?;
-        out.copy_from_f64(&wh);
-        Ok(())
-    }
-
-    fn plan_stats(&self) -> PlanCacheStats {
-        ShardedExecutor::plan_stats(self)
-    }
-
-    fn reset_plan_stats(&mut self) {
-        ShardedExecutor::reset_plan_stats(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lr_cg::{try_lr_cg_ckpt, LrCgOptions};
     use crate::ops::{Backend, CpuBackend};
+    use fusedml_core::PatternSpec;
     use fusedml_gpu_sim::{DeviceSpec, FaultProfile, InterconnectSpec};
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
     use fusedml_matrix::reference;

@@ -36,5 +36,7 @@ pub use session::{
 };
 pub use shard_recovery::ShardTier;
 pub use streamed_backend::StreamedBackend;
-pub use streaming::{choose_stream_plan, SparseStreamer, StreamConfig, StreamError, StreamReport};
+pub use streaming::{
+    choose_stream_plan, SparseStreamer, StreamConfig, StreamError, StreamPlan, StreamReport,
+};
 pub use transfer::TransferModel;

@@ -4,23 +4,23 @@
 //! vectors and BLAS-1 stay device-resident, like a real out-of-core
 //! solver keeping its iterate and search directions on the accelerator.
 //!
-//! Because the streamer follows the sharded executor's canonical
-//! epilogue reduction, solver-visible numerics are **bit-identical for
-//! any chunk size, pipeline depth, queue count or residency budget** —
-//! including the single-chunk configuration, which *is* the non-streamed
-//! fused path. Streaming is purely a cost/capacity decision; it never
-//! perturbs convergence.
+//! Because the streamer follows the row-range core's canonical epilogue
+//! reduction, solver-visible numerics are **bit-identical for any chunk
+//! size, pipeline depth, queue count or residency budget** — including
+//! the single-chunk configuration, which *is* the non-streamed fused
+//! path. Streaming is purely a cost/capacity decision; it never perturbs
+//! convergence.
 //!
 //! The backend keeps one streamer alive for the whole solve, which is
 //! what makes consecutive iterations cheap: resident chunks admitted in
 //! iteration `k` are served from device memory in iteration `k + 1`, and
 //! the chunk launch plans (and the cost-searched configuration itself)
-//! are memoized once, not per iteration.
+//! are computed once, not per iteration. The matrix engine is the one
+//! `ml` implements for every row-range executor: it charges the pipeline
+//! wall (transfer and compute overlapped), not the kernel sum.
 
 use crate::streaming::{SparseStreamer, StreamError};
-use fusedml_core::{PatternSpec, PlanCacheStats};
-use fusedml_gpu_sim::{DeviceError, GpuBuffer};
-use fusedml_ml::{BackendStats, DeviceBackend, MatrixEngine};
+use fusedml_ml::DeviceBackend;
 
 /// [`Backend`](fusedml_ml::Backend) whose matrix lives on the host and
 /// streams through the copy-engine pipeline chunk by chunk (sparse
@@ -37,101 +37,13 @@ impl<'g> SparseStreamer<'g> {
     }
 }
 
-/// Move the streamer's recorded launches into `stats` as one batch that
-/// took the pipeline wall. Called after every matrix op, error or not.
-/// The time charged is the *pipeline* wall (transfer/compute overlapped),
-/// not the kernel sum — streaming's cost is the schedule, not the kernels.
-fn drain_launches(streamer: &mut SparseStreamer, stats: &mut BackendStats) {
-    stats.absorb(streamer.wall_ms(), &streamer.launches);
-    streamer.reset();
-}
-
-/// Map a streaming failure onto the backend error surface. Device faults
-/// pass through (the recovery ladder consumes them); shape and
-/// configuration errors from inside a backend call are caller bugs,
-/// reported the way the other device backends report them — a panic.
-fn device_err(e: StreamError) -> DeviceError {
-    match e {
-        StreamError::Device(e) => e,
-        other => panic!("streamed backend misuse: {other}"),
-    }
-}
-
-/// The streamer takes host slices, so each product copies its operands
-/// off the device and its result back.
-impl MatrixEngine for SparseStreamer<'_> {
-    fn rows(&self) -> usize {
-        SparseStreamer::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        SparseStreamer::cols(self)
-    }
-
-    fn try_pattern(
-        &mut self,
-        stats: &mut BackendStats,
-        spec: PatternSpec,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let vh = v.map(GpuBuffer::to_vec_f64);
-        let zh = z.map(GpuBuffer::to_vec_f64);
-        let mut wh = vec![0.0; SparseStreamer::cols(self)];
-        let res =
-            self.try_pattern_host(spec, vh.as_deref(), &y.to_vec_f64(), zh.as_deref(), &mut wh);
-        drain_launches(self, stats);
-        res.map_err(device_err)?;
-        w.copy_from_f64(&wh);
-        Ok(())
-    }
-
-    fn try_mv(
-        &mut self,
-        stats: &mut BackendStats,
-        y: &GpuBuffer,
-        out: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let mut ph = vec![0.0; SparseStreamer::rows(self)];
-        let res = self.try_mv_host(&y.to_vec_f64(), &mut ph);
-        drain_launches(self, stats);
-        res.map_err(device_err)?;
-        out.copy_from_f64(&ph);
-        Ok(())
-    }
-
-    fn try_tmv(
-        &mut self,
-        stats: &mut BackendStats,
-        alpha: f64,
-        u: &GpuBuffer,
-        out: &mut GpuBuffer,
-    ) -> Result<(), DeviceError> {
-        let mut wh = vec![0.0; SparseStreamer::cols(self)];
-        let res = self.try_tmv_host(alpha, &u.to_vec_f64(), &mut wh);
-        drain_launches(self, stats);
-        res.map_err(device_err)?;
-        out.copy_from_f64(&wh);
-        Ok(())
-    }
-
-    fn plan_stats(&self) -> PlanCacheStats {
-        SparseStreamer::plan_stats(self)
-    }
-
-    fn reset_plan_stats(&mut self) {
-        SparseStreamer::reset_plan_stats(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::streaming::StreamConfig;
     use crate::transfer::TransferModel;
-    use fusedml_gpu_sim::{DeviceSpec, Gpu};
+    use fusedml_core::PatternSpec;
+    use fusedml_gpu_sim::{DeviceError, DeviceSpec, Gpu};
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
     use fusedml_matrix::{reference, CsrMatrix};
     use fusedml_ml::{try_lr_cg_ckpt, Backend, CpuBackend, LrCgOptions};

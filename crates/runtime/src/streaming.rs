@@ -20,12 +20,13 @@
 //!   last touched it, so a partial budget converges to a stable resident
 //!   prefix instead of thrashing on every scan. Resident chunks skip the
 //!   copy engine entirely.
-//! * **Launch-plan hoisting** — per-chunk launch plans are memoized in a
-//!   [`PlanCache`] keyed by chunk shape, so a streamed pass plans once per
-//!   *distinct chunk shape* (body + remainder = at most two), not once per
-//!   chunk, and later passes plan not at all.
+//! * **Launch-plan hoisting** — per-chunk launch plans are memoized by
+//!   chunk shape, so a streamed pass plans once per *distinct chunk shape*
+//!   (body + remainder = at most two), not once per chunk, and later
+//!   passes plan not at all.
 //!
-//! Numerics follow the sharded executor's bit-identity contract: each
+//! The chunks are the ranges of a [`RowRanges`] core, the one the sharded
+//! executor uses too, and numerics follow its bit-identity contract: each
 //! chunk's kernel writes only the per-row products `u_r = v_r * (X[r,:] y)`
 //! (with the intra-row reduction order pinned by the *full* matrix's VS),
 //! and the epilogue `w[c] (+)= alpha * u_r * X[r,c]` runs on the host in
@@ -35,17 +36,15 @@
 //! move.
 
 use crate::transfer::TransferModel;
-use fusedml_blas::{level1, try_csrmv, vector_size_for_mean_nnz, GpuCsr, SpmvStyle};
-use fusedml_core::sharded::{epilogue_init, epilogue_rows};
+use fusedml_blas::{level1, try_csrmv, GpuCsr, SpmvStyle};
 use fusedml_core::sparse_fused::try_fused_xt_p_shared;
 use fusedml_core::sparse_large::try_fused_xt_p_global;
 use fusedml_core::{
-    try_fused_pattern_shard, try_plan_sparse_with_vs, PatternSpec, PlanCache, PlanCacheStats,
-    SparsePlan, StreamPlan,
+    try_fused_pattern_shard, PatternSpec, PlanCacheStats, RowRangeExecutor, RowRanges,
 };
 use fusedml_gpu_sim::{
     estimate_fused_kernel, pipeline_wall, ChainOp, ChunkCost, CopyEngine, CopyEngineSpec,
-    CopyEngineStats, Counters, DeviceError, DeviceSpec, Gpu, GpuBuffer, LaunchStats,
+    CopyEngineStats, Counters, DeviceError, DeviceSpec, Gpu, GpuBuffer,
 };
 use fusedml_matrix::CsrMatrix;
 use serde::{Deserialize, Serialize};
@@ -110,9 +109,21 @@ impl From<DeviceError> for StreamError {
     }
 }
 
+/// `Ok` when operand `what` has the `expected` length.
+fn expect_len(what: &'static str, expected: usize, got: usize) -> Result<(), StreamError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(StreamError::ShapeMismatch {
+            what,
+            expected,
+            got,
+        })
+    }
+}
+
 /// How a [`SparseStreamer`] chunks, pipelines and caches. `None` fields
-/// are filled in by the cost-model search ([`choose_stream_plan`]),
-/// memoized under the plan cache's streaming key.
+/// are filled in by the cost-model search ([`choose_stream_plan`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows per streamed chunk; `None` lets the cost search choose.
@@ -220,6 +231,21 @@ const SEARCH_STEADY_PASSES: f64 = 9.0;
 /// Deepest pipeline the search considers.
 const SEARCH_MAX_DEPTH: usize = 4;
 
+/// The chunk size and pipeline depth the out-of-core cost search
+/// ([`choose_stream_plan`]) selected for one matrix on one device, plus
+/// the modeled wall time of one streamed pattern evaluation under that
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamPlan {
+    /// Rows per streamed chunk.
+    pub rows_per_chunk: usize,
+    /// Pipeline depth (staging buffers in flight).
+    pub depth: usize,
+    /// Modeled wall milliseconds of one full streamed pass under the
+    /// selected configuration (cold residency).
+    pub modeled_ms: f64,
+}
+
 /// CSR bytes of a row slice with `rows` rows and `nnz` nonzeros (8-byte
 /// value and 4-byte column index per nonzero, `rows + 1` 4-byte offsets)
 /// — the same accounting [`ChainOp`] uses.
@@ -231,8 +257,9 @@ fn csr_slice_bytes(rows: usize, nnz: u64) -> u64 {
 /// (power-of-two fractions of the matrix) and pipeline depths, price each
 /// candidate with the fused-kernel estimate plus the copy-engine pipeline
 /// schedule, and score one cold pass plus `SEARCH_STEADY_PASSES` warm
-/// passes under the residency budget. Deterministic in its arguments; the
-/// caller memoizes it under the plan cache's streaming key.
+/// passes under the residency budget. Deterministic in its arguments;
+/// [`SparseStreamer::try_new`] runs it once per streamer whose config
+/// leaves the chunk size or depth open.
 pub fn choose_stream_plan(
     device: &DeviceSpec,
     rows: usize,
@@ -333,12 +360,6 @@ pub fn choose_stream_plan(
     })
 }
 
-/// A host-side row chunk plus its global row offset.
-struct HostChunk {
-    start: usize,
-    host: CsrMatrix,
-}
-
 /// A chunk kept device-resident under the residency budget.
 struct ResidentChunk {
     dev: GpuCsr,
@@ -360,32 +381,22 @@ pub struct SparseStreamer<'g> {
     depth: usize,
     queues: usize,
     resident_bytes_cap: u64,
-    rows: usize,
-    cols: usize,
-    /// Equation-4 VS from the *full* matrix's mean nnz/row, pinned for
-    /// every chunk so chunking never changes the intra-row reduction
-    /// order (the bit-identity contract).
-    base_vs: usize,
-    chunks: Vec<HostChunk>,
+    /// The chunks, in order. Its wall clock runs the modeled pipeline wall
+    /// of each pass, not the sum of launches.
+    ranges: RowRanges,
     resident: Vec<Option<ResidentChunk>>,
     resident_bytes: u64,
     epoch: u64,
     residency_hits_total: u64,
-    plans: PlanCache,
-    plans_on: bool,
     y_rep: GpuBuffer,
     w_partial: GpuBuffer,
-    /// Every launch since the last [`SparseStreamer::reset`].
-    pub launches: Vec<LaunchStats>,
-    /// Modelled pipeline wall milliseconds since the last reset.
-    wall_ms: f64,
     released: bool,
 }
 
 impl<'g> SparseStreamer<'g> {
     /// Chunk `x` and set up the streaming pipeline. `None` config fields
-    /// are resolved by [`choose_stream_plan`], memoized under the plan
-    /// cache's streaming key so a long solver loop searches once.
+    /// are resolved by [`choose_stream_plan`], run here once; a solver
+    /// loop that keeps the streamer never searches again.
     pub fn try_new(
         gpu: &'g Gpu,
         x: &CsrMatrix,
@@ -402,34 +413,19 @@ impl<'g> SparseStreamer<'g> {
             return Err(StreamError::InvalidDepth);
         }
         let (rows, cols) = (x.rows(), x.cols());
-        let base_vs = vector_size_for_mean_nnz(x.mean_nnz_per_row());
         let engine_spec = CopyEngineSpec::new(cfg.queues, transfer.pcie.clone());
-        let mut plans = PlanCache::new();
-        let plans_on = fusedml_core::plan_cache_enabled();
 
         let (rows_per_chunk, depth) = match (cfg.rows_per_chunk, cfg.depth) {
             (Some(rpc), Some(d)) => (rpc, d),
             (rpc, d) => {
-                let (searched, _hit) = plans.stream_plan(
-                    plans_on,
+                let searched = choose_stream_plan(
                     gpu.spec(),
                     rows,
                     cols,
                     x.nnz() as u64,
-                    base_vs,
-                    cfg.queues,
+                    &engine_spec,
                     cfg.resident_bytes_cap,
-                    || {
-                        Ok::<_, StreamError>(choose_stream_plan(
-                            gpu.spec(),
-                            rows,
-                            cols,
-                            x.nnz() as u64,
-                            &engine_spec,
-                            cfg.resident_bytes_cap,
-                        ))
-                    },
-                )?;
+                );
                 (
                     rpc.unwrap_or(searched.rows_per_chunk),
                     d.unwrap_or(searched.depth),
@@ -437,18 +433,15 @@ impl<'g> SparseStreamer<'g> {
             }
         };
 
+        let mut ranges = RowRanges::new(x);
         let step = rows_per_chunk.min(rows.max(1));
-        let mut chunks = Vec::new();
         let mut row0 = 0usize;
         while row0 < rows {
             let c_rows = step.min(rows - row0);
-            chunks.push(HostChunk {
-                start: row0,
-                host: x.slice_rows(row0, row0 + c_rows),
-            });
+            ranges.push(x, row0, row0 + c_rows);
             row0 += c_rows;
         }
-        let resident = (0..chunks.len()).map(|_| None).collect();
+        let resident = (0..ranges.len()).map(|_| None).collect();
 
         let y_rep = gpu.try_alloc_f64("stream.y", cols)?;
         let w_partial = gpu.try_alloc_f64("stream.w_partial", cols)?;
@@ -459,20 +452,13 @@ impl<'g> SparseStreamer<'g> {
             depth,
             queues: cfg.queues,
             resident_bytes_cap: cfg.resident_bytes_cap,
-            rows,
-            cols,
-            base_vs,
-            chunks,
+            ranges,
             resident,
             resident_bytes: 0,
             epoch: 0,
             residency_hits_total: 0,
-            plans,
-            plans_on,
             y_rep,
             w_partial,
-            launches: Vec::new(),
-            wall_ms: 0.0,
             released: false,
         })
     }
@@ -482,34 +468,22 @@ impl<'g> SparseStreamer<'g> {
         self.gpu
     }
 
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Chunk count of the resolved schedule.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.ranges.len()
     }
 
     /// Rows per body chunk of the resolved schedule.
     pub fn rows_per_chunk(&self) -> usize {
-        self.chunks
-            .first()
-            .map_or(self.rows.max(1), |c| c.host.rows())
+        self.ranges
+            .iter()
+            .next()
+            .map_or(self.ranges.rows().max(1), |c| c.host.rows())
     }
 
     /// Pipeline depth of the resolved schedule.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// The VS every chunk kernel is pinned to.
-    pub fn base_vs(&self) -> usize {
-        self.base_vs
     }
 
     /// Bytes currently held by device-resident chunks.
@@ -527,58 +501,38 @@ impl<'g> SparseStreamer<'g> {
         self.engine.stats()
     }
 
-    /// Enable/disable launch-plan memoization (mirrors the sharded
-    /// executor; the default follows the process-wide setting).
+    /// Enable/disable launch-plan memoization (the default follows the
+    /// process-wide setting).
     pub fn set_plan_cache(&mut self, enabled: bool) {
-        self.plans_on = enabled;
+        self.ranges.set_plan_cache(enabled);
     }
 
-    /// Merged plan-cache traffic (per-chunk launch plans + the memoized
-    /// streaming configuration).
+    /// Per-chunk launch-plan traffic: `plans_computed` is the number of
+    /// distinct chunk shapes planned (at most two — body and remainder),
+    /// not the number of chunks.
     pub fn plan_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+        self.ranges.plan_stats()
     }
 
-    /// Traffic of the per-chunk launch-plan side alone: `plans_computed`
-    /// here is the number of distinct chunk shapes planned (at most two —
-    /// body and remainder), not the number of chunks.
+    /// [`Self::plan_stats`] by what it counts: every plan a streamer
+    /// computes is a chunk plan.
     pub fn chunk_plan_stats(&self) -> PlanCacheStats {
-        self.plans.sparse_stats()
-    }
-
-    /// Traffic of the memoized streaming-configuration side alone.
-    pub fn stream_plan_stats(&self) -> PlanCacheStats {
-        self.plans.stream_stats()
-    }
-
-    /// Zero the plan-cache traffic counters (entries stay warm).
-    pub fn reset_plan_stats(&mut self) {
-        self.plans.reset_stats();
-    }
-
-    /// Modelled wall milliseconds since the last [`Self::reset`].
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ms
+        self.ranges.plan_stats()
     }
 
     pub fn launch_count(&self) -> usize {
-        self.launches.len()
+        self.ranges.launch_count()
     }
 
     /// Hardware counters merged over every launch since the last reset.
     pub fn counters_total(&self) -> Counters {
-        let mut total = Counters::default();
-        for l in &self.launches {
-            total.merge(&l.counters);
-        }
-        total
+        self.ranges.counters_total()
     }
 
     /// Clear the per-run ledger (launches + wall). Residency, plans and
     /// copy-engine totals persist — they are cross-iteration state.
     pub fn reset(&mut self) {
-        self.launches.clear();
-        self.wall_ms = 0.0;
+        self.ranges.reset();
     }
 
     /// Release every device allocation (persistent vectors and resident
@@ -630,7 +584,7 @@ impl<'g> SparseStreamer<'g> {
             self.residency_hits_total += 1;
             return Ok((rc.dev.clone(), 0, true, false));
         }
-        let dev = GpuCsr::try_upload(self.gpu, "stream.chunk", &self.chunks[i].host)?;
+        let dev = GpuCsr::try_upload(self.gpu, "stream.chunk", &self.ranges[i].host)?;
         let bytes = dev.size_bytes();
         if bytes <= self.resident_bytes_cap {
             // Make room from entries no pass is currently using. Entries
@@ -660,21 +614,6 @@ impl<'g> SparseStreamer<'g> {
             }
         }
         Ok((dev, bytes, false, true))
-    }
-
-    /// Launch plan for a chunk with `c_rows` rows, memoized by shape:
-    /// every equal-sized chunk shares one entry, so a pass computes at
-    /// most two plans (body + remainder) no matter how many chunks it has.
-    fn chunk_plan(&mut self, c_rows: usize) -> Result<SparsePlan, StreamError> {
-        let spec = self.gpu.spec();
-        let (n, vs) = (self.cols, self.base_vs);
-        let (plan, _cached) = self
-            .plans
-            .sparse_plan(self.plans_on, spec, c_rows, n, vs, || {
-                try_plan_sparse_with_vs(spec, c_rows, n, vs)
-            })
-            .map_err(DeviceError::from)?;
-        Ok(plan)
     }
 
     /// Charge one H2D transfer on `queue`: bus time from the copy engine
@@ -725,7 +664,7 @@ impl<'g> SparseStreamer<'g> {
         report.overlapped_ms = pm.wall_ms;
         report.bubble_ms = pm.bubble_ms;
         report.serial_ms = report.transfer_ms + report.kernel_ms;
-        self.wall_ms += pm.wall_ms;
+        self.ranges.add_wall_ms(pm.wall_ms);
         report
     }
 
@@ -740,38 +679,15 @@ impl<'g> SparseStreamer<'g> {
         z: Option<&[f64]>,
         w: &mut [f64],
     ) -> Result<StreamReport, StreamError> {
-        if y.len() != self.cols {
-            return Err(StreamError::ShapeMismatch {
-                what: "y",
-                expected: self.cols,
-                got: y.len(),
-            });
-        }
+        let (rows, cols) = (self.ranges.rows(), self.ranges.cols());
+        expect_len("y", cols, y.len())?;
         if let Some(v) = v {
-            if v.len() != self.rows {
-                return Err(StreamError::ShapeMismatch {
-                    what: "v",
-                    expected: self.rows,
-                    got: v.len(),
-                });
-            }
+            expect_len("v", rows, v.len())?;
         }
         if let Some(z) = z {
-            if z.len() != self.cols {
-                return Err(StreamError::ShapeMismatch {
-                    what: "z",
-                    expected: self.cols,
-                    got: z.len(),
-                });
-            }
+            expect_len("z", cols, z.len())?;
         }
-        if w.len() != self.cols {
-            return Err(StreamError::ShapeMismatch {
-                what: "w",
-                expected: self.cols,
-                got: w.len(),
-            });
-        }
+        expect_len("w", cols, w.len())?;
         if spec.with_v != v.is_some() {
             return Err(StreamError::SpecMismatch {
                 what: "v",
@@ -788,7 +704,7 @@ impl<'g> SparseStreamer<'g> {
         self.epoch += 1;
         let mut report = self.new_report();
         self.y_rep.copy_from_f64(y);
-        let lead_bytes = (self.cols * 8) as u64;
+        let lead_bytes = (cols * 8) as u64;
         let lead_ms = self.charge_h2d(0, lead_bytes);
         report.h2d_bytes += lead_bytes;
         report.transfer_ms += lead_ms;
@@ -804,12 +720,12 @@ impl<'g> SparseStreamer<'g> {
 
         // Canonical epilogue initialization: beta * z before any chunk
         // contribution, so the summation order is chunking-invariant.
-        epilogue_init(w, spec.beta, z);
+        self.ranges.epilogue_init(w, spec.beta, z);
 
-        let mut costs = Vec::with_capacity(self.chunks.len());
+        let mut costs = Vec::with_capacity(self.ranges.len());
         let mut next_q = 1usize; // queue 0 carried the lead-in
-        for i in 0..self.chunks.len() {
-            let (start, c_rows) = (self.chunks[i].start, self.chunks[i].host.rows());
+        for i in 0..self.ranges.len() {
+            let (start, c_rows) = (self.ranges[i].start, self.ranges[i].host.rows());
             let flow_id = if fusedml_trace::is_enabled() {
                 let id = NEXT_FLOW_ID.fetch_add(1, Ordering::Relaxed);
                 // Arrow root on the host track: binds to the enclosing
@@ -856,7 +772,8 @@ impl<'g> SparseStreamer<'g> {
             }
 
             let plan = self
-                .chunk_plan(c_rows)
+                .ranges
+                .plan(self.gpu.spec(), c_rows)
                 .inspect_err(|_| self.free_transients(&dev, transient, vd.as_ref()))?;
             let ud = self
                 .gpu
@@ -884,8 +801,8 @@ impl<'g> SparseStreamer<'g> {
                     spec.alpha,
                 )?;
                 let kernel_ms = fill.sim_ms() + ks.sim_ms();
-                self.launches.push(fill);
-                self.launches.push(ks);
+                self.ranges.launches.push(fill);
+                self.ranges.launches.push(ks);
                 Ok(kernel_ms)
             })();
             let u = ud.to_vec_f64();
@@ -895,7 +812,7 @@ impl<'g> SparseStreamer<'g> {
 
             // Canonical epilogue: ascending global rows, so every bit of
             // w is independent of the chunk layout.
-            epilogue_rows(w, spec.alpha, &self.chunks[i].host, &u);
+            self.ranges[i].epilogue_rows(w, spec.alpha, &u);
 
             costs.push(ChunkCost {
                 transfer_ms: t_ms,
@@ -912,33 +829,22 @@ impl<'g> SparseStreamer<'g> {
     /// `out = X * y` (length m), streamed: row-local work, so trivially
     /// chunking-invariant.
     pub fn try_mv_host(&mut self, y: &[f64], out: &mut [f64]) -> Result<StreamReport, StreamError> {
-        if y.len() != self.cols {
-            return Err(StreamError::ShapeMismatch {
-                what: "y",
-                expected: self.cols,
-                got: y.len(),
-            });
-        }
-        if out.len() != self.rows {
-            return Err(StreamError::ShapeMismatch {
-                what: "out",
-                expected: self.rows,
-                got: out.len(),
-            });
-        }
+        let cols = self.ranges.cols();
+        expect_len("y", cols, y.len())?;
+        expect_len("out", self.ranges.rows(), out.len())?;
         self.epoch += 1;
         let mut report = self.new_report();
         self.y_rep.copy_from_f64(y);
-        let lead_bytes = (self.cols * 8) as u64;
+        let lead_bytes = (cols * 8) as u64;
         let lead_ms = self.charge_h2d(0, lead_bytes);
         report.h2d_bytes += lead_bytes;
         report.transfer_ms += lead_ms;
 
-        let mut costs = Vec::with_capacity(self.chunks.len());
+        let mut costs = Vec::with_capacity(self.ranges.len());
         let mut next_q = 1usize;
-        let vs = self.base_vs;
-        for i in 0..self.chunks.len() {
-            let (start, c_rows) = (self.chunks[i].start, self.chunks[i].host.rows());
+        let vs = self.ranges.base_vs();
+        for i in 0..self.ranges.len() {
+            let (start, c_rows) = (self.ranges[i].start, self.ranges[i].host.rows());
             let (dev, x_bytes, hit, transient) = self.try_acquire_chunk(i)?;
             if hit {
                 report.residency_hits += 1;
@@ -955,10 +861,10 @@ impl<'g> SparseStreamer<'g> {
                 .try_alloc_f64("stream.p", c_rows)
                 .inspect_err(|_| self.free_transients(&dev, transient, None))?;
             let run = (|| -> Result<f64, StreamError> {
-                // VS fixed from the full matrix (see `base_vs`).
+                // VS fixed from the full matrix (see `RowRanges::base_vs`).
                 let s = try_csrmv(self.gpu, &dev, &self.y_rep, &p, SpmvStyle::Vector { vs })?;
                 let kernel_ms = s.sim_ms();
-                self.launches.push(s);
+                self.ranges.launches.push(s);
                 Ok(kernel_ms)
             })();
             let p_host = p.to_vec_f64();
@@ -987,26 +893,14 @@ impl<'g> SparseStreamer<'g> {
         u: &[f64],
         out: &mut [f64],
     ) -> Result<StreamReport, StreamError> {
-        if u.len() != self.rows {
-            return Err(StreamError::ShapeMismatch {
-                what: "u",
-                expected: self.rows,
-                got: u.len(),
-            });
-        }
-        if out.len() != self.cols {
-            return Err(StreamError::ShapeMismatch {
-                what: "out",
-                expected: self.cols,
-                got: out.len(),
-            });
-        }
+        expect_len("u", self.ranges.rows(), u.len())?;
+        expect_len("out", self.ranges.cols(), out.len())?;
         self.epoch += 1;
         let mut report = self.new_report();
 
-        let mut costs = Vec::with_capacity(self.chunks.len());
-        for i in 0..self.chunks.len() {
-            let (start, c_rows) = (self.chunks[i].start, self.chunks[i].host.rows());
+        let mut costs = Vec::with_capacity(self.ranges.len());
+        for i in 0..self.ranges.len() {
+            let (start, c_rows) = (self.ranges[i].start, self.ranges[i].host.rows());
             let (dev, x_bytes, hit, transient) = self.try_acquire_chunk(i)?;
             if hit {
                 report.residency_hits += 1;
@@ -1022,7 +916,8 @@ impl<'g> SparseStreamer<'g> {
             let t_ms = self.charge_h2d(q, chunk_bytes);
 
             let plan = self
-                .chunk_plan(c_rows)
+                .ranges
+                .plan(self.gpu.spec(), c_rows)
                 .inspect_err(|_| self.free_transients(&dev, transient, Some(&vd)))?;
             let run = (|| -> Result<f64, StreamError> {
                 let fill = level1::try_fill(self.gpu, &self.w_partial, 0.0)?;
@@ -1032,8 +927,8 @@ impl<'g> SparseStreamer<'g> {
                     try_fused_xt_p_global(self.gpu, &plan, alpha, &dev, &vd, &self.w_partial)?
                 };
                 let kernel_ms = fill.sim_ms() + s.sim_ms();
-                self.launches.push(fill);
-                self.launches.push(s);
+                self.ranges.launches.push(fill);
+                self.ranges.launches.push(s);
                 Ok(kernel_ms)
             })();
             self.free_transients(&dev, transient, Some(&vd));
@@ -1049,11 +944,7 @@ impl<'g> SparseStreamer<'g> {
             report.kernel_ms += kernel_ms;
         }
 
-        epilogue_init(out, 0.0, None);
-        for chunk in &self.chunks {
-            let rows = chunk.start..chunk.start + chunk.host.rows();
-            epilogue_rows(out, alpha, &chunk.host, &u[rows]);
-        }
+        self.ranges.epilogue_tmv(out, alpha, u);
         Ok(self.finish(report, 0.0, 0, &costs))
     }
 }
@@ -1061,6 +952,51 @@ impl<'g> SparseStreamer<'g> {
 impl Drop for SparseStreamer<'_> {
     fn drop(&mut self) {
         self.release();
+    }
+}
+
+/// The products without their reports, for the one `MatrixEngine`
+/// adapter over row-range executors.
+impl RowRangeExecutor for SparseStreamer<'_> {
+    fn ranges(&self) -> &RowRanges {
+        &self.ranges
+    }
+
+    fn ranges_mut(&mut self) -> &mut RowRanges {
+        &mut self.ranges
+    }
+
+    fn try_pattern_host(
+        &mut self,
+        spec: PatternSpec,
+        v: Option<&[f64]>,
+        y: &[f64],
+        z: Option<&[f64]>,
+        w: &mut [f64],
+    ) -> Result<(), DeviceError> {
+        SparseStreamer::try_pattern_host(self, spec, v, y, z, w).map_err(device_err)?;
+        Ok(())
+    }
+
+    fn try_mv_host(&mut self, y: &[f64], out: &mut [f64]) -> Result<(), DeviceError> {
+        SparseStreamer::try_mv_host(self, y, out).map_err(device_err)?;
+        Ok(())
+    }
+
+    fn try_tmv_host(&mut self, alpha: f64, u: &[f64], out: &mut [f64]) -> Result<(), DeviceError> {
+        SparseStreamer::try_tmv_host(self, alpha, u, out).map_err(device_err)?;
+        Ok(())
+    }
+}
+
+/// Map a streaming failure onto the backend error surface. Device faults
+/// pass through (the recovery ladder consumes them); shape and
+/// configuration errors from inside a backend call are caller bugs,
+/// reported the way the other device backends report them — a panic.
+fn device_err(e: StreamError) -> DeviceError {
+    match e {
+        StreamError::Device(e) => e,
+        other => panic!("streamed backend misuse: {other}"),
     }
 }
 
@@ -1652,19 +1588,15 @@ mod tests {
         }
     }
 
-    /// The memoized streaming-configuration search: `auto()` resolves
-    /// through the plan cache's streaming key and produces a usable
-    /// schedule.
+    /// `auto()` resolves the schedule through the configuration search
+    /// and produces a usable, correct one.
     #[test]
-    fn auto_config_searches_once_and_memoizes() {
+    fn auto_config_resolves_a_usable_schedule() {
         let g = gpu();
         let x = uniform_sparse(4000, 200, 0.05, 120);
         let y = random_vector(200, 121);
-        fusedml_core::set_plan_cache_enabled(true);
         let mut s =
             SparseStreamer::try_new(&g, &x, TransferModel::native(), StreamConfig::auto()).unwrap();
-        fusedml_core::set_plan_cache_enabled(false);
-        assert_eq!(s.stream_plan_stats().plans_computed(), 1);
         assert!(s.depth() >= 1 && s.depth() <= SEARCH_MAX_DEPTH);
         assert!(s.rows_per_chunk() >= 1);
         let mut w = vec![0.0; 200];
