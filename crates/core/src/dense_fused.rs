@@ -117,9 +117,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                 let tid0 = wc.tid(0);
                 let lids = lane_lids(tid0);
                 for ci in 0..c {
-                    let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
+                    let Some(step) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                         break;
                     };
+                    let rows = step.per_lane(vs);
                     // lines 11-13: read the row, dot with l_y.
                     let mut lx = [[0.0f64; TL]; WARP_LANES];
                     let mut sum = [0.0f64; WARP_LANES];
@@ -142,7 +143,7 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     // line 20's v[row] scaling (done by one thread, broadcast
                     // free through the shuffle result).
                     let p_r = if let Some(v) = v {
-                        let vr = wc.load_f64_tex(v, |l| rows[l]);
+                        let vr = wc.load_f64_tex_grouped(v, step.first, step.lanes, vs);
                         let mut p = [0.0f64; WARP_LANES];
                         for lane in 0..WARP_LANES {
                             p[lane] = sum[lane] * vr[lane];

@@ -54,7 +54,7 @@ pub fn try_fused_pattern_global(
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
                 };
-                fused_row_step(wc, x, y, v, None, vs, &rows, |wc, idx, cols, contrib| {
+                fused_row_step(wc, x, y, v, None, vs, rows, |wc, idx, cols, contrib| {
                     // Inter-vector aggregation straight to global memory.
                     wc.atomic_add_f64(w, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
@@ -111,8 +111,8 @@ pub fn try_fused_xt_p_global(
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
                 };
-                let strips = RowStrips::load(wc, x, &rows, vs);
-                let pr = wc.load_f64_tex(p, |l| rows[l]);
+                let strips = RowStrips::load(wc, x, rows, vs);
+                let pr = wc.load_f64_tex_grouped(p, rows.first, rows.lanes, vs);
 
                 let mut idx = [None; WARP_LANES];
                 for iter in 0.. {
