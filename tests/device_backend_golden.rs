@@ -351,14 +351,14 @@ sharded 1: weights 0x999c0167769629ef
   patterns {"X^T x (X x y) + b * z": 8, "X^T x (v . (X x y)) + b * z": 4, "a * X^T x y": 2}
   counters gld_instructions=2903 gld_transactions=22878 gst_instructions=321 gst_transactions=1566 dram_read_bytes=31200 dram_write_bytes=201568 l2_read_bytes=705728 tex_read_bytes=72832 tex_transactions=2348 global_atomics=4733 global_atomics_int=0 global_atomic_warp_conflicts=0 shared_accesses=9437 shared_atomics=13672 shared_bank_conflicts=7364 shuffle_instructions=1370 divergent_instructions=163 inactive_lanes=1384 flops=110896 barriers=421 kernel_launches=121
   atomic_samples (13, 141, 2965221941232474753)
-  plan PlanCacheStats { hits: 15, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
+  plan PlanCacheStats { hits: 13, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
   pool PoolStats { hits: 8, misses: 12, bytes_recycled: 8448, reclaimed: 19, retained_bytes: 9984, attached_devices: 0, outstanding_bytes: 25128, peak_outstanding_bytes: 35080 }
 sharded 3: weights 0x999c0167769629ef
   sim_ms 0x3fec8b0320c0ea66 occupancy_ms 0x3ff1ece12cefd426 launches 181 probe_addr 29056
   patterns {"X^T x (X x y) + b * z": 8, "X^T x (v . (X x y)) + b * z": 4, "a * X^T x y": 2}
   counters gld_instructions=2903 gld_transactions=22878 gst_instructions=349 gst_transactions=1734 dram_read_bytes=27360 dram_write_bytes=508000 l2_read_bytes=711168 tex_read_bytes=72704 tex_transactions=2348 global_atomics=14141 global_atomics_int=0 global_atomic_warp_conflicts=0 shared_accesses=28253 shared_atomics=13672 shared_bank_conflicts=7364 shuffle_instructions=1370 divergent_instructions=163 inactive_lanes=1384 flops=120304 barriers=1205 kernel_launches=181
   atomic_samples (13, 421, 9104190079258268076)
-  plan PlanCacheStats { hits: 47, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
+  plan PlanCacheStats { hits: 41, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
   pool PoolStats { hits: 8, misses: 12, bytes_recycled: 8448, reclaimed: 19, retained_bytes: 9984, attached_devices: 0, outstanding_bytes: 12840, peak_outstanding_bytes: 22792 }
 streamed whole: weights 0x999c0167769629ef
   sim_ms 0x3ff1b4e01cc5ea2e occupancy_ms 0x3fe5d32ff818fbb8 launches 121 probe_addr 262016

@@ -13,7 +13,7 @@
 //! passes. The reset clears the launch ledger and the modeled wall clock
 //! but keeps the plans, so the second pass computes no plan.
 
-use fusedml_core::{PatternSpec, RowRangeExecutor, ShardedExecutor};
+use fusedml_core::{PatternSpec, PlanCacheStats, RowRangeExecutor, ShardedExecutor};
 use fusedml_gpu_sim::{DeviceError, DeviceGroup, DeviceSpec, FaultProfile, Gpu, InterconnectSpec};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::{reference, CsrMatrix};
@@ -144,4 +144,51 @@ fn shards_and_chunks_agree_bit_for_bit() {
     let mut expect_t = reference::csr_tmv(&ops.x, &ops.u);
     reference::scal(0.75, &mut expect_t);
     assert!(reference::rel_l2_error(t, &expect_t) < 1e-12);
+}
+
+/// `X y` runs the CSR-vector kernel, which takes no launch plan, so a
+/// sharded `X y` makes none. A GTX Titan that allows 32 registers per
+/// thread launches that kernel (28 registers) but cannot plan the fused
+/// kernels (43): there `X y` runs and gives the bits it gives on a Titan,
+/// while `alpha X^T u` fails to plan.
+#[test]
+fn a_sharded_x_y_makes_no_plan() {
+    let x = uniform_sparse(ROWS, COLS, 0.05, 0x5EED);
+    let (y, u) = (random_vector(COLS, 2), random_vector(ROWS, 4));
+    let titan = DeviceSpec::gtx_titan();
+    let few_registers = DeviceSpec {
+        max_regs_per_thread: 32,
+        ..DeviceSpec::gtx_titan()
+    };
+    let mut outs = Vec::new();
+    for spec in [titan, few_registers.clone()] {
+        let g = DeviceGroup::new(
+            spec,
+            3,
+            InterconnectSpec::pcie_gen3_x16(),
+            &FaultProfile::disabled(),
+        );
+        let mut ex = ShardedExecutor::try_new(&g, &x).unwrap_or_else(|e| panic!("{e}"));
+        let mut p = vec![0.0; ROWS];
+        ok(ex.try_mv_host(&y, &mut p));
+        assert_eq!(ex.ranges().plan_stats(), PlanCacheStats::default());
+        assert_eq!(ex.ranges().launch_count(), 3);
+        outs.push(p.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+    assert_eq!(outs[0], outs[1]);
+
+    let g = DeviceGroup::new(
+        few_registers,
+        3,
+        InterconnectSpec::pcie_gen3_x16(),
+        &FaultProfile::disabled(),
+    );
+    let mut ex = ShardedExecutor::try_new(&g, &x).unwrap_or_else(|e| panic!("{e}"));
+    let err = ex
+        .try_tmv_host(0.75, &u, &mut vec![0.0; COLS])
+        .expect_err("the fused kernel has no plan on this spec");
+    assert!(
+        err.to_string().contains("no feasible sparse launch plan"),
+        "{err}"
+    );
 }
