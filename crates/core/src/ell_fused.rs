@@ -106,7 +106,7 @@ pub fn try_fused_pattern_ell(
                 // column-major, so the warp's rows read one run per slot.
                 let mut sum = [0.0f64; WARP_LANES];
                 for slot in 0..width {
-                    let cols = wc.load_u32_run(&x.col_idx, slot * m + row0, m - row0);
+                    let cols = wc.load_u32_grouped(&x.col_idx, slot * m + row0, m - row0, 1);
                     let vals = wc.load_f64_run(&x.values, slot * m + row0, m - row0);
                     let ys = wc.load_f64_tex(y, |l| {
                         (row0 + l < m && cols[l] != ELL_PAD).then(|| cols[l] as usize)
@@ -130,7 +130,7 @@ pub fn try_fused_pattern_ell(
                 }
                 // Pass 2: scatter X[r,:]^T * p[r]; slots now cache-hot.
                 for slot in 0..width {
-                    let cols = wc.load_u32_run(&x.col_idx, slot * m + row0, m - row0);
+                    let cols = wc.load_u32_grouped(&x.col_idx, slot * m + row0, m - row0, 1);
                     let vals = wc.load_f64_run(&x.values, slot * m + row0, m - row0);
                     let mut active = 0u64;
                     for lane in 0..WARP_LANES {

@@ -70,7 +70,8 @@ pub use counters::{AggregationBreakdown, Counters};
 pub use device::DeviceSpec;
 pub use error::DeviceError;
 pub use exec::{
-    BlockCtx, Gpu, IntegrityStats, LaunchConfig, LaunchStats, Shared, WarpCtx, WARP_LANES,
+    BlockCtx, Gpu, IntegrityStats, LaunchConfig, LaunchStats, Shared, WarpCtx, LOAD_LOG_CAPACITY,
+    WARP_LANES,
 };
 pub use fault::{FaultCounts, FaultInjector, FaultProfile, MemoryPressure};
 pub use group::{DeviceGroup, InterconnectStats};
