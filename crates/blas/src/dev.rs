@@ -2,6 +2,7 @@
 //! (`values`, `col_idx`, `row_off`) and row-major dense storage, mirroring
 //! what cuSPARSE/cuBLAS operate on.
 
+use crate::strips::StripTables;
 use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer};
 use fusedml_matrix::{CsrMatrix, DenseMatrix};
 
@@ -19,6 +20,9 @@ pub struct GpuCsr {
     /// device `csr2csc`, whose scatter order is nondeterministic). SpMV is
     /// order-insensitive so this only matters for host downloads.
     pub unsorted: bool,
+    /// The strip tables of the fused kernels' launches on this matrix
+    /// (see [`GpuCsr::strip_table`]), shared by its clones.
+    pub(crate) strips: StripTables,
 }
 
 impl GpuCsr {
@@ -56,6 +60,7 @@ impl GpuCsr {
             col_idx,
             values,
             unsorted: false,
+            strips: StripTables::default(),
         })
     }
 

@@ -31,6 +31,7 @@ pub mod engine;
 pub mod exec;
 pub mod gemv;
 pub mod level1;
+pub mod strips;
 pub mod transpose;
 
 pub use cpu::{
@@ -52,4 +53,5 @@ pub use exec::{
     MtWorkspace, ScalarExecutor, CANONICAL_BLOCKS,
 };
 pub use gemv::{gemv, gemv_t, gemv_t_direct, try_gemv, try_gemv_t, try_gemv_t_direct};
+pub use strips::{Strip, StripTable, Strips};
 pub use transpose::{csr2csc_device, total_sim_ms, try_csr2csc_device};

@@ -281,6 +281,7 @@ pub fn try_csr2csc_device(
         col_idx: row_idx_out,
         values: values_out,
         unsorted: true,
+        strips: Default::default(),
     };
     Ok((xt, launches))
 }

@@ -31,7 +31,8 @@
 use crate::pattern::PatternSpec;
 use crate::rowranges::{RowRangeExecutor, RowRanges};
 use crate::sparse_fused::{
-    each_row_warp, flush_shared, fused_row_step, lane_rows, try_fused_xt_p_shared, zero_shared,
+    each_row_warp, flush_shared, fused_row_step, lane_rows, strip_table, try_fused_xt_p_shared,
+    zero_shared,
 };
 use crate::sparse_large::try_fused_xt_p_global;
 use crate::tuner::SparsePlan;
@@ -84,6 +85,8 @@ pub fn try_fused_pattern_shard(
     let cfg = LaunchConfig::new(plan.grid, plan.bs)
         .with_regs(plan.regs)
         .with_shared_bytes(plan.shared_bytes);
+    // The matrix's strip table, which both variants replay.
+    let t = strip_table(gpu, x, plan);
 
     if plan.use_shared_w {
         gpu.try_launch("fused_sparse_shard", cfg, |blk| {
@@ -100,9 +103,9 @@ pub fn try_fused_pattern_shard(
                     };
                     // The shard twist: the row step also persists p_r to u
                     // (one store per row), the epilogue's input.
-                    fused_row_step(wc, x, y, v, Some(u), vs, rows, |wc, idx, cols, contrib| {
-                        wc.shared_atomic_add(sd, |lane| {
-                            idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
+                    fused_row_step(wc, x, &t, y, v, Some(u), rows, |wc, s, cols, contrib| {
+                        wc.shared_atomic_add_replay(sd, s.conflicts, s.mask, |lane| {
+                            (cols[lane] as usize, contrib[lane])
                         });
                     });
                 }
@@ -122,9 +125,10 @@ pub fn try_fused_pattern_shard(
                     };
                     // The shard twist: the row step also persists p_r to u
                     // (one store per row), the epilogue's input.
-                    fused_row_step(wc, x, y, v, Some(u), vs, rows, |wc, idx, cols, contrib| {
+                    fused_row_step(wc, x, &t, y, v, Some(u), rows, |wc, s, cols, contrib| {
                         wc.atomic_add_f64(w_partial, |lane| {
-                            idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
+                            s.has(lane)
+                                .then(|| (cols[lane] as usize, alpha * contrib[lane]))
                         });
                     });
                 }

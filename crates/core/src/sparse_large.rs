@@ -7,10 +7,12 @@
 //! ultra-sparse data rarely collides on a column.
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::{beta_z_init, each_row_warp, fused_row_step, lane_rows, RowStrips};
+use crate::sparse_fused::{
+    beta_z_init, each_row_warp, fused_row_step, lane_rows, strip_table, RowStrips,
+};
 use crate::tuner::SparsePlan;
 use fusedml_blas::GpuCsr;
-use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
+use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats};
 
 /// Algorithm 2 with global-memory aggregation. Requires
 /// `!plan.use_shared_w`. `w` must be zeroed by the caller.
@@ -42,6 +44,7 @@ pub fn try_fused_pattern_global(
         .with_shared_bytes(plan.shared_bytes);
     let alpha = spec.alpha;
     let beta = spec.beta;
+    let table = strip_table(gpu, x, plan);
 
     gpu.try_launch("fused_sparse_global", cfg, |blk| {
         if let Some(z) = z {
@@ -54,12 +57,13 @@ pub fn try_fused_pattern_global(
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
                 };
-                fused_row_step(wc, x, y, v, None, vs, rows, |wc, idx, cols, contrib| {
+                fused_row_step(wc, x, &table, y, v, None, rows, |wc, s, cols, contrib| {
                     // Inter-vector aggregation straight to global memory.
                     wc.atomic_add_f64(w, |lane| {
-                        idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
+                        s.has(lane)
+                            .then(|| (cols[lane] as usize, alpha * contrib[lane]))
                     });
-                    wc.flops(idx.iter().flatten().count() as u64);
+                    wc.flops(s.active());
                 });
             }
         });
@@ -102,6 +106,7 @@ pub fn try_fused_xt_p_global(
     let cfg = LaunchConfig::new(plan.grid, plan.bs)
         .with_regs(32)
         .with_shared_bytes(plan.shared_bytes);
+    let table = strip_table(gpu, x, plan);
 
     gpu.try_launch("fused_xt_p_global", cfg, |blk| {
         let block_id = blk.block_id();
@@ -111,20 +116,14 @@ pub fn try_fused_xt_p_global(
                 let Some(rows) = lane_rows(block_id, nv, total_vectors, vs, tid0, ci, m) else {
                     break;
                 };
-                let strips = RowStrips::load(wc, x, rows, vs);
+                let strips = RowStrips::load(wc, x, &table, rows);
                 let pr = wc.load_f64_tex_grouped(p, rows.first, rows.lanes, vs);
-
-                let mut idx = [None; WARP_LANES];
-                for iter in 0.. {
-                    let active = strips.strip(iter, &mut idx);
-                    if active == 0 {
-                        break;
-                    }
-                    let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
-                    let vals = wc.load_f64(&x.values, |l| idx[l]);
-                    wc.flops(3 * active);
+                for s in strips.strips() {
+                    let (cols, vals) = strips.cells(wc, x, &s);
+                    wc.flops(3 * s.active());
                     wc.atomic_add_f64(w, |lane| {
-                        idx[lane].map(|_| (cols[lane] as usize, alpha * vals[lane] * pr[lane]))
+                        s.has(lane)
+                            .then(|| (cols[lane] as usize, alpha * vals[lane] * pr[lane]))
                     });
                 }
             }

@@ -54,6 +54,7 @@ pub mod device;
 pub mod error;
 pub mod exec;
 pub mod fault;
+pub mod footprint;
 pub mod group;
 pub mod memory;
 pub mod occupancy;
@@ -70,10 +71,11 @@ pub use counters::{AggregationBreakdown, Counters};
 pub use device::DeviceSpec;
 pub use error::DeviceError;
 pub use exec::{
-    BlockCtx, Gpu, IntegrityStats, LaunchConfig, LaunchStats, Shared, WarpCtx, LOAD_LOG_CAPACITY,
+    for_each_lane, BlockCtx, Gpu, IntegrityStats, LaunchConfig, LaunchStats, Shared, WarpCtx,
     WARP_LANES,
 };
 pub use fault::{FaultCounts, FaultInjector, FaultProfile, MemoryPressure};
+pub use footprint::{BankConflicts, Footprints, LoadFootprint};
 pub use group::{DeviceGroup, InterconnectStats};
 pub use memory::{fnv1a_cells, Elem, GpuBuffer};
 pub use occupancy::{occupancy, Limiter, Occupancy};

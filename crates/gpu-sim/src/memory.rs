@@ -196,6 +196,7 @@ impl GpuBuffer {
 
     // ----- host-side (cudaMemcpy-like) access; not event counted -----
 
+    #[inline]
     pub fn host_read_f64(&self, idx: usize) -> f64 {
         debug_assert_eq!(self.inner.elem, Elem::F64);
         f64::from_bits(self.raw_load(idx))
@@ -206,6 +207,7 @@ impl GpuBuffer {
         self.raw_store(idx, v.to_bits());
     }
 
+    #[inline]
     pub fn host_read_u32(&self, idx: usize) -> u32 {
         debug_assert_eq!(self.inner.elem, Elem::U32);
         self.raw_load(idx) as u32

@@ -18,12 +18,13 @@ pub fn bank_conflict_replays(word_indices: &[usize], banks: usize) -> u64 {
 }
 
 /// Bank-conflict replays of one warp-wide access, and how many active lanes
-/// repeat a word an earlier lane already touched. Allocation-free: the
-/// distinct words are chained per bank in fixed arrays, so a lane compares
-/// only against earlier words of its own bank (a word always maps to the
-/// same bank, `word & (banks - 1)`).
+/// repeat a word an earlier lane already touched. Allocation-free: a
+/// 64-bit mask of each distinct word's low six bits tells a new word from a
+/// repeat in one test, and only a word whose low bits an earlier word had
+/// compares against the distinct words so far. Each new word adds one to
+/// its bank's degree (a word always maps to the same bank, `word & (banks -
+/// 1)`), and the busiest bank replays one time fewer than its degree.
 pub(crate) fn replays_and_repeats(word_indices: &[usize], banks: usize) -> (u64, u64) {
-    const NIL: u8 = u8::MAX;
     assert!(
         banks.is_power_of_two() && banks <= MAX_BANKS,
         "{banks} shared-memory banks; a power of two up to {MAX_BANKS} supported"
@@ -39,30 +40,20 @@ pub(crate) fn replays_and_repeats(word_indices: &[usize], banks: usize) -> (u64,
     }
     let bank_mask = banks - 1;
     let mut words = [0usize; WARP_LANES];
-    // `head[bank]` is the bank's latest distinct word, `next[i]` the one
-    // before word `i` in the same bank.
-    let mut next = [NIL; WARP_LANES];
-    let mut head = [NIL; MAX_BANKS];
     let mut degree = [0u8; MAX_BANKS];
-    let mut max_degree = 0;
-    let mut nw = 0;
-    let mut repeats = 0u64;
-    'lanes: for &w in word_indices {
-        let bank = w & bank_mask;
-        let mut i = head[bank];
-        while i != NIL {
-            if words[i as usize] == w {
-                repeats += 1;
-                continue 'lanes;
-            }
-            i = next[i as usize];
+    let (mut seen, mut nw, mut max_degree, mut repeats) = (0u64, 0, 0, 0u64);
+    for &w in word_indices {
+        let low = 1u64 << (w & 63);
+        if seen & low != 0 && words[..nw].contains(&w) {
+            repeats += 1;
+            continue;
         }
+        seen |= low;
         words[nw] = w;
-        next[nw] = head[bank];
-        head[bank] = nw as u8;
         nw += 1;
-        degree[bank] += 1;
-        max_degree = max_degree.max(degree[bank]);
+        let d = &mut degree[w & bank_mask];
+        *d += 1;
+        max_degree = max_degree.max(*d);
     }
     (u64::from(max_degree.saturating_sub(1)), repeats)
 }
