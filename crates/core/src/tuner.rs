@@ -11,7 +11,9 @@
 //!   `n <= 32` special case (`BS = 1024`, `TL = 1`).
 
 use fusedml_blas::vector_size_for_mean_nnz;
-use fusedml_gpu_sim::{occupancy, DeviceError, DeviceSpec, Occupancy, LATENCY_HIDING_KNEE};
+use fusedml_gpu_sim::{
+    occupancy, DeviceError, DeviceSpec, Occupancy, LATENCY_HIDING_KNEE, WARP_LANES,
+};
 use serde::{Deserialize, Serialize};
 
 /// Why the launch-parameter model could not produce a plan. Planning is
@@ -240,7 +242,8 @@ pub fn try_plan_sparse_with_vs(
 
 /// Build a fully explicit sparse plan (the Fig. 6 sweep explores the
 /// `BS x C` space by hand). Returns `None` when the configuration cannot
-/// launch (occupancy zero or shared memory over the limit).
+/// launch: a block that is not whole vectors, or neither one warp nor
+/// whole warps; occupancy zero; or shared memory over the limit.
 pub fn manual_sparse_plan(
     spec: &DeviceSpec,
     m: usize,
@@ -249,7 +252,10 @@ pub fn manual_sparse_plan(
     bs: usize,
     c: usize,
 ) -> Option<SparsePlan> {
-    if bs % vs != 0 || bs > spec.max_threads_per_block || c == 0 {
+    // A warp's rows are a row group of the matrix's strip table, so a block
+    // is one warp or whole warps.
+    let whole_warps = bs <= WARP_LANES || bs % WARP_LANES == 0;
+    if bs % vs != 0 || !whole_warps || bs > spec.max_threads_per_block || c == 0 {
         return None;
     }
     let use_shared_w = fits_in_shared(spec, n, bs, vs);
@@ -483,6 +489,24 @@ mod tests {
         // Occupancy at or beyond the latency-hiding knee (the tuner stops
         // trading block size for warps past that point).
         assert!(p.occupancy.occupancy >= 0.5);
+    }
+
+    #[test]
+    fn manual_sparse_plans_are_one_warp_or_whole_warps() {
+        let spec = titan();
+        for bs in [16, 24, 32, 64, 96, 256] {
+            assert!(
+                manual_sparse_plan(&spec, 1000, 100, 8, bs, 4).is_some(),
+                "BS {bs}"
+            );
+        }
+        for bs in [40, 48, 80, 1000] {
+            assert!(
+                manual_sparse_plan(&spec, 1000, 100, 8, bs, 4).is_none(),
+                "BS {bs}"
+            );
+        }
+        assert!(manual_sparse_plan(&spec, 1000, 100, 16, 48, 4).is_none());
     }
 
     #[test]
