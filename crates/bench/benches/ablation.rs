@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fusedml_blas::GpuCsr;
 use fusedml_core::executor::FusedExecutor;
 use fusedml_core::tuner::manual_sparse_plan;
-use fusedml_core::{plan_dense, plan_sparse, PatternSpec};
+use fusedml_core::{try_plan_dense, try_plan_sparse, PatternSpec};
 use fusedml_gpu_sim::{DeviceSpec, Gpu};
 use fusedml_matrix::gen::{dense_random, random_vector, uniform_sparse};
 use std::hint::black_box;
@@ -30,12 +30,12 @@ fn ablation_aggregation(c: &mut Criterion) {
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
     let n = 512;
     let x = uniform_sparse(M, n, 0.01, 1);
-    let xd = GpuCsr::upload(&gpu, "x", &x);
-    let y = gpu.upload_f64("y", &random_vector(n, 2));
-    let w = gpu.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&gpu, "x", &x).unwrap();
+    let y = gpu.try_upload_f64("y", &random_vector(n, 2)).unwrap();
+    let w = gpu.try_alloc_f64("w", n).unwrap();
     let spec = PatternSpec::xtxy();
 
-    let shared_plan = plan_sparse(gpu.spec(), M, n, x.mean_nnz_per_row());
+    let shared_plan = try_plan_sparse(gpu.spec(), M, n, x.mean_nnz_per_row()).unwrap();
     assert!(shared_plan.use_shared_w);
     let mut global_plan = shared_plan;
     global_plan.use_shared_w = false;
@@ -44,9 +44,11 @@ fn ablation_aggregation(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let mut a = FusedExecutor::new(&gpu);
-        a.pattern_sparse_with_plan(&shared_plan, spec, &xd, None, &y, None, &w);
+        a.try_pattern_sparse_with_plan(&shared_plan, spec, &xd, None, &y, None, &w)
+            .unwrap();
         let mut b = FusedExecutor::new(&gpu);
-        b.pattern_sparse_with_plan(&global_plan, spec, &xd, None, &y, None, &w);
+        b.try_pattern_sparse_with_plan(&global_plan, spec, &xd, None, &y, None, &w)
+            .unwrap();
         println!(
             "[ablation] aggregation, simulated: shared {:.4} ms vs global {:.4} ms",
             a.total_sim_ms(),
@@ -59,14 +61,16 @@ fn ablation_aggregation(c: &mut Criterion) {
     g.bench_function("hierarchical_shared", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_sparse_with_plan(&shared_plan, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&shared_plan, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });
     g.bench_function("all_global_atomics", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_sparse_with_plan(&global_plan, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&global_plan, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });
@@ -78,12 +82,12 @@ fn ablation_coarsening(c: &mut Criterion) {
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
     let n = 512;
     let x = uniform_sparse(M, n, 0.01, 3);
-    let xd = GpuCsr::upload(&gpu, "x", &x);
-    let y = gpu.upload_f64("y", &random_vector(n, 4));
-    let w = gpu.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&gpu, "x", &x).unwrap();
+    let y = gpu.try_upload_f64("y", &random_vector(n, 4)).unwrap();
+    let w = gpu.try_alloc_f64("w", n).unwrap();
     let spec = PatternSpec::xtxy();
 
-    let tuned = plan_sparse(gpu.spec(), M, n, x.mean_nnz_per_row());
+    let tuned = try_plan_sparse(gpu.spec(), M, n, x.mean_nnz_per_row()).unwrap();
     let uncoarsened = manual_sparse_plan(gpu.spec(), M, n, tuned.vs, tuned.bs, 1).expect("valid");
 
     let mut g = c.benchmark_group("ablation_coarsening");
@@ -91,14 +95,16 @@ fn ablation_coarsening(c: &mut Criterion) {
     g.bench_function("tuned_c", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_sparse_with_plan(&tuned, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&tuned, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });
     g.bench_function("c_equals_1", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_sparse_with_plan(&uncoarsened, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&uncoarsened, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });
@@ -110,12 +116,12 @@ fn ablation_thread_load(c: &mut Criterion) {
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
     let n = 512;
     let x = dense_random(M / 2, n, 5);
-    let xd = fusedml_blas::GpuDense::upload(&gpu, "x", &x);
-    let y = gpu.upload_f64("y", &random_vector(n, 6));
-    let w = gpu.alloc_f64("w", n);
+    let xd = fusedml_blas::GpuDense::try_upload(&gpu, "x", &x).unwrap();
+    let y = gpu.try_upload_f64("y", &random_vector(n, 6)).unwrap();
+    let w = gpu.try_alloc_f64("w", n).unwrap();
     let spec = PatternSpec::xtxy();
 
-    let tuned = plan_dense(gpu.spec(), M / 2, n);
+    let tuned = try_plan_dense(gpu.spec(), M / 2, n).unwrap();
     // TL = 1 on a 512-column row forces a block-wide (512-thread) vector:
     // no register blocking, no ILP, two barriers per row.
     let mut tl1 = tuned;
@@ -132,14 +138,16 @@ fn ablation_thread_load(c: &mut Criterion) {
     g.bench_function("tuned_tl", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_dense_with_plan(&tuned, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_dense_with_plan(&tuned, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });
     g.bench_function("tl_equals_1", |b| {
         b.iter(|| {
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_dense_with_plan(&tl1, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_dense_with_plan(&tl1, spec, &xd, None, &y, None, &w)
+                .unwrap();
             black_box(ex.total_sim_ms())
         })
     });

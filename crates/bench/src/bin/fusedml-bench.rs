@@ -20,9 +20,10 @@
 //! runtime/I-O failure, 2 = unknown subcommand, unknown flag, or other
 //! usage error.
 
-// CLI failures must go through `die`/`fail` (or a worded panic), never a
-// bare unwrap/expect — the exit-code contract above depends on it.
+// CLI failures must go through `die`/`fail`, never a panic or a bare
+// unwrap/expect — the exit-code contract above depends on it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 use fusedml_bench::regress::{
     chrome_trace, gate, hostperf_summary, hostperf_table, hostperf_totals, metrics_summary,
@@ -134,7 +135,8 @@ fn cmd_run(args: Vec<String>) {
         opts.seed
     );
     let t0 = Instant::now();
-    let report = run_suite(&opts, |id| eprintln!("  {id}"));
+    let report = run_suite(&opts, |id| eprintln!("  {id}"))
+        .unwrap_or_else(|e| fail(&format!("benchmark suite: {e}")));
     report.save(&out).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "wrote {} ({} workloads, {:.1?})",
@@ -287,7 +289,8 @@ fn cmd_trace(args: Vec<String>) {
         &data,
         &labels,
         &SessionConfig::native(EngineKind::Fused, iters),
-    );
+    )
+    .unwrap_or_else(|e| fail(&format!("traced session: {e}")));
     fusedml_trace::disable();
     let events = fusedml_trace::take();
     let dropped = fusedml_trace::dropped_events();
@@ -368,6 +371,7 @@ fn cmd_hostperf(args: Vec<String>) {
                 opts.seed
             );
             run_suite(&opts, |id| eprintln!("  {id}"))
+                .unwrap_or_else(|e| fail(&format!("benchmark suite: {e}")))
         }
     };
 

@@ -8,16 +8,18 @@
 //! repro fig3 --trace        # also export a Chrome trace of the run
 //! ```
 //!
-//! Exit codes: 0 on success, 1 on usage or I/O failure, 2 when an
+//! Exit codes: 0 on success, 1 on usage or I/O failure or a failed
+//! experiment (a device or solver error), 2 when an
 //! experiment name is unknown (so scripts can tell a typo from a broken
 //! run).
 
-// Failures must carry a worded panic message, never a bare unwrap/expect.
+// Failures exit through `die` with a worded message, never a panic or a
+// bare unwrap/expect.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
-use fusedml_bench::experiments::{self, Ctx};
+use fusedml_bench::experiments::{self, Ctx, ExperimentResult};
 use fusedml_bench::regress::{chrome_trace, Json};
-use fusedml_bench::Table;
 use fusedml_gpu_sim::DeviceSpec;
 use std::time::Instant;
 
@@ -95,15 +97,16 @@ fn main() {
 
     for name in &wanted {
         let t0 = Instant::now();
-        let table = run_one(&ctx, name);
+        let table = run_one(&ctx, name).unwrap_or_else(|e| die(&format!("{name} failed: {e}")));
         table.print();
         println!("  ({} regenerated in {:.1?})\n", name, t0.elapsed());
         if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create json dir {dir}: {e}"));
+                .unwrap_or_else(|e| die(&format!("cannot create json dir {dir}: {e}")));
             let path = format!("{dir}/{name}.json");
             let text = table.to_json().render();
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(&path, text)
+                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
             println!("  wrote {path}\n");
         }
     }
@@ -139,7 +142,7 @@ fn export_trace(out: &str) {
     eprintln!("wrote {out} ({} events, {dropped} dropped)", events.len());
 }
 
-fn run_one(ctx: &Ctx, name: &str) -> Table {
+fn run_one(ctx: &Ctx, name: &str) -> ExperimentResult {
     match name {
         "table1" => experiments::table1::run(ctx),
         "table2" => experiments::table2::run(ctx),
@@ -156,7 +159,8 @@ fn run_one(ctx: &Ctx, name: &str) -> Table {
     }
 }
 
-/// Generic failure: bad usage, bad flag value, I/O error.
+/// Generic failure: bad usage, bad flag value, I/O error, a failed
+/// experiment.
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);

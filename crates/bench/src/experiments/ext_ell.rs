@@ -7,14 +7,14 @@
 //! rows, ELL's padding explodes its traffic and CSR wins decisively, with
 //! HYB's bounded-width ELL part in between.
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, Table};
 use fusedml_blas::ellmv::{GpuEll, GpuHyb};
-use fusedml_blas::{hybmv, GpuCsr};
-use fusedml_core::ell_fused::{fused_pattern_ell, plan_ell};
+use fusedml_blas::{try_hybmv, GpuCsr};
+use fusedml_core::ell_fused::{plan_ell, try_fused_pattern_ell};
 use fusedml_core::executor::FusedExecutor;
 use fusedml_core::PatternSpec;
-use fusedml_gpu_sim::Gpu;
+use fusedml_gpu_sim::{DeviceError, Gpu};
 use fusedml_matrix::gen::{powerlaw_sparse, random_vector, uniform_sparse};
 use fusedml_matrix::{CsrMatrix, EllMatrix, HybMatrix};
 
@@ -26,48 +26,51 @@ struct FormatPoint {
     hyb_overflow: f64,
 }
 
-fn measure(gpu: &Gpu, x: &CsrMatrix, seed: u64) -> FormatPoint {
+fn measure(gpu: &Gpu, x: &CsrMatrix, seed: u64) -> Result<FormatPoint, DeviceError> {
     let (m, n) = (x.rows(), x.cols());
     let y = random_vector(n, seed);
-    let yd = gpu.upload_f64("y", &y);
-    let wd = gpu.alloc_f64("w", n);
+    let yd = gpu.try_upload_f64("y", &y)?;
+    let wd = gpu.try_alloc_f64("w", n)?;
     let spec = PatternSpec::xtxy();
 
     // CSR fused (the paper's kernel).
-    let xd = GpuCsr::upload(gpu, "csr", x);
+    let xd = GpuCsr::try_upload(gpu, "csr", x)?;
     gpu.flush_caches();
     let mut ex = FusedExecutor::new(gpu);
-    ex.pattern_sparse(spec, &xd, None, &yd, None, &wd);
+    ex.try_pattern_sparse(spec, &xd, None, &yd, None, &wd)?;
     let csr_fused_ms = ex.total_sim_ms();
 
     // ELL fused (extension kernel).
     let ell = EllMatrix::from_csr(x);
-    let eld = GpuEll::upload(gpu, "ell", &ell);
+    let eld = GpuEll::try_upload(gpu, "ell", &ell)?;
     gpu.flush_caches();
     let plan = plan_ell(gpu, m, n);
-    fusedml_blas::level1::fill(gpu, &wd, 0.0);
-    let s = fused_pattern_ell(gpu, &plan, spec, &eld, None, &yd, None, &wd);
+    fusedml_blas::level1::try_fill(gpu, &wd, 0.0)?;
+    let s = try_fused_pattern_ell(gpu, &plan, spec, &eld, None, &yd, None, &wd)?;
     let ell_fused_ms = s.sim_ms();
 
     // HYB SpMV (the X*y half only — HYB has no transposed-scan fusion, its
     // COO tail cannot be rescanned cheaply; reported for SpMV context).
     let k = HybMatrix::suggested_width(x, 1.0 / 3.0);
     let hyb = HybMatrix::from_csr(x, k);
-    let hd = GpuHyb::upload(gpu, "hyb", &hyb);
-    let pd = gpu.alloc_f64("p", m);
+    let hd = GpuHyb::try_upload(gpu, "hyb", &hyb)?;
+    let pd = gpu.try_alloc_f64("p", m)?;
     gpu.flush_caches();
-    let hyb_spmv_ms: f64 = hybmv(gpu, &hd, &yd, &pd).iter().map(|l| l.sim_ms()).sum();
+    let hyb_spmv_ms: f64 = try_hybmv(gpu, &hd, &yd, &pd)?
+        .iter()
+        .map(|l| l.sim_ms())
+        .sum();
 
-    FormatPoint {
+    Ok(FormatPoint {
         csr_fused_ms,
         ell_fused_ms,
         hyb_spmv_ms,
         ell_padding: ell.padding_ratio(),
         hyb_overflow: hyb.overflow_ratio(),
-    }
+    })
 }
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let m = ctx.sweep_rows() / 2;
     let n = 1024;
     let mut t = Table::new(
@@ -90,7 +93,7 @@ pub fn run(ctx: &Ctx) -> Table {
     let uniform = uniform_sparse(m, n, 0.01, ctx.seed);
     let skewed = powerlaw_sparse(m, n, 10.0, 0.8, ctx.seed + 1);
     for (name, x) in [("uniform", &uniform), ("power-law", &skewed)] {
-        let p = measure(&ctx.gpu, x, ctx.seed + 2);
+        let p = measure(&ctx.gpu, x, ctx.seed + 2)?;
         t.row(vec![
             name.to_string(),
             fmt_ms(p.csr_fused_ms),
@@ -101,7 +104,7 @@ pub fn run(ctx: &Ctx) -> Table {
             format!("{:.2}", p.hyb_overflow),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -116,8 +119,8 @@ mod tests {
         let uniform = uniform_sparse(m, 512, 0.02, 61);
         let skewed = powerlaw_sparse(m, 512, 10.0, 0.8, 62);
 
-        let u = measure(gpu, &uniform, 63);
-        let s = measure(gpu, &skewed, 64);
+        let u = measure(gpu, &uniform, 63).unwrap();
+        let s = measure(gpu, &skewed, 64).unwrap();
 
         // Uniform rows: no padding, ELL competitive (within 2x of CSR).
         assert!(u.ell_padding < 0.01, "uniform padding {}", u.ell_padding);

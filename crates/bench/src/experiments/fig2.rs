@@ -6,14 +6,14 @@
 //! plus the second axis: iterations needed to amortize one explicit
 //! transposition against reusing it for cheap products.
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_count, fmt_ms, fmt_x, Table};
-use fusedml_blas::{csr2csc_device, csrmv_t_pretransposed, GpuCsr};
+use fusedml_blas::{try_csr2csc_device, try_csrmv_t_pretransposed, GpuCsr};
 use fusedml_core::executor::FusedExecutor;
 use fusedml_gpu_sim::Counters;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let m = ctx.sweep_rows();
     let mut t = Table::new(
         "fig2",
@@ -37,14 +37,16 @@ pub fn run(ctx: &Ctx) -> Table {
 
     for (i, n) in ctx.sparse_sweep_cols().into_iter().enumerate() {
         let x = uniform_sparse(m, n, 0.01, ctx.seed + i as u64);
-        let xd = GpuCsr::upload(&ctx.gpu, "x", &x);
-        let y = ctx.gpu.upload_f64("y", &random_vector(m, ctx.seed + 100));
-        let w = ctx.gpu.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&ctx.gpu, "x", &x)?;
+        let y = ctx
+            .gpu
+            .try_upload_f64("y", &random_vector(m, ctx.seed + 100))?;
+        let w = ctx.gpu.try_alloc_f64("w", n)?;
 
         // Fused Algorithm 1.
         ctx.gpu.flush_caches();
         let mut ex = FusedExecutor::new(&ctx.gpu);
-        ex.xt_y_sparse(1.0, &xd, &y, &w);
+        ex.try_xt_y_sparse(1.0, &xd, &y, &w)?;
         let fused_ms = ex.total_sim_ms();
         let fused_loads: u64 = ex
             .launches
@@ -54,9 +56,9 @@ pub fn run(ctx: &Ctx) -> Table {
 
         // cuSPARSE path: transpose, then SpMV over X^T.
         ctx.gpu.flush_caches();
-        let (xt, transpose_launches) = csr2csc_device(&ctx.gpu, &xd);
+        let (xt, transpose_launches) = try_csr2csc_device(&ctx.gpu, &xd)?;
         let transpose_ms: f64 = transpose_launches.iter().map(|l| l.sim_ms()).sum();
-        let spmv_stats = csrmv_t_pretransposed(&ctx.gpu, &xt, &y, &w);
+        let spmv_stats = try_csrmv_t_pretransposed(&ctx.gpu, &xt, &y, &w)?;
         let spmv_xt_ms = spmv_stats.sim_ms();
         let cusparse_ms = transpose_ms + spmv_xt_ms;
         let mut cu_counters = Counters::new();
@@ -91,7 +93,7 @@ pub fn run(ctx: &Ctx) -> Table {
             amortize,
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -101,7 +103,7 @@ mod tests {
     #[test]
     fn fig2_shape_holds_at_small_scale() {
         let ctx = Ctx::new(0.02); // 10k rows: fast smoke run
-        let t = run(&ctx);
+        let t = run(&ctx).unwrap();
         assert_eq!(t.rows.len(), 7);
         // Fused wins everywhere and cuSPARSE issues more loads.
         for row in &t.rows {

@@ -1,11 +1,12 @@
 //! Figure 3 — sparse `X^T x (X x y)`: fused-kernel speedup against
 //! cuSPARSE, BIDMat-GPU and BIDMat-CPU (modelled MKL with 8 hyper-threads).
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, fmt_x, Table};
 use fusedml_blas::{BaselineEngine, CpuEngine, Flavor, GpuCsr};
 use fusedml_core::executor::FusedExecutor;
 use fusedml_core::PatternSpec;
+use fusedml_gpu_sim::DeviceError;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 
 /// Measured times of the four engines at one sweep point.
@@ -18,27 +19,35 @@ pub struct EnginePoint {
 }
 
 /// Evaluate one sweep point for a pattern selected by `spec`.
-pub fn measure_point(ctx: &Ctx, m: usize, n: usize, seed: u64, spec: PatternSpec) -> EnginePoint {
+pub fn measure_point(
+    ctx: &Ctx,
+    m: usize,
+    n: usize,
+    seed: u64,
+    spec: PatternSpec,
+) -> Result<EnginePoint, DeviceError> {
     let x = uniform_sparse(m, n, 0.01, seed);
-    let xd = GpuCsr::upload(&ctx.gpu, "x", &x);
-    let y = ctx.gpu.upload_f64("y", &random_vector(n, seed + 1));
+    let xd = GpuCsr::try_upload(&ctx.gpu, "x", &x)?;
+    let y = ctx.gpu.try_upload_f64("y", &random_vector(n, seed + 1))?;
     let v = spec
         .with_v
-        .then(|| ctx.gpu.upload_f64("v", &random_vector(m, seed + 2)));
+        .then(|| ctx.gpu.try_upload_f64("v", &random_vector(m, seed + 2)))
+        .transpose()?;
     let z = spec
         .with_z
-        .then(|| ctx.gpu.upload_f64("z", &random_vector(n, seed + 3)));
-    let w = ctx.gpu.alloc_f64("w", n);
-    let p = ctx.gpu.alloc_f64("p", m);
+        .then(|| ctx.gpu.try_upload_f64("z", &random_vector(n, seed + 3)))
+        .transpose()?;
+    let w = ctx.gpu.try_alloc_f64("w", n)?;
+    let p = ctx.gpu.try_alloc_f64("p", m)?;
 
     ctx.gpu.flush_caches();
     let mut ex = FusedExecutor::new(&ctx.gpu);
-    ex.pattern_sparse(spec, &xd, v.as_ref(), &y, z.as_ref(), &w);
+    ex.try_pattern_sparse(spec, &xd, v.as_ref(), &y, z.as_ref(), &w)?;
     let fused_ms = ex.total_sim_ms();
 
     ctx.gpu.flush_caches();
-    let mut cu = BaselineEngine::new(&ctx.gpu, Flavor::CuLibs);
-    cu.pattern_sparse(
+    let mut cu = BaselineEngine::try_new(&ctx.gpu, Flavor::CuLibs)?;
+    cu.try_pattern_sparse(
         spec.alpha,
         &xd,
         v.as_ref(),
@@ -47,12 +56,12 @@ pub fn measure_point(ctx: &Ctx, m: usize, n: usize, seed: u64, spec: PatternSpec
         z.as_ref(),
         &w,
         &p,
-    );
+    )?;
     let cusparse_ms = cu.total_sim_ms();
 
     ctx.gpu.flush_caches();
-    let mut bg = BaselineEngine::new(&ctx.gpu, Flavor::BidmatGpu);
-    bg.pattern_sparse(
+    let mut bg = BaselineEngine::try_new(&ctx.gpu, Flavor::BidmatGpu)?;
+    bg.try_pattern_sparse(
         spec.alpha,
         &xd,
         v.as_ref(),
@@ -61,20 +70,20 @@ pub fn measure_point(ctx: &Ctx, m: usize, n: usize, seed: u64, spec: PatternSpec
         z.as_ref(),
         &w,
         &p,
-    );
+    )?;
     let bidmat_gpu_ms = bg.total_sim_ms();
 
     let mut cpu = CpuEngine::mkl_8threads();
     let bidmat_cpu_ms =
         cpu.pattern_sparse_ms(m, n, x.nnz(), spec.with_v, spec.with_z, spec.alpha != 1.0);
 
-    EnginePoint {
+    Ok(EnginePoint {
         n,
         fused_ms,
         cusparse_ms,
         bidmat_gpu_ms,
         bidmat_cpu_ms,
-    }
+    })
 }
 
 pub(crate) fn sweep_table(
@@ -83,7 +92,7 @@ pub(crate) fn sweep_table(
     title: &str,
     spec: PatternSpec,
     paper_note: &str,
-) -> Table {
+) -> ExperimentResult {
     let m = ctx.sweep_rows();
     let mut t = Table::new(
         id,
@@ -102,7 +111,7 @@ pub(crate) fn sweep_table(
     ));
     t.note(paper_note.to_string());
     for (i, n) in ctx.sparse_sweep_cols().into_iter().enumerate() {
-        let pt = measure_point(ctx, m, n, ctx.seed + 10 * i as u64, spec);
+        let pt = measure_point(ctx, m, n, ctx.seed + 10 * i as u64, spec)?;
         t.row(vec![
             n.to_string(),
             fmt_ms(pt.fused_ms),
@@ -111,10 +120,10 @@ pub(crate) fn sweep_table(
             fmt_x(pt.bidmat_cpu_ms / pt.fused_ms),
         ]);
     }
-    t
+    Ok(t)
 }
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     sweep_table(
         ctx,
         "fig3",
@@ -131,7 +140,7 @@ mod tests {
     #[test]
     fn fig3_engine_ordering() {
         let ctx = Ctx::new(0.02);
-        let pt = measure_point(&ctx, 10_000, 512, 1, PatternSpec::xtxy());
+        let pt = measure_point(&ctx, 10_000, 512, 1, PatternSpec::xtxy()).unwrap();
         // The paper's ordering: fused < CPU <= BIDMat-GPU < cuSPARSE.
         assert!(pt.fused_ms < pt.bidmat_cpu_ms);
         assert!(pt.fused_ms < pt.bidmat_gpu_ms);

@@ -5,11 +5,10 @@
 //! computation is bottlenecked by `X^T(Xy)`.
 
 use crate::experiments::fig3::sweep_table;
-use crate::experiments::Ctx;
-use crate::table::Table;
+use crate::experiments::{Ctx, ExperimentResult};
 use fusedml_core::PatternSpec;
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     sweep_table(
         ctx,
         "fig4",
@@ -27,8 +26,8 @@ mod tests {
     #[test]
     fn full_pattern_at_least_as_good_as_bare() {
         let ctx = Ctx::new(0.02);
-        let bare = measure_point(&ctx, 10_000, 512, 7, PatternSpec::xtxy());
-        let full = measure_point(&ctx, 10_000, 512, 7, PatternSpec::full(1.5, -0.5));
+        let bare = measure_point(&ctx, 10_000, 512, 7, PatternSpec::xtxy()).unwrap();
+        let full = measure_point(&ctx, 10_000, 512, 7, PatternSpec::full(1.5, -0.5)).unwrap();
         let bare_speedup = bare.cusparse_ms / bare.fused_ms;
         let full_speedup = full.cusparse_ms / full.fused_ms;
         // "similar or slightly better" — allow 25% slack downward.

@@ -4,12 +4,13 @@
 //! finds the model within 2% of the optimum and inside the best 1% of all
 //! configurations.
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, Table};
 use fusedml_blas::GpuCsr;
 use fusedml_core::executor::FusedExecutor;
 use fusedml_core::tuner::manual_sparse_plan;
-use fusedml_core::{plan_sparse, PatternSpec};
+use fusedml_core::{try_plan_sparse, PatternSpec};
+use fusedml_gpu_sim::DeviceError;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use serde::Serialize;
 
@@ -26,14 +27,16 @@ pub struct SweepPoint {
 
 /// Run the sweep; returns all points sorted fastest-first plus the model's
 /// own timing.
-pub fn sweep(ctx: &Ctx, m: usize, n: usize) -> (Vec<SweepPoint>, SweepPoint) {
+pub fn sweep(ctx: &Ctx, m: usize, n: usize) -> Result<(Vec<SweepPoint>, SweepPoint), DeviceError> {
     let x = uniform_sparse(m, n, 0.01, ctx.seed);
-    let xd = GpuCsr::upload(&ctx.gpu, "x", &x);
-    let y = ctx.gpu.upload_f64("y", &random_vector(n, ctx.seed + 1));
-    let w = ctx.gpu.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&ctx.gpu, "x", &x)?;
+    let y = ctx
+        .gpu
+        .try_upload_f64("y", &random_vector(n, ctx.seed + 1))?;
+    let w = ctx.gpu.try_alloc_f64("w", n)?;
     let spec_pattern = PatternSpec::xtxy();
 
-    let model_plan = plan_sparse(ctx.gpu.spec(), m, n, x.mean_nnz_per_row());
+    let model_plan = try_plan_sparse(ctx.gpu.spec(), m, n, x.mean_nnz_per_row())?;
     let vs = model_plan.vs;
 
     // C candidates around the model's choice (paper: "set to possible
@@ -66,7 +69,7 @@ pub fn sweep(ctx: &Ctx, m: usize, n: usize) -> (Vec<SweepPoint>, SweepPoint) {
             };
             ctx.gpu.flush_caches();
             let mut ex = FusedExecutor::new(&ctx.gpu);
-            ex.pattern_sparse_with_plan(&plan, spec_pattern, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&plan, spec_pattern, &xd, None, &y, None, &w)?;
             points.push(SweepPoint {
                 bs,
                 c,
@@ -80,7 +83,7 @@ pub fn sweep(ctx: &Ctx, m: usize, n: usize) -> (Vec<SweepPoint>, SweepPoint) {
 
     ctx.gpu.flush_caches();
     let mut ex = FusedExecutor::new(&ctx.gpu);
-    ex.pattern_sparse_with_plan(&model_plan, spec_pattern, &xd, None, &y, None, &w);
+    ex.try_pattern_sparse_with_plan(&model_plan, spec_pattern, &xd, None, &y, None, &w)?;
     let model_point = SweepPoint {
         bs: model_plan.bs,
         c: model_plan.c,
@@ -91,16 +94,17 @@ pub fn sweep(ctx: &Ctx, m: usize, n: usize) -> (Vec<SweepPoint>, SweepPoint) {
     };
 
     points.sort_by(|a, b| a.sim_ms.total_cmp(&b.sim_ms));
-    (points, model_point)
+    Ok((points, model_point))
 }
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let m = ctx.sweep_rows();
     let n = 1000;
-    let (points, model) = sweep(ctx, m, n);
-    let best = &points[0];
-    let Some(worst) = points.last() else {
-        panic!("non-empty sweep")
+    let (points, model) = sweep(ctx, m, n)?;
+    let (Some(best), Some(worst)) = (points.first(), points.last()) else {
+        return Err(
+            format!("no launch configuration of the {m} x {n} sweep fits the device").into(),
+        );
     };
     let rank = points.iter().filter(|p| p.sim_ms < model.sim_ms).count();
     let percentile = 100.0 * rank as f64 / points.len() as f64;
@@ -135,7 +139,7 @@ pub fn run(ctx: &Ctx) -> Table {
         100.0 * (model.sim_ms / best.sim_ms - 1.0),
         percentile.max(100.0 / points.len() as f64)
     ));
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -145,7 +149,7 @@ mod tests {
     #[test]
     fn model_choice_is_near_optimal() {
         let ctx = Ctx::new(0.02);
-        let (points, model) = sweep(&ctx, 10_000, 512);
+        let (points, model) = sweep(&ctx, 10_000, 512).unwrap();
         assert!(points.len() > 100, "sweep too small: {}", points.len());
         let best = points[0].sim_ms;
         let worst = points.last().unwrap().sim_ms;

@@ -13,7 +13,12 @@ pub mod table4;
 pub mod table5;
 pub mod table6;
 
+use crate::table::Table;
 use fusedml_gpu_sim::{DeviceSpec, Gpu};
+
+/// An experiment's table, or the device, solver or measurement error that
+/// stopped it.
+pub type ExperimentResult = Result<Table, Box<dyn std::error::Error>>;
 
 /// Shared experiment context: the simulated device plus the workload scale
 /// factor (1.0 = the paper's sizes; the default 0.25 keeps host runtime in

@@ -3,12 +3,12 @@
 //! Unlike the other experiments this one *measures wall time* of the real
 //! single-threaded reference implementation on this host.
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::Table;
 use fusedml_blas::cpu::{measure_lrcg_iteration_dense, measure_lrcg_iteration_sparse};
 use fusedml_matrix::gen::{higgs_spec, kdd2010_spec};
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     // Table 2 only needs the time *shares*, which are scale-stable; use a
     // modest slice of the stand-in data sets so the measured run is quick.
     let kdd = kdd2010_spec(0.2 * ctx.scale.max(0.1)).build_sparse(ctx.seed);
@@ -22,10 +22,8 @@ pub fn run(ctx: &Ctx) -> Table {
     t.note("paper: KDD 82.9% / 16.9% / 99.8%; HIGGS 99.4% / 0.1% / 99.5%");
 
     // Min-over-3-repeats after an untimed warm-up (the measure functions'
-    // methodology); repeats is a non-zero literal, so the error arm is
-    // unreachable by construction.
-    let (kp, kb) = measure_lrcg_iteration_sparse(&kdd, 3)
-        .unwrap_or_else(|e| panic!("table2 sparse measurement: {e}"));
+    // methodology).
+    let (kp, kb) = measure_lrcg_iteration_sparse(&kdd, 3)?;
     let ktot = kp + kb;
     t.row(vec![
         format!("KDD2010-like {}x{}", kdd.rows(), kdd.cols()),
@@ -34,8 +32,7 @@ pub fn run(ctx: &Ctx) -> Table {
         "100.0".to_string(),
     ]);
 
-    let (hp, hb) = measure_lrcg_iteration_dense(&higgs, 3)
-        .unwrap_or_else(|e| panic!("table2 dense measurement: {e}"));
+    let (hp, hb) = measure_lrcg_iteration_dense(&higgs, 3)?;
     let htot = hp + hb;
     t.row(vec![
         format!("HIGGS-like {}x{}", higgs.rows(), higgs.cols()),
@@ -43,7 +40,7 @@ pub fn run(ctx: &Ctx) -> Table {
         format!("{:.1}", 100.0 * hb / htot),
         "100.0".to_string(),
     ]);
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -53,7 +50,7 @@ mod tests {
     #[test]
     fn pattern_dominates_cpu_time() {
         let ctx = Ctx::new(0.05);
-        let t = run(&ctx);
+        let t = run(&ctx).unwrap();
         for row in &t.rows {
             let pattern_pct: f64 = row[1].parse().unwrap();
             assert!(

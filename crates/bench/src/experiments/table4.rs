@@ -3,18 +3,18 @@
 //! Execution time (ms) of the proposed kernels against the
 //! cuBLAS/cuSPARSE composition for the three pattern instantiations.
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, fmt_x, Table};
 use fusedml_blas::{BaselineEngine, Flavor, GpuCsr};
 use fusedml_core::executor::FusedExecutor;
 use fusedml_core::PatternSpec;
 use fusedml_matrix::gen::{kdd2010_spec, random_vector};
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let spec = kdd2010_spec(ctx.scale);
     let x = spec.build_sparse(ctx.seed);
     let (m, n) = (x.rows(), x.cols());
-    let xd = GpuCsr::upload(&ctx.gpu, "kdd", &x);
+    let xd = GpuCsr::try_upload(&ctx.gpu, "kdd", &x)?;
 
     let mut t = Table::new(
         "table4",
@@ -31,15 +31,17 @@ pub fn run(ctx: &Ctx) -> Table {
 
     // Row 1: X^T y.
     {
-        let y = ctx.gpu.upload_f64("y", &random_vector(m, ctx.seed + 1));
-        let w = ctx.gpu.alloc_f64("w", n);
+        let y = ctx
+            .gpu
+            .try_upload_f64("y", &random_vector(m, ctx.seed + 1))?;
+        let w = ctx.gpu.try_alloc_f64("w", n)?;
         ctx.gpu.flush_caches();
         let mut ex = FusedExecutor::new(&ctx.gpu);
-        ex.xt_y_sparse(1.0, &xd, &y, &w);
+        ex.try_xt_y_sparse(1.0, &xd, &y, &w)?;
         let fused = ex.total_sim_ms();
         ctx.gpu.flush_caches();
-        let mut cu = BaselineEngine::new(&ctx.gpu, Flavor::CuLibs);
-        cu.csrmv_t(&xd, &y, &w);
+        let mut cu = BaselineEngine::try_new(&ctx.gpu, Flavor::CuLibs)?;
+        cu.try_csrmv_t(&xd, &y, &w)?;
         let base = cu.total_sim_ms();
         t.row(vec![
             "X^T x y".into(),
@@ -54,29 +56,33 @@ pub fn run(ctx: &Ctx) -> Table {
         ("X^T x (X x y)", PatternSpec::xtxy()),
         ("full pattern", PatternSpec::full(1.5, -0.5)),
     ] {
-        let y = ctx.gpu.upload_f64("y", &random_vector(n, ctx.seed + 2));
+        let y = ctx
+            .gpu
+            .try_upload_f64("y", &random_vector(n, ctx.seed + 2))?;
         let v = pattern
             .with_v
-            .then(|| ctx.gpu.upload_f64("v", &random_vector(m, ctx.seed + 3)));
+            .then(|| ctx.gpu.try_upload_f64("v", &random_vector(m, ctx.seed + 3)))
+            .transpose()?;
         let z = pattern
             .with_z
-            .then(|| ctx.gpu.upload_f64("z", &random_vector(n, ctx.seed + 4)));
-        let w = ctx.gpu.alloc_f64("w", n);
-        let p = ctx.gpu.alloc_f64("p", m);
+            .then(|| ctx.gpu.try_upload_f64("z", &random_vector(n, ctx.seed + 4)))
+            .transpose()?;
+        let w = ctx.gpu.try_alloc_f64("w", n)?;
+        let p = ctx.gpu.try_alloc_f64("p", m)?;
 
         ctx.gpu.flush_caches();
         let mut ex = FusedExecutor::new(&ctx.gpu);
-        ex.pattern_sparse(pattern, &xd, v.as_ref(), &y, z.as_ref(), &w);
+        ex.try_pattern_sparse(pattern, &xd, v.as_ref(), &y, z.as_ref(), &w)?;
         let fused = ex.total_sim_ms();
         // The plan must have chosen the global-aggregation variant.
         assert!(
-            !ex.sparse_plan(&xd).use_shared_w,
+            !ex.try_sparse_plan(&xd)?.use_shared_w,
             "KDD-like n={n} should exceed the shared-memory limit"
         );
 
         ctx.gpu.flush_caches();
-        let mut cu = BaselineEngine::new(&ctx.gpu, Flavor::CuLibs);
-        cu.pattern_sparse(
+        let mut cu = BaselineEngine::try_new(&ctx.gpu, Flavor::CuLibs)?;
+        cu.try_pattern_sparse(
             pattern.alpha,
             &xd,
             v.as_ref(),
@@ -85,7 +91,7 @@ pub fn run(ctx: &Ctx) -> Table {
             z.as_ref(),
             &w,
             &p,
-        );
+        )?;
         let base = cu.total_sim_ms();
         t.row(vec![
             label.into(),
@@ -94,7 +100,7 @@ pub fn run(ctx: &Ctx) -> Table {
             fmt_x(base / fused),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -104,7 +110,7 @@ mod tests {
     #[test]
     fn kdd_regime_fused_wins_every_pattern() {
         let ctx = Ctx::new(0.05);
-        let t = run(&ctx);
+        let t = run(&ctx).unwrap();
         assert_eq!(t.rows.len(), 3);
         let xty_speedup: f64 = t.rows[0][3].trim_end_matches('x').parse().unwrap();
         // The paper reports 110x here, dominated by closed-source cuSPARSE

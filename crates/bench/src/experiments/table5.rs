@@ -2,14 +2,14 @@
 //! pipeline vs pure cuBLAS/cuSPARSE pipeline, including PCIe transfer time
 //! amortized over the ML iterations (HIGGS: 32 iterations, KDD: 100).
 
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, fmt_x, Table};
 use fusedml_matrix::gen::{higgs_spec, kdd2010_spec, random_vector};
 use fusedml_matrix::reference;
 use fusedml_ml::ops::TransposePolicy;
 use fusedml_runtime::session::{run_device_extrapolated, DataSet, EngineKind, SessionConfig};
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut t = Table::new(
         "table5",
         "end-to-end LR-CG speedup, fused vs pure cuBLAS/cuSPARSE (incl. PCIe)",
@@ -40,7 +40,7 @@ pub fn run(ctx: &Ctx) -> Table {
             &labels,
             &SessionConfig::native(EngineKind::Fused, iters),
             3,
-        );
+        )?;
         ctx.gpu.flush_caches();
         let base = run_device_extrapolated(
             &ctx.gpu,
@@ -48,7 +48,7 @@ pub fn run(ctx: &Ctx) -> Table {
             &labels,
             &SessionConfig::native(EngineKind::Baseline, iters),
             3,
-        );
+        )?;
         ctx.gpu.flush_caches();
         let base_amortized = run_device_extrapolated(
             &ctx.gpu,
@@ -57,7 +57,7 @@ pub fn run(ctx: &Ctx) -> Table {
             &SessionConfig::native(EngineKind::Baseline, iters)
                 .with_transpose_policy(TransposePolicy::CachedOnce),
             3,
-        );
+        )?;
         t.row(vec![
             name.to_string(),
             iters.to_string(),
@@ -75,7 +75,7 @@ pub fn run(ctx: &Ctx) -> Table {
     for n in amortized_notes {
         t.note(n);
     }
-    t
+    Ok(t)
 }
 
 pub(crate) fn higgs_dataset(ctx: &Ctx) -> (DataSet, Vec<f64>) {
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn end_to_end_fused_wins_both_datasets() {
         let ctx = Ctx::new(0.02);
-        let t = run(&ctx);
+        let t = run(&ctx).unwrap();
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
             let speedup: f64 = row[4].trim_end_matches('x').parse().unwrap();

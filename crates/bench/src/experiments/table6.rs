@@ -5,13 +5,13 @@
 //! the operator composition ("Fused Kernel Speedup").
 
 use crate::experiments::table5::{higgs_dataset, kdd_dataset};
-use crate::experiments::Ctx;
+use crate::experiments::{Ctx, ExperimentResult};
 use crate::table::{fmt_ms, fmt_x, Table};
 use fusedml_runtime::session::{
     run_cpu_extrapolated, run_device_extrapolated, EngineKind, SessionConfig,
 };
 
-pub fn run(ctx: &Ctx) -> Table {
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut t = Table::new(
         "table6",
         "GPU-enabled SystemML-like runtime vs its CPU backend (LR-CG)",
@@ -34,7 +34,7 @@ pub fn run(ctx: &Ctx) -> Table {
     ];
 
     for (name, (data, labels), iters) in cases {
-        let cpu_ms = run_cpu_extrapolated(&data, &labels, iters, 3);
+        let cpu_ms = run_cpu_extrapolated(&data, &labels, iters, 3)?;
 
         ctx.gpu.flush_caches();
         let fused = run_device_extrapolated(
@@ -43,7 +43,7 @@ pub fn run(ctx: &Ctx) -> Table {
             &labels,
             &SessionConfig::systemml(EngineKind::Fused, iters),
             3,
-        );
+        )?;
         ctx.gpu.flush_caches();
         let base = run_device_extrapolated(
             &ctx.gpu,
@@ -51,7 +51,7 @@ pub fn run(ctx: &Ctx) -> Table {
             &labels,
             &SessionConfig::systemml(EngineKind::Baseline, iters),
             3,
-        );
+        )?;
 
         let overhead = fused.transfer_ms + fused.readback_ms + fused.dispatch_ms;
         t.row(vec![
@@ -67,7 +67,7 @@ pub fn run(ctx: &Ctx) -> Table {
         ]);
         let _ = &base; // baseline retained for the launch-count context
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn integration_overheads_shrink_total_speedup() {
         let ctx = Ctx::new(0.02);
-        let t = run(&ctx);
+        let t = run(&ctx).unwrap();
         for row in &t.rows {
             let total: f64 = row[4].trim_end_matches('x').parse().unwrap();
             let kernel: f64 = row[5].trim_end_matches('x').parse().unwrap();

@@ -5,9 +5,10 @@
 //! configurable workload scale, plus the `repro` CLI, the `fusedml-bench`
 //! continuous-benchmarking CLI (see [`regress`]), and Criterion benches.
 
-// The harness feeds CI gates: failures must carry a typed or explicitly
-// worded panic message, never a bare unwrap/expect. Tests are exempt.
+// The harness feeds CI gates: failures are typed errors, never a panic or
+// a bare unwrap/expect (allowed invariant checks aside). Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod experiments;
 pub mod regress;

@@ -301,6 +301,9 @@ impl Scenario {
     }
 
     /// The interconnect spec of a multi-device scenario.
+    // A scenario's interconnect is always a name `interconnect_static`
+    // accepted, so the lookup cannot miss.
+    #[allow(clippy::panic)]
     fn interconnect_spec(&self) -> InterconnectSpec {
         InterconnectSpec::by_name(self.interconnect).unwrap_or_else(|| {
             panic!(

@@ -21,7 +21,7 @@ use super::report::{
 };
 use fusedml_blas::ellmv::GpuEll;
 use fusedml_blas::{level1, BaselineEngine, Flavor, GpuCsr, GpuDense};
-use fusedml_core::ell_fused::{fused_pattern_ell, plan_ell};
+use fusedml_core::ell_fused::{plan_ell, try_fused_pattern_ell};
 use fusedml_core::{FusedExecutor, PatternSpec};
 use fusedml_gpu_sim::{Counters, DevicePool, DeviceSpec, Gpu, LaunchStats};
 use fusedml_matrix::gen::{
@@ -29,9 +29,9 @@ use fusedml_matrix::gen::{
 };
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix, EllMatrix};
 use fusedml_ml::{
-    glm, hits, logreg, lr_cg, pagerank, svm_primal, Backend, BackendStats, BaselineBackend,
-    DagBackend, FusedBackend, GlmOptions, HitsOptions, LogRegOptions, LrCgOptions, PagerankOptions,
-    PagerankPlan, SvmOptions,
+    try_glm, try_hits, try_logreg, try_lr_cg, try_pagerank, try_svm, Backend, BackendStats,
+    BaselineBackend, DagBackend, FusedBackend, GlmOptions, HitsOptions, LogRegOptions, LrCgOptions,
+    PagerankOptions, PagerankPlan, SolverError, SvmOptions,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -360,37 +360,37 @@ fn run_pattern_csr(
     opts: &SuiteOptions,
     pool: &DevicePool,
     x: &CsrMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let (m, n) = (x.rows(), x.cols());
     let spec = full_spec();
     let seed = opts.seed;
 
     let fused = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuCsr::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 1));
-        let vd = gpu.upload_f64("v", &random_vector(m, seed + 2));
-        let zd = gpu.upload_f64("z", &random_vector(n, seed + 3));
-        let wd = gpu.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 1))?;
+        let vd = gpu.try_upload_f64("v", &random_vector(m, seed + 2))?;
+        let zd = gpu.try_upload_f64("z", &random_vector(n, seed + 3))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
         gpu.flush_caches();
         let t0 = Instant::now();
         let mut ex = FusedExecutor::new(&gpu);
-        ex.pattern_sparse(spec, &xd, Some(&vd), &yd, Some(&zd), &wd);
+        ex.try_pattern_sparse(spec, &xd, Some(&vd), &yd, Some(&zd), &wd)?;
         variant_from_launches(&ex.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
 
     let baseline = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuCsr::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 1));
-        let vd = gpu.upload_f64("v", &random_vector(m, seed + 2));
-        let zd = gpu.upload_f64("z", &random_vector(n, seed + 3));
-        let wd = gpu.alloc_f64("w", n);
-        let pd = gpu.alloc_f64("p", m);
+        let xd = GpuCsr::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 1))?;
+        let vd = gpu.try_upload_f64("v", &random_vector(m, seed + 2))?;
+        let zd = gpu.try_upload_f64("z", &random_vector(n, seed + 3))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
+        let pd = gpu.try_alloc_f64("p", m)?;
         gpu.flush_caches();
         let t0 = Instant::now();
-        let mut cu = BaselineEngine::new(&gpu, Flavor::CuLibs);
-        cu.pattern_sparse(
+        let mut cu = BaselineEngine::try_new(&gpu, Flavor::CuLibs)?;
+        cu.try_pattern_sparse(
             spec.alpha,
             &xd,
             Some(&vd),
@@ -399,10 +399,10 @@ fn run_pattern_csr(
             Some(&zd),
             &wd,
             &pd,
-        );
+        )?;
         variant_from_launches(&cu.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// `X^T y`: the fused transposed scan vs. the cuSPARSE-style transposed
@@ -411,34 +411,34 @@ fn run_xty(
     opts: &SuiteOptions,
     pool: &DevicePool,
     x: &CsrMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let (m, n) = (x.rows(), x.cols());
     let seed = opts.seed;
 
     let fused = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuCsr::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(m, seed + 4));
-        let wd = gpu.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(m, seed + 4))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
         gpu.flush_caches();
         let t0 = Instant::now();
         let mut ex = FusedExecutor::new(&gpu);
-        ex.xt_y_sparse(1.0, &xd, &yd, &wd);
+        ex.try_xt_y_sparse(1.0, &xd, &yd, &wd)?;
         variant_from_launches(&ex.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
 
     let baseline = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuCsr::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(m, seed + 4));
-        let wd = gpu.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(m, seed + 4))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
         gpu.flush_caches();
         let t0 = Instant::now();
-        let mut cu = BaselineEngine::new(&gpu, Flavor::CuLibs);
-        cu.csrmv_t(&xd, &yd, &wd);
+        let mut cu = BaselineEngine::try_new(&gpu, Flavor::CuLibs)?;
+        cu.try_csrmv_t(&xd, &yd, &wd)?;
         variant_from_launches(&cu.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// ELL-stored fused kernel vs. the CSR operator composition on the same
@@ -447,7 +447,7 @@ fn run_pattern_ell(
     opts: &SuiteOptions,
     pool: &DevicePool,
     x: &CsrMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let (m, n) = (x.rows(), x.cols());
     let spec = PatternSpec::xtxy();
     let seed = opts.seed;
@@ -455,32 +455,32 @@ fn run_pattern_ell(
     let fused = {
         let gpu = suite_gpu(opts, pool);
         let ell = EllMatrix::from_csr(x);
-        let eld = GpuEll::upload(&gpu, "ell", &ell);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 5));
-        let wd = gpu.alloc_f64("w", n);
+        let eld = GpuEll::try_upload(&gpu, "ell", &ell)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 5))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
         gpu.flush_caches();
         let t0 = Instant::now();
         let plan = plan_ell(&gpu, m, n);
         let launches = vec![
-            level1::fill(&gpu, &wd, 0.0),
-            fused_pattern_ell(&gpu, &plan, spec, &eld, None, &yd, None, &wd),
+            level1::try_fill(&gpu, &wd, 0.0)?,
+            try_fused_pattern_ell(&gpu, &plan, spec, &eld, None, &yd, None, &wd)?,
         ];
         variant_from_launches(&launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
 
     let baseline = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuCsr::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 5));
-        let wd = gpu.alloc_f64("w", n);
-        let pd = gpu.alloc_f64("p", m);
+        let xd = GpuCsr::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 5))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
+        let pd = gpu.try_alloc_f64("p", m)?;
         gpu.flush_caches();
         let t0 = Instant::now();
-        let mut cu = BaselineEngine::new(&gpu, Flavor::CuLibs);
-        cu.pattern_sparse(spec.alpha, &xd, None, &yd, spec.beta, None, &wd, &pd);
+        let mut cu = BaselineEngine::try_new(&gpu, Flavor::CuLibs)?;
+        cu.try_pattern_sparse(spec.alpha, &xd, None, &yd, spec.beta, None, &wd, &pd)?;
         variant_from_launches(&cu.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// Dense full pattern: generated fused kernel vs. cuBLAS-style composition.
@@ -488,37 +488,37 @@ fn run_pattern_dense(
     opts: &SuiteOptions,
     pool: &DevicePool,
     x: &DenseMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let (m, n) = (x.rows(), x.cols());
     let spec = full_spec();
     let seed = opts.seed;
 
     let fused = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuDense::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 6));
-        let vd = gpu.upload_f64("v", &random_vector(m, seed + 7));
-        let zd = gpu.upload_f64("z", &random_vector(n, seed + 8));
-        let wd = gpu.alloc_f64("w", n);
+        let xd = GpuDense::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 6))?;
+        let vd = gpu.try_upload_f64("v", &random_vector(m, seed + 7))?;
+        let zd = gpu.try_upload_f64("z", &random_vector(n, seed + 8))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
         gpu.flush_caches();
         let t0 = Instant::now();
         let mut ex = FusedExecutor::new(&gpu);
-        ex.pattern_dense(spec, &xd, Some(&vd), &yd, Some(&zd), &wd);
+        ex.try_pattern_dense(spec, &xd, Some(&vd), &yd, Some(&zd), &wd)?;
         variant_from_launches(&ex.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
 
     let baseline = {
         let gpu = suite_gpu(opts, pool);
-        let xd = GpuDense::upload(&gpu, "X", x);
-        let yd = gpu.upload_f64("y", &random_vector(n, seed + 6));
-        let vd = gpu.upload_f64("v", &random_vector(m, seed + 7));
-        let zd = gpu.upload_f64("z", &random_vector(n, seed + 8));
-        let wd = gpu.alloc_f64("w", n);
-        let pd = gpu.alloc_f64("p", m);
+        let xd = GpuDense::try_upload(&gpu, "X", x)?;
+        let yd = gpu.try_upload_f64("y", &random_vector(n, seed + 6))?;
+        let vd = gpu.try_upload_f64("v", &random_vector(m, seed + 7))?;
+        let zd = gpu.try_upload_f64("z", &random_vector(n, seed + 8))?;
+        let wd = gpu.try_alloc_f64("w", n)?;
+        let pd = gpu.try_alloc_f64("p", m)?;
         gpu.flush_caches();
         let t0 = Instant::now();
-        let mut cu = BaselineEngine::new(&gpu, Flavor::CuLibs);
-        cu.pattern_dense(
+        let mut cu = BaselineEngine::try_new(&gpu, Flavor::CuLibs)?;
+        cu.try_pattern_dense(
             spec.alpha,
             &xd,
             Some(&vd),
@@ -527,10 +527,10 @@ fn run_pattern_dense(
             Some(&zd),
             &wd,
             &pd,
-        );
+        )?;
         variant_from_launches(&cu.launches, wall_ms_since(t0), opts.device.clock_ghz)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// Drive one solver on any backend with deterministic labels/targets.
@@ -541,7 +541,7 @@ fn drive_algo<B: Backend>(
     seed: u64,
     x_csr: Option<&CsrMatrix>,
     x_dense: Option<&DenseMatrix>,
-) {
+) -> Result<(), SolverError> {
     let m = b.rows();
     let n = b.cols();
     let w_true = random_vector(n, seed + 10);
@@ -552,58 +552,59 @@ fn drive_algo<B: Backend>(
     };
     match algo {
         Algo::LrCg => {
-            lr_cg(
+            try_lr_cg(
                 b,
                 &targets,
                 LrCgOptions {
                     max_iterations: iters as usize,
                     ..Default::default()
                 },
-            );
+            )?;
         }
         Algo::Glm => {
             let counts: Vec<f64> = targets.iter().map(|&e| e.clamp(-3.0, 3.0).exp()).collect();
-            glm(
+            try_glm(
                 b,
                 &counts,
                 GlmOptions {
                     max_outer: iters as usize,
                     ..Default::default()
                 },
-            );
+            )?;
         }
         Algo::LogReg => {
             let labels = random_labels(m, seed + 11);
-            logreg(
+            try_logreg(
                 b,
                 &labels,
                 LogRegOptions {
                     max_outer: iters as usize,
                     ..Default::default()
                 },
-            );
+            )?;
         }
         Algo::Svm => {
             let labels = random_labels(m, seed + 11);
-            svm_primal(
+            try_svm(
                 b,
                 &labels,
                 SvmOptions {
                     max_outer: iters as usize,
                     ..Default::default()
                 },
-            );
+            )?;
         }
         Algo::Hits => {
-            hits(
+            try_hits(
                 b,
                 HitsOptions {
                     max_iterations: iters as usize,
                     ..Default::default()
                 },
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
 /// Algorithm-level workload on CSR input: `ours-end2end` vs. `cu-end2end`.
@@ -616,17 +617,17 @@ fn run_algo_csr(
     algo: Algo,
     iters: u64,
     x: &CsrMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let fused = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
         let stats = if algo == Algo::LrCg {
-            let mut b = DagBackend::new_sparse(&gpu, x);
-            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None);
+            let mut b = DagBackend::try_new_sparse(&gpu, x)?;
+            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
             b.stats()
         } else {
-            let mut b = FusedBackend::new_sparse(&gpu, x);
-            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None);
+            let mut b = FusedBackend::try_new_sparse(&gpu, x)?;
+            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
             b.stats()
         };
         variant_from_stats(&stats, wall_ms_since(t0), opts.device.clock_ghz, iters)
@@ -634,11 +635,11 @@ fn run_algo_csr(
     let baseline = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
-        let mut b = BaselineBackend::new_sparse(&gpu, x);
-        drive_algo(&mut b, algo, iters, opts.seed, Some(x), None);
+        let mut b = BaselineBackend::try_new_sparse(&gpu, x)?;
+        drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
         variant_from_stats(&b.stats(), wall_ms_since(t0), opts.device.clock_ghz, iters)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// Algorithm-level workload on dense input.
@@ -648,17 +649,17 @@ fn run_algo_dense(
     algo: Algo,
     iters: u64,
     x: &DenseMatrix,
-) -> (VariantMetrics, VariantMetrics) {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
     let fused = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
         let stats = if algo == Algo::LrCg {
-            let mut b = DagBackend::new_dense(&gpu, x);
-            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x));
+            let mut b = DagBackend::try_new_dense(&gpu, x)?;
+            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
             b.stats()
         } else {
-            let mut b = FusedBackend::new_dense(&gpu, x);
-            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x));
+            let mut b = FusedBackend::try_new_dense(&gpu, x)?;
+            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
             b.stats()
         };
         variant_from_stats(&stats, wall_ms_since(t0), opts.device.clock_ghz, iters)
@@ -666,11 +667,11 @@ fn run_algo_dense(
     let baseline = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
-        let mut b = BaselineBackend::new_dense(&gpu, x);
-        drive_algo(&mut b, algo, iters, opts.seed, None, Some(x));
+        let mut b = BaselineBackend::try_new_dense(&gpu, x)?;
+        drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
         variant_from_stats(&b.stats(), wall_ms_since(t0), opts.device.clock_ghz, iters)
     };
-    (fused, baseline)
+    Ok((fused, baseline))
 }
 
 /// PageRank workload: the DAG compiler's cost-selected plan vs. the
@@ -681,12 +682,12 @@ fn run_pagerank(
     pool: &DevicePool,
     iters: u64,
     links: &CsrMatrix,
-) -> (VariantMetrics, VariantMetrics) {
-    let run = |plan: PagerankPlan| {
+) -> Result<(VariantMetrics, VariantMetrics), SolverError> {
+    let run = |plan: PagerankPlan| -> Result<VariantMetrics, SolverError> {
         let gpu = suite_gpu(opts, pool);
         let pool_base = gpu.pool_stats();
         let t0 = Instant::now();
-        let res = pagerank(
+        let res = try_pagerank(
             &gpu,
             links,
             PagerankOptions {
@@ -697,10 +698,10 @@ fn run_pagerank(
                 plan,
                 ..Default::default()
             },
-        );
+        )?;
         let wall = wall_ms_since(t0);
         let pool_delta = gpu.pool_stats().delta_since(&pool_base);
-        VariantMetrics::new(
+        Ok(VariantMetrics::new(
             res.sim_ms,
             opts.device.clock_ghz,
             wall,
@@ -715,14 +716,17 @@ fn run_pagerank(
             pool_misses: pool_delta.misses,
             pool_bytes_recycled: pool_delta.bytes_recycled,
             host_ms_per_iter: wall / iters.max(1) as f64,
-        })
+        }))
     };
-    (run(PagerankPlan::Selected), run(PagerankPlan::Unfused))
+    Ok((run(PagerankPlan::Selected)?, run(PagerankPlan::Unfused)?))
 }
 
 /// Run the whole matrix and assemble the report. `progress` receives the
 /// id of each workload as it starts (pass `|_| {}` to silence).
-pub fn run_suite(opts: &SuiteOptions, mut progress: impl FnMut(&str)) -> BenchReport {
+pub fn run_suite(
+    opts: &SuiteOptions,
+    mut progress: impl FnMut(&str),
+) -> Result<BenchReport, SolverError> {
     let mut workloads = Vec::new();
     // One buffer pool for the whole matrix: freed blocks from one variant
     // serve the next variant's allocations (many workloads share size
@@ -738,37 +742,37 @@ pub fn run_suite(opts: &SuiteOptions, mut progress: impl FnMut(&str)) -> BenchRe
                     Dist::Uniform => uniform_sparse(m, n, spec.sparsity, opts.seed),
                     Dist::PowerLaw => powerlaw_sparse(m, n, 10.0, 0.8, opts.seed),
                 };
-                let (f, b) = run_pattern_csr(opts, &pool, &x);
+                let (f, b) = run_pattern_csr(opts, &pool, &x)?;
                 (x.nnz() as u64, f, b)
             }
             Kind::XtY => {
                 let x = uniform_sparse(m, n, spec.sparsity, opts.seed);
-                let (f, b) = run_xty(opts, &pool, &x);
+                let (f, b) = run_xty(opts, &pool, &x)?;
                 (x.nnz() as u64, f, b)
             }
             Kind::PatternEll => {
                 let x = uniform_sparse(m, n, spec.sparsity, opts.seed);
-                let (f, b) = run_pattern_ell(opts, &pool, &x);
+                let (f, b) = run_pattern_ell(opts, &pool, &x)?;
                 (x.nnz() as u64, f, b)
             }
             Kind::PatternDense => {
                 let x = dense_random(m, n, opts.seed);
-                let (f, b) = run_pattern_dense(opts, &pool, &x);
+                let (f, b) = run_pattern_dense(opts, &pool, &x)?;
                 ((m * n) as u64, f, b)
             }
             Kind::AlgoCsr(algo) => {
                 let x = uniform_sparse(m, n, spec.sparsity, opts.seed);
-                let (f, b) = run_algo_csr(opts, &pool, *algo, spec.iterations, &x);
+                let (f, b) = run_algo_csr(opts, &pool, *algo, spec.iterations, &x)?;
                 (x.nnz() as u64, f, b)
             }
             Kind::AlgoDense(algo) => {
                 let x = dense_random(m, n, opts.seed);
-                let (f, b) = run_algo_dense(opts, &pool, *algo, spec.iterations, &x);
+                let (f, b) = run_algo_dense(opts, &pool, *algo, spec.iterations, &x)?;
                 ((m * n) as u64, f, b)
             }
             Kind::Pagerank => {
                 let x = uniform_sparse(m, n, spec.sparsity, opts.seed);
-                let (f, b) = run_pagerank(opts, &pool, spec.iterations, &x);
+                let (f, b) = run_pagerank(opts, &pool, spec.iterations, &x)?;
                 (x.nnz() as u64, f, b)
             }
         };
@@ -790,10 +794,10 @@ pub fn run_suite(opts: &SuiteOptions, mut progress: impl FnMut(&str)) -> BenchRe
             speedup,
         });
     }
-    BenchReport {
+    Ok(BenchReport {
         schema_version: SCHEMA_VERSION,
         git_sha: current_git_sha(),
         fingerprint: opts.fingerprint(),
         workloads,
-    }
+    })
 }

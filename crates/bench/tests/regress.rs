@@ -56,8 +56,8 @@ fn assert_modeled_identical(a: &BenchReport, b: &BenchReport) {
 #[test]
 fn suite_is_deterministic_and_gate_passes_on_self() {
     let opts = tiny_opts();
-    let a = run_suite(&opts, |_| {});
-    let b = run_suite(&opts, |_| {});
+    let a = run_suite(&opts, |_| {}).unwrap();
+    let b = run_suite(&opts, |_| {}).unwrap();
     assert_modeled_identical(&a, &b);
 
     // Two identical runs must sail through the gate with the tight
@@ -71,7 +71,7 @@ fn suite_is_deterministic_and_gate_passes_on_self() {
 #[test]
 fn report_roundtrips_through_disk() {
     let opts = tiny_opts();
-    let report = run_suite(&opts, |_| {});
+    let report = run_suite(&opts, |_| {}).unwrap();
     let dir = std::env::temp_dir().join("fusedml_bench_regress_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_fusion.json").to_string_lossy().into_owned();
@@ -88,7 +88,7 @@ fn report_roundtrips_through_disk() {
 #[test]
 fn injected_modeled_regression_trips_the_gate() {
     let opts = tiny_opts();
-    let base = run_suite(&opts, |_| {});
+    let base = run_suite(&opts, |_| {}).unwrap();
     let mut cand = base.clone();
     // Synthetic 10% modeled-cycle regression on one workload — the
     // acceptance scenario for the CI gate.
@@ -106,7 +106,7 @@ fn injected_modeled_regression_trips_the_gate() {
 
 #[test]
 fn fused_sparse_beats_baseline_on_traffic_and_time() {
-    let report = run_suite(&tiny_opts(), |_| {});
+    let report = run_suite(&tiny_opts(), |_| {}).unwrap();
     let mut sparse_seen = 0;
     for w in &report.workloads {
         if w.format == "dense" {
@@ -150,7 +150,7 @@ fn workload_ids_are_stable_and_unique() {
     dedup.dedup();
     assert_eq!(dedup.len(), ids.len(), "duplicate workload ids");
     // The gate matches rows by id: list and run must agree.
-    let report = run_suite(&tiny_opts(), |_| {});
+    let report = run_suite(&tiny_opts(), |_| {}).unwrap();
     let run_ids: Vec<String> = report.workloads.iter().map(|w| w.id.clone()).collect();
     assert_eq!(run_ids, workload_ids(&tiny_opts()));
     // Full mode covers at least the quick matrix's breadth.
@@ -159,7 +159,7 @@ fn workload_ids_are_stable_and_unique() {
 
 #[test]
 fn aggregation_tiers_shift_between_fused_and_baseline() {
-    let report = run_suite(&tiny_opts(), |_| {});
+    let report = run_suite(&tiny_opts(), |_| {}).unwrap();
     // The per-workload breakdown is the §3.1 attribution axis: every CSR
     // workload's fused run must land its reduction work somewhere in the
     // hierarchy, and the full-pattern kernels specifically aggregate at

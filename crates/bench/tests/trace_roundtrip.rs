@@ -27,7 +27,8 @@ fn end_to_end_trace_covers_three_layers_and_roundtrips() {
         &data,
         &labels,
         &SessionConfig::native(EngineKind::Fused, 3),
-    );
+    )
+    .unwrap();
     fusedml_trace::disable();
     let events = fusedml_trace::take();
     let dropped = fusedml_trace::dropped_events();

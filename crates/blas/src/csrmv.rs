@@ -42,7 +42,7 @@ pub(crate) fn capped_grid(gpu: &Gpu, work_items: usize, per_block: usize) -> usi
     work_items.div_ceil(per_block.max(1)).clamp(1, cap)
 }
 
-/// `p = X * y` on the device (see [`csrmv`]), reporting device faults.
+/// `p = X * y` on the device. `p.len() == X.rows`.
 pub fn try_csrmv(
     gpu: &Gpu,
     x: &GpuCsr,
@@ -56,11 +56,6 @@ pub fn try_csrmv(
         SpmvStyle::Vector { vs } => csrmv_vector(gpu, x, y, p, vs),
         SpmvStyle::Scalar => csrmv_scalar(gpu, x, y, p),
     }
-}
-
-/// `p = X * y` on the device. `p.len() == X.rows`.
-pub fn csrmv(gpu: &Gpu, x: &GpuCsr, y: &GpuBuffer, p: &GpuBuffer, style: SpmvStyle) -> LaunchStats {
-    try_csrmv(gpu, x, y, p, style).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn csrmv_vector(
@@ -212,11 +207,11 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(300, 120, 0.05, 42);
         let y = random_vector(120, 1);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", 300);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", 300).unwrap();
         for vs in [1usize, 2, 4, 8, 16, 32] {
-            csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs });
+            try_csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs }).unwrap();
             let expect = reference::csr_mv(&x, &y);
             let got = pd.to_vec_f64();
             assert!(
@@ -231,10 +226,10 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(257, 64, 0.1, 7);
         let y = random_vector(64, 2);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", 257);
-        csrmv(&g, &xd, &yd, &pd, SpmvStyle::Scalar);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", 257).unwrap();
+        try_csrmv(&g, &xd, &yd, &pd, SpmvStyle::Scalar).unwrap();
         assert!(reference::max_abs_diff(&pd.to_vec_f64(), &reference::csr_mv(&x, &y)) < 1e-12);
     }
 
@@ -244,12 +239,12 @@ mod tests {
         // Long rows make per-lane marching badly uncoalesced.
         let x = uniform_sparse(128, 2048, 0.05, 3); // ~102 nnz/row
         let y = random_vector(2048, 2);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", 128);
-        let v = csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs: 32 });
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", 128).unwrap();
+        let v = try_csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs: 32 }).unwrap();
         g.flush_caches();
-        let s = csrmv(&g, &xd, &yd, &pd, SpmvStyle::Scalar);
+        let s = try_csrmv(&g, &xd, &yd, &pd, SpmvStyle::Scalar).unwrap();
         assert!(
             s.counters.gld_transactions > 2 * v.counters.gld_transactions,
             "scalar {} vs vector {}",
@@ -261,17 +256,18 @@ mod tests {
     #[test]
     fn empty_rows_yield_zero() {
         let g = gpu();
-        let x = fusedml_matrix::CsrMatrix::from_parts(
+        let x = fusedml_matrix::CsrMatrix::try_from_parts(
             3,
             4,
             vec![0, 0, 2, 2],
             vec![1, 3],
             vec![2.0, -1.0],
-        );
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &[1.0, 1.0, 1.0, 1.0]);
-        let pd = g.alloc_f64("p", 3);
-        csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs: 2 });
+        )
+        .unwrap();
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &[1.0, 1.0, 1.0, 1.0]).unwrap();
+        let pd = g.try_alloc_f64("p", 3).unwrap();
+        try_csrmv(&g, &xd, &yd, &pd, SpmvStyle::Vector { vs: 2 }).unwrap();
         assert_eq!(pd.to_vec_f64(), vec![0.0, 1.0, 0.0]);
     }
 }

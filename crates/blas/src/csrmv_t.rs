@@ -15,12 +15,7 @@ use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WA
 
 /// `w += X^T * p` by row-wise atomic scatter (cuSPARSE
 /// `csrmv(OP_TRANSPOSE)`-style). `w` must be zeroed first — use
-/// [`csrmv_t_atomic`] for the zero-and-scatter composition.
-pub fn csrmv_t_scatter(gpu: &Gpu, x: &GpuCsr, p: &GpuBuffer, w: &GpuBuffer) -> LaunchStats {
-    try_csrmv_t_scatter(gpu, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`csrmv_t_scatter`]; reports device faults instead of panicking.
+/// [`try_csrmv_t_atomic`] for the zero-and-scatter composition.
 pub fn try_csrmv_t_scatter(
     gpu: &Gpu,
     x: &GpuCsr,
@@ -81,11 +76,6 @@ pub fn try_csrmv_t_scatter(
 
 /// `w = X^T * p`: zero `w`, then atomic scatter. Returns the two launches'
 /// stats in order.
-pub fn csrmv_t_atomic(gpu: &Gpu, x: &GpuCsr, p: &GpuBuffer, w: &GpuBuffer) -> Vec<LaunchStats> {
-    try_csrmv_t_atomic(gpu, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`csrmv_t_atomic`]; reports device faults instead of panicking.
 pub fn try_csrmv_t_atomic(
     gpu: &Gpu,
     x: &GpuCsr,
@@ -99,12 +89,8 @@ pub fn try_csrmv_t_atomic(
 
 /// `w = X^T * p` via a pre-transposed matrix: a plain CSR-vector SpMV over
 /// `X^T` (the explicit-transpose strategy whose amortization Fig. 2
-/// studies). The caller produces `xt` once with [`crate::transpose::csr2csc_device`].
-pub fn csrmv_t_pretransposed(gpu: &Gpu, xt: &GpuCsr, p: &GpuBuffer, w: &GpuBuffer) -> LaunchStats {
-    try_csrmv_t_pretransposed(gpu, xt, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`csrmv_t_pretransposed`]; reports device faults instead of panicking.
+/// studies). The caller produces `xt` once with
+/// [`crate::transpose::try_csr2csc_device`].
 pub fn try_csrmv_t_pretransposed(
     gpu: &Gpu,
     xt: &GpuCsr,
@@ -131,10 +117,10 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(200, 90, 0.08, 11);
         let p = random_vector(200, 3);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 90);
-        csrmv_t_atomic(&g, &xd, &pd, &wd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 90).unwrap();
+        try_csrmv_t_atomic(&g, &xd, &pd, &wd).unwrap();
         let expect = reference::csr_tmv(&x, &p);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -145,10 +131,10 @@ mod tests {
         let x = uniform_sparse(150, 60, 0.1, 13);
         let xt = x.transpose();
         let p = random_vector(150, 5);
-        let xtd = GpuCsr::upload(&g, "xt", &xt);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 60);
-        csrmv_t_pretransposed(&g, &xtd, &pd, &wd);
+        let xtd = GpuCsr::try_upload(&g, "xt", &xt).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 60).unwrap();
+        try_csrmv_t_pretransposed(&g, &xtd, &pd, &wd).unwrap();
         let expect = reference::csr_tmv(&x, &p);
         assert!(reference::max_abs_diff(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -160,15 +146,21 @@ mod tests {
         let narrow = uniform_sparse(2000, 16, 0.25, 17); // 4 nnz/row
         let wide = uniform_sparse(2000, 4096, 4.0 / 4096.0, 17);
         let p = random_vector(2000, 1);
-        let pd = g.upload_f64("p", &p);
+        let pd = g.try_upload_f64("p", &p).unwrap();
 
-        let nd = GpuCsr::upload(&g, "narrow", &narrow);
-        let wn = g.alloc_f64("wn", 16);
-        let sn = csrmv_t_atomic(&g, &nd, &pd, &wn).pop().unwrap();
+        let nd = GpuCsr::try_upload(&g, "narrow", &narrow).unwrap();
+        let wn = g.try_alloc_f64("wn", 16).unwrap();
+        let sn = try_csrmv_t_atomic(&g, &nd, &pd, &wn)
+            .unwrap()
+            .pop()
+            .unwrap();
 
-        let wd_m = GpuCsr::upload(&g, "wide", &wide);
-        let ww = g.alloc_f64("ww", 4096);
-        let sw = csrmv_t_atomic(&g, &wd_m, &pd, &ww).pop().unwrap();
+        let wd_m = GpuCsr::try_upload(&g, "wide", &wide).unwrap();
+        let ww = g.try_alloc_f64("ww", 4096).unwrap();
+        let sw = try_csrmv_t_atomic(&g, &wd_m, &pd, &ww)
+            .unwrap()
+            .pop()
+            .unwrap();
 
         assert!(
             sn.counters.hottest_atomic_address_count()

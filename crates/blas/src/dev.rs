@@ -64,11 +64,6 @@ impl GpuCsr {
         })
     }
 
-    /// Infallible [`GpuCsr::try_upload`]; panics on device faults.
-    pub fn upload(gpu: &Gpu, name: &str, x: &CsrMatrix) -> Self {
-        GpuCsr::try_upload(gpu, name, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Total device bytes held by this matrix.
     pub fn size_bytes(&self) -> u64 {
         self.row_off.size_bytes() + self.col_idx.size_bytes() + self.values.size_bytes()
@@ -102,11 +97,6 @@ impl GpuDense {
         })
     }
 
-    /// Infallible [`GpuDense::try_upload`]; panics on device faults.
-    pub fn upload(gpu: &Gpu, name: &str, x: &DenseMatrix) -> Self {
-        GpuDense::try_upload(gpu, name, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn size_bytes(&self) -> u64 {
         self.data.size_bytes()
     }
@@ -128,7 +118,7 @@ mod tests {
     fn csr_upload_roundtrip() {
         let gpu = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
         let x = uniform_sparse(10, 20, 0.2, 1);
-        let d = GpuCsr::upload(&gpu, "x", &x);
+        let d = GpuCsr::try_upload(&gpu, "x", &x).unwrap();
         assert_eq!(d.nnz, x.nnz());
         assert_eq!(d.values.to_vec_f64(), x.values());
         assert_eq!(d.col_idx.to_vec_u32(), x.col_idx());
@@ -157,7 +147,7 @@ mod tests {
     fn dense_upload_roundtrip() {
         let gpu = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
         let x = fusedml_matrix::gen::dense_random(5, 7, 2);
-        let d = GpuDense::upload(&gpu, "x", &x);
+        let d = GpuDense::try_upload(&gpu, "x", &x).unwrap();
         assert_eq!(d.data.to_vec_f64(), x.data());
         assert_eq!(d.at(2, 3), 17);
     }

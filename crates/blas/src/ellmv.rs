@@ -33,11 +33,6 @@ impl GpuEll {
         })
     }
 
-    /// Infallible [`GpuEll::try_upload`]; panics on device faults.
-    pub fn upload(gpu: &Gpu, name: &str, x: &EllMatrix) -> Self {
-        GpuEll::try_upload(gpu, name, x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn size_bytes(&self) -> u64 {
         self.col_idx.size_bytes() + self.values.size_bytes()
     }
@@ -67,14 +62,9 @@ impl GpuHyb {
             coo_nnz: x.coo().len(),
         })
     }
-
-    /// Infallible [`GpuHyb::try_upload`]; panics on device faults.
-    pub fn upload(gpu: &Gpu, name: &str, x: &HybMatrix) -> Self {
-        GpuHyb::try_upload(gpu, name, x).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
-/// `p = X * y` over ELL (see [`ellmv`]), reporting device faults.
+/// `p = X * y` over ELL: one thread per row, slot loop, coalesced.
 pub fn try_ellmv(
     gpu: &Gpu,
     x: &GpuEll,
@@ -122,11 +112,6 @@ pub fn try_ellmv(
     })
 }
 
-/// `p = X * y` over ELL: one thread per row, slot loop, coalesced.
-pub fn ellmv(gpu: &Gpu, x: &GpuEll, y: &GpuBuffer, p: &GpuBuffer) -> LaunchStats {
-    try_ellmv(gpu, x, y, p).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// COO tail: `p[row] += v * y[col]` with row atomics.
 fn coo_tail(
     gpu: &Gpu,
@@ -157,7 +142,7 @@ fn coo_tail(
     })
 }
 
-/// `p = X * y` over HYB (see [`hybmv`]), reporting device faults.
+/// `p = X * y` over HYB (ELL pass, then the COO tail).
 pub fn try_hybmv(
     gpu: &Gpu,
     x: &GpuHyb,
@@ -169,11 +154,6 @@ pub fn try_hybmv(
         launches.push(coo_tail(gpu, x, y, p)?);
     }
     Ok(launches)
-}
-
-/// `p = X * y` over HYB (ELL pass, then the COO tail).
-pub fn hybmv(gpu: &Gpu, x: &GpuHyb, y: &GpuBuffer, p: &GpuBuffer) -> Vec<LaunchStats> {
-    try_hybmv(gpu, x, y, p).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -193,10 +173,10 @@ mod tests {
         let x = uniform_sparse(200, 100, 0.08, 21);
         let ell = EllMatrix::from_csr(&x);
         let y = random_vector(100, 1);
-        let xd = GpuEll::upload(&g, "x", &ell);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", 200);
-        ellmv(&g, &xd, &yd, &pd);
+        let xd = GpuEll::try_upload(&g, "x", &ell).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", 200).unwrap();
+        try_ellmv(&g, &xd, &yd, &pd).unwrap();
         let expect = reference::csr_mv(&x, &y);
         assert!(reference::max_abs_diff(&pd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -208,10 +188,10 @@ mod tests {
         let hyb = HybMatrix::from_csr(&x, 4);
         assert!(hyb.overflow_ratio() > 0.0, "need a COO tail to test");
         let y = random_vector(150, 2);
-        let xd = GpuHyb::upload(&g, "x", &hyb);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", 300);
-        let launches = hybmv(&g, &xd, &yd, &pd);
+        let xd = GpuHyb::try_upload(&g, "x", &hyb).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", 300).unwrap();
+        let launches = try_hybmv(&g, &xd, &yd, &pd).unwrap();
         assert_eq!(launches.len(), 2);
         let expect = reference::csr_mv(&x, &y);
         assert!(reference::rel_l2_error(&pd.to_vec_f64(), &expect) < 1e-12);
@@ -224,11 +204,11 @@ mod tests {
         let x = uniform_sparse(2048, 256, 8.0 / 256.0, 23);
         let ell = EllMatrix::from_csr(&x);
         assert_eq!(ell.padding_ratio(), 0.0);
-        let xd = GpuEll::upload(&g, "x", &ell);
-        let yd = g.upload_f64("y", &random_vector(256, 3));
-        let pd = g.alloc_f64("p", 2048);
+        let xd = GpuEll::try_upload(&g, "x", &ell).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(256, 3)).unwrap();
+        let pd = g.try_alloc_f64("p", 2048).unwrap();
         g.flush_caches();
-        let stats = ellmv(&g, &xd, &yd, &pd);
+        let stats = try_ellmv(&g, &xd, &yd, &pd).unwrap();
         // Values: nnz/32 instructions * 8 sectors; cols: * 4 sectors.
         let nnz = ell.nnz() as u64;
         let ideal = nnz / 32 * 8 + nnz / 32 * 4;
@@ -247,9 +227,9 @@ mod tests {
         let k = (0..64).map(|r| x.row_nnz(r)).max().unwrap();
         let hyb = HybMatrix::from_csr(&x, k);
         assert_eq!(hyb.overflow_ratio(), 0.0);
-        let xd = GpuHyb::upload(&g, "x", &hyb);
-        let yd = g.upload_f64("y", &random_vector(64, 4));
-        let pd = g.alloc_f64("p", 64);
-        assert_eq!(hybmv(&g, &xd, &yd, &pd).len(), 1);
+        let xd = GpuHyb::try_upload(&g, "x", &hyb).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(64, 4)).unwrap();
+        let pd = g.try_alloc_f64("p", 64).unwrap();
+        assert_eq!(try_hybmv(&g, &xd, &yd, &pd).unwrap().len(), 1);
     }
 }

@@ -43,11 +43,6 @@ impl<'g> BaselineEngine<'g> {
         })
     }
 
-    /// Infallible [`BaselineEngine::try_new`]; panics on device faults.
-    pub fn new(gpu: &'g Gpu, flavor: Flavor) -> Self {
-        BaselineEngine::try_new(gpu, flavor).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn gpu(&self) -> &'g Gpu {
         self.gpu
     }
@@ -96,7 +91,7 @@ impl<'g> BaselineEngine<'g> {
 
     // ---------------- recorded operator launches ----------------
 
-    /// `p = X * y` (sparse), reporting device faults.
+    /// `p = X * y` (sparse).
     pub fn try_csrmv(
         &mut self,
         x: &GpuCsr,
@@ -106,11 +101,6 @@ impl<'g> BaselineEngine<'g> {
         let s = crate::csrmv::try_csrmv(self.gpu, x, y, p, self.spmv_style(x))?;
         self.launches.push(s);
         Ok(())
-    }
-
-    /// `p = X * y` (sparse).
-    pub fn csrmv(&mut self, x: &GpuCsr, y: &GpuBuffer, p: &GpuBuffer) {
-        self.try_csrmv(x, y, p).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// `w = X^T * p` (sparse) — the library's slow path.
@@ -145,12 +135,7 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    /// Infallible [`BaselineEngine::try_csrmv_t`]; panics on device faults.
-    pub fn csrmv_t(&mut self, x: &GpuCsr, p: &GpuBuffer, w: &GpuBuffer) {
-        self.try_csrmv_t(x, p, w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// `p = X * y` (dense), reporting device faults.
+    /// `p = X * y` (dense).
     pub fn try_gemv(
         &mut self,
         x: &GpuDense,
@@ -162,12 +147,7 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    /// `p = X * y` (dense).
-    pub fn gemv(&mut self, x: &GpuDense, y: &GpuBuffer, p: &GpuBuffer) {
-        self.try_gemv(x, y, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// `w = X^T * p` (dense), reporting device faults.
+    /// `w = X^T * p` (dense).
     pub fn try_gemv_t(
         &mut self,
         x: &GpuDense,
@@ -182,18 +162,9 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    /// `w = X^T * p` (dense).
-    pub fn gemv_t(&mut self, x: &GpuDense, p: &GpuBuffer, w: &GpuBuffer) {
-        self.try_gemv_t(x, p, w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn try_fill(&mut self, buf: &GpuBuffer, v: f64) -> Result<(), DeviceError> {
         self.launches.push(level1::try_fill(self.gpu, buf, v)?);
         Ok(())
-    }
-
-    pub fn fill(&mut self, buf: &GpuBuffer, v: f64) {
-        self.try_fill(buf, v).unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub fn try_copy(&mut self, src: &GpuBuffer, dst: &GpuBuffer) -> Result<(), DeviceError> {
@@ -201,26 +172,14 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    pub fn copy(&mut self, src: &GpuBuffer, dst: &GpuBuffer) {
-        self.try_copy(src, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn try_axpy(&mut self, a: f64, x: &GpuBuffer, y: &GpuBuffer) -> Result<(), DeviceError> {
         self.launches.push(level1::try_axpy(self.gpu, a, x, y)?);
         Ok(())
     }
 
-    pub fn axpy(&mut self, a: f64, x: &GpuBuffer, y: &GpuBuffer) {
-        self.try_axpy(a, x, y).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn try_scal(&mut self, a: f64, x: &GpuBuffer) -> Result<(), DeviceError> {
         self.launches.push(level1::try_scal(self.gpu, a, x)?);
         Ok(())
-    }
-
-    pub fn scal(&mut self, a: f64, x: &GpuBuffer) {
-        self.try_scal(a, x).unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub fn try_ewmul(
@@ -233,28 +192,16 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    pub fn ewmul(&mut self, x: &GpuBuffer, y: &GpuBuffer, out: &GpuBuffer) {
-        self.try_ewmul(x, y, out).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn try_dot(&mut self, x: &GpuBuffer, y: &GpuBuffer) -> Result<f64, DeviceError> {
         let (v, s) = level1::try_dot(self.gpu, x, y, &self.scalar)?;
         self.launches.push(s);
         Ok(v)
     }
 
-    pub fn dot(&mut self, x: &GpuBuffer, y: &GpuBuffer) -> f64 {
-        self.try_dot(x, y).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn try_nrm2_sq(&mut self, x: &GpuBuffer) -> Result<f64, DeviceError> {
         let (v, s) = level1::try_nrm2_sq(self.gpu, x, &self.scalar)?;
         self.launches.push(s);
         Ok(v)
-    }
-
-    pub fn nrm2_sq(&mut self, x: &GpuBuffer) -> f64 {
-        self.try_nrm2_sq(x).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ---------------- pattern composition ----------------
@@ -290,23 +237,6 @@ impl<'g> BaselineEngine<'g> {
         Ok(())
     }
 
-    /// Infallible [`BaselineEngine::try_pattern_sparse`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn pattern_sparse(
-        &mut self,
-        alpha: f64,
-        x: &GpuCsr,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        beta: f64,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-        tmp_p: &GpuBuffer,
-    ) {
-        self.try_pattern_sparse(alpha, x, v, y, beta, z, w, tmp_p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Dense counterpart of [`BaselineEngine::try_pattern_sparse`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_pattern_dense(
@@ -333,23 +263,6 @@ impl<'g> BaselineEngine<'g> {
         }
         Ok(())
     }
-
-    /// Infallible [`BaselineEngine::try_pattern_dense`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn pattern_dense(
-        &mut self,
-        alpha: f64,
-        x: &GpuDense,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        beta: f64,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-        tmp_p: &GpuBuffer,
-    ) {
-        self.try_pattern_dense(alpha, x, v, y, beta, z, w, tmp_p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 #[cfg(test)]
@@ -373,14 +286,15 @@ mod tests {
         let expect = reference::pattern_csr(1.5, &x, Some(&v), &y, -0.25, Some(&z));
 
         for flavor in [Flavor::CuLibs, Flavor::BidmatGpu] {
-            let xd = GpuCsr::upload(&g, "x", &x);
-            let yd = g.upload_f64("y", &y);
-            let vd = g.upload_f64("v", &v);
-            let zd = g.upload_f64("z", &z);
-            let wd = g.alloc_f64("w", 96);
-            let pd = g.alloc_f64("p", 180);
-            let mut e = BaselineEngine::new(&g, flavor);
-            e.pattern_sparse(1.5, &xd, Some(&vd), &yd, -0.25, Some(&zd), &wd, &pd);
+            let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+            let yd = g.try_upload_f64("y", &y).unwrap();
+            let vd = g.try_upload_f64("v", &v).unwrap();
+            let zd = g.try_upload_f64("z", &z).unwrap();
+            let wd = g.try_alloc_f64("w", 96).unwrap();
+            let pd = g.try_alloc_f64("p", 180).unwrap();
+            let mut e = BaselineEngine::try_new(&g, flavor).unwrap();
+            e.try_pattern_sparse(1.5, &xd, Some(&vd), &yd, -0.25, Some(&zd), &wd, &pd)
+                .unwrap();
             assert!(
                 reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12,
                 "{flavor:?}"
@@ -404,12 +318,13 @@ mod tests {
         let expect = reference::pattern_dense(1.0, &x, None, &y, 0.0, None);
 
         for flavor in [Flavor::CuLibs, Flavor::BidmatGpu] {
-            let xd = GpuDense::upload(&g, "x", &x);
-            let yd = g.upload_f64("y", &y);
-            let wd = g.alloc_f64("w", 48);
-            let pd = g.alloc_f64("p", 120);
-            let mut e = BaselineEngine::new(&g, flavor);
-            e.pattern_dense(1.0, &xd, None, &yd, 0.0, None, &wd, &pd);
+            let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+            let yd = g.try_upload_f64("y", &y).unwrap();
+            let wd = g.try_alloc_f64("w", 48).unwrap();
+            let pd = g.try_alloc_f64("p", 120).unwrap();
+            let mut e = BaselineEngine::try_new(&g, flavor).unwrap();
+            e.try_pattern_dense(1.0, &xd, None, &yd, 0.0, None, &wd, &pd)
+                .unwrap();
             assert!(
                 reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12,
                 "{flavor:?}"
@@ -422,9 +337,9 @@ mod tests {
     #[test]
     fn reset_clears_accounting() {
         let g = gpu();
-        let x = g.upload_f64("x", &random_vector(64, 5));
-        let mut e = BaselineEngine::new(&g, Flavor::CuLibs);
-        e.scal(2.0, &x);
+        let x = g.try_upload_f64("x", &random_vector(64, 5)).unwrap();
+        let mut e = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+        e.try_scal(2.0, &x).unwrap();
         assert_eq!(e.launch_count(), 1);
         e.reset();
         assert_eq!(e.launch_count(), 0);
@@ -435,9 +350,9 @@ mod tests {
     fn dot_returns_value_and_records() {
         let g = gpu();
         let xh = random_vector(300, 6);
-        let x = g.upload_f64("x", &xh);
-        let mut e = BaselineEngine::new(&g, Flavor::CuLibs);
-        let d = e.dot(&x, &x);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        let mut e = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+        let d = e.try_dot(&x, &x).unwrap();
         assert!((d - reference::norm2_sq(&xh)).abs() < 1e-9);
         assert_eq!(e.launch_count(), 1);
     }

@@ -1,7 +1,7 @@
 //! Dense matrix-vector kernels (cuBLAS-class baselines).
 //!
-//! * [`gemv`] — `p = X * y`, one warp per row with coalesced row scans.
-//! * [`gemv_t`] — `w = X^T * p`, the tile-through-shared-memory scheme the
+//! * [`try_gemv`] — `p = X * y`, one warp per row with coalesced row scans.
+//! * [`try_gemv_t`] — `w = X^T * p`, the tile-through-shared-memory scheme the
 //!   paper describes for the baseline (§3: "blocks of X can be read and
 //!   kept in shared memory... accesses to shared memory may cause memory
 //!   bank conflicts"), finishing with global atomics per column tile.
@@ -13,11 +13,6 @@ use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WA
 
 /// `p = X * y` for row-major dense `X`: each warp scans one row in
 /// 32-element coalesced chunks and reduces with shuffles.
-pub fn gemv(gpu: &Gpu, x: &GpuDense, y: &GpuBuffer, p: &GpuBuffer) -> LaunchStats {
-    try_gemv(gpu, x, y, p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`gemv`]; reports device faults instead of panicking.
 pub fn try_gemv(
     gpu: &Gpu,
     x: &GpuDense,
@@ -68,7 +63,7 @@ pub fn try_gemv(
 /// Each block owns a 32-column tile: 32x32 row chunks are staged into
 /// shared memory with coalesced loads, then each column is reduced by
 /// reading the tile *column-wise* — a stride-32 access pattern that
-/// serializes on the 32 banks. Composed as zero + accumulate by [`gemv_t`].
+/// serializes on the 32 banks. Composed as zero + accumulate by [`try_gemv_t`].
 fn gemv_t_accumulate(
     gpu: &Gpu,
     x: &GpuDense,
@@ -157,11 +152,6 @@ fn gemv_t_accumulate(
 }
 
 /// `w = X^T * p` (zero then accumulate). Returns both launches.
-pub fn gemv_t(gpu: &Gpu, x: &GpuDense, p: &GpuBuffer, w: &GpuBuffer) -> Vec<LaunchStats> {
-    try_gemv_t(gpu, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`gemv_t`]; reports device faults instead of panicking.
 pub fn try_gemv_t(
     gpu: &Gpu,
     x: &GpuDense,
@@ -177,13 +167,8 @@ pub fn try_gemv_t(
 
 /// `w = X^T * p` without the shared-memory tile: each warp accumulates its
 /// row slice in registers and issues one global atomic per column at the
-/// end (BIDMat-style). Fewer on-chip operations than [`gemv_t`] but more
+/// end (BIDMat-style). Fewer on-chip operations than [`try_gemv_t`] but more
 /// global atomics. Returns both launches (zero + accumulate).
-pub fn gemv_t_direct(gpu: &Gpu, x: &GpuDense, p: &GpuBuffer, w: &GpuBuffer) -> Vec<LaunchStats> {
-    try_gemv_t_direct(gpu, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// See [`gemv_t_direct`]; reports device faults instead of panicking.
 pub fn try_gemv_t_direct(
     gpu: &Gpu,
     x: &GpuDense,
@@ -245,10 +230,10 @@ mod tests {
         for (m, n) in [(97, 28), (64, 64), (33, 130)] {
             let x = dense_random(m, n, 3);
             let y = random_vector(n, 4);
-            let xd = GpuDense::upload(&g, "x", &x);
-            let yd = g.upload_f64("y", &y);
-            let pd = g.alloc_f64("p", m);
-            gemv(&g, &xd, &yd, &pd);
+            let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+            let yd = g.try_upload_f64("y", &y).unwrap();
+            let pd = g.try_alloc_f64("p", m).unwrap();
+            try_gemv(&g, &xd, &yd, &pd).unwrap();
             let expect = reference::dense_mv(&x, &y);
             assert!(
                 reference::max_abs_diff(&pd.to_vec_f64(), &expect) < 1e-12,
@@ -263,10 +248,10 @@ mod tests {
         for (m, n) in [(200, 28), (128, 96), (50, 33)] {
             let x = dense_random(m, n, 5);
             let p = random_vector(m, 6);
-            let xd = GpuDense::upload(&g, "x", &x);
-            let pd = g.upload_f64("p", &p);
-            let wd = g.alloc_f64("w", n);
-            gemv_t(&g, &xd, &pd, &wd);
+            let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+            let pd = g.try_upload_f64("p", &p).unwrap();
+            let wd = g.try_alloc_f64("w", n).unwrap();
+            try_gemv_t(&g, &xd, &pd, &wd).unwrap();
             let expect = reference::dense_tmv(&x, &p);
             assert!(
                 reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12,
@@ -280,10 +265,10 @@ mod tests {
         let g = gpu();
         let x = dense_random(150, 70, 9);
         let p = random_vector(150, 10);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 70);
-        gemv_t_direct(&g, &xd, &pd, &wd);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 70).unwrap();
+        try_gemv_t_direct(&g, &xd, &pd, &wd).unwrap();
         let expect = reference::dense_tmv(&x, &p);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -293,13 +278,13 @@ mod tests {
         let g = gpu();
         let x = dense_random(512, 64, 11);
         let p = random_vector(512, 12);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let w1 = g.alloc_f64("w1", 64);
-        let tiled = gemv_t(&g, &xd, &pd, &w1).pop().unwrap();
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let w1 = g.try_alloc_f64("w1", 64).unwrap();
+        let tiled = try_gemv_t(&g, &xd, &pd, &w1).unwrap().pop().unwrap();
         g.flush_caches();
-        let w2 = g.alloc_f64("w2", 64);
-        let direct = gemv_t_direct(&g, &xd, &pd, &w2).pop().unwrap();
+        let w2 = g.try_alloc_f64("w2", 64).unwrap();
+        let direct = try_gemv_t_direct(&g, &xd, &pd, &w2).unwrap().pop().unwrap();
         assert!(
             direct.counters.shared_accesses + direct.counters.shared_atomics
                 < tiled.counters.shared_accesses + tiled.counters.shared_atomics
@@ -314,10 +299,10 @@ mod tests {
         let g = gpu();
         let x = dense_random(1024, 64, 13);
         let p = random_vector(1024, 14);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 64);
-        let stats = gemv_t(&g, &xd, &pd, &wd).pop().unwrap();
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 64).unwrap();
+        let stats = try_gemv_t(&g, &xd, &pd, &wd).unwrap().pop().unwrap();
         // Every 32-lane column read replays 31 times.
         let column_reads = stats
             .counters
@@ -336,10 +321,10 @@ mod tests {
     fn gemv_loads_are_coalesced() {
         let g = gpu();
         let x = dense_random(64, 256, 7);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &random_vector(256, 8));
-        let pd = g.alloc_f64("p", 64);
-        let stats = gemv(&g, &xd, &yd, &pd);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(256, 8)).unwrap();
+        let pd = g.try_alloc_f64("p", 64).unwrap();
+        let stats = try_gemv(&g, &xd, &yd, &pd).unwrap();
         // Perfect coalescing: 8 sectors per 32-wide f64 load. Matrix loads
         // dominate: 64 * 256 / 32 = 512 instructions * 8 sectors = 4096,
         // plus offsets/y overheads — allow slack but verify the order.

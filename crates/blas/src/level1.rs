@@ -34,7 +34,7 @@ where
     })
 }
 
-/// `buf[i] = value` for all i, reporting device faults.
+/// `buf[i] = value` for all i.
 pub fn try_fill(gpu: &Gpu, buf: &GpuBuffer, value: f64) -> Result<LaunchStats, DeviceError> {
     let n = buf.len();
     elementwise(gpu, "fill", n, |w, base| {
@@ -42,12 +42,7 @@ pub fn try_fill(gpu: &Gpu, buf: &GpuBuffer, value: f64) -> Result<LaunchStats, D
     })
 }
 
-/// `buf[i] = value` for all i.
-pub fn fill(gpu: &Gpu, buf: &GpuBuffer, value: f64) -> LaunchStats {
-    try_fill(gpu, buf, value).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `dst = src`, reporting device faults.
+/// `dst = src`.
 pub fn try_copy(gpu: &Gpu, src: &GpuBuffer, dst: &GpuBuffer) -> Result<LaunchStats, DeviceError> {
     assert_eq!(src.len(), dst.len());
     let n = src.len();
@@ -57,12 +52,7 @@ pub fn try_copy(gpu: &Gpu, src: &GpuBuffer, dst: &GpuBuffer) -> Result<LaunchSta
     })
 }
 
-/// `dst = src`.
-pub fn copy(gpu: &Gpu, src: &GpuBuffer, dst: &GpuBuffer) -> LaunchStats {
-    try_copy(gpu, src, dst).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `y += a * x` in place, reporting device faults.
+/// `y += a * x` in place.
 pub fn try_axpy(
     gpu: &Gpu,
     a: f64,
@@ -82,12 +72,7 @@ pub fn try_axpy(
     })
 }
 
-/// `y += a * x` in place.
-pub fn axpy(gpu: &Gpu, a: f64, x: &GpuBuffer, y: &GpuBuffer) -> LaunchStats {
-    try_axpy(gpu, a, x, y).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `x *= a` in place, reporting device faults.
+/// `x *= a` in place.
 pub fn try_scal(gpu: &Gpu, a: f64, x: &GpuBuffer) -> Result<LaunchStats, DeviceError> {
     let n = x.len();
     elementwise(gpu, "scal", n, |w, base| {
@@ -97,12 +82,8 @@ pub fn try_scal(gpu: &Gpu, a: f64, x: &GpuBuffer) -> Result<LaunchStats, DeviceE
     })
 }
 
-/// `x *= a` in place.
-pub fn scal(gpu: &Gpu, a: f64, x: &GpuBuffer) -> LaunchStats {
-    try_scal(gpu, a, x).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `out = x .* y` element-wise, reporting device faults.
+/// `out = x .* y` element-wise (the `v ⊙ (...)` step when evaluated as a
+/// standalone operator).
 pub fn try_ewmul(
     gpu: &Gpu,
     x: &GpuBuffer,
@@ -123,13 +104,9 @@ pub fn try_ewmul(
     })
 }
 
-/// `out = x .* y` element-wise (the `v ⊙ (...)` step when evaluated as a
-/// standalone operator).
-pub fn ewmul(gpu: &Gpu, x: &GpuBuffer, y: &GpuBuffer, out: &GpuBuffer) -> LaunchStats {
-    try_ewmul(gpu, x, y, out).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Dot product `x . y` (see [`dot`]), reporting device faults.
+/// Dot product `x . y`, reduced hierarchically (shuffle within warps,
+/// shared memory within the block, one global atomic per block) into
+/// `out[0]`. Returns the scalar alongside the launch stats.
 pub fn try_dot(
     gpu: &Gpu,
     x: &GpuBuffer,
@@ -175,25 +152,13 @@ pub fn try_dot(
     Ok((out.host_read_f64(0), stats))
 }
 
-/// Dot product `x . y`, reduced hierarchically (shuffle within warps,
-/// shared memory within the block, one global atomic per block) into
-/// `out[0]`. Returns the scalar alongside the launch stats.
-pub fn dot(gpu: &Gpu, x: &GpuBuffer, y: &GpuBuffer, out: &GpuBuffer) -> (f64, LaunchStats) {
-    try_dot(gpu, x, y, out).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Squared 2-norm (see [`nrm2_sq`]), reporting device faults.
+/// Squared 2-norm `sum(x .* x)` — `nrm2`'s square, what Listing 1 uses.
 pub fn try_nrm2_sq(
     gpu: &Gpu,
     x: &GpuBuffer,
     out: &GpuBuffer,
 ) -> Result<(f64, LaunchStats), DeviceError> {
     try_dot(gpu, x, x, out)
-}
-
-/// Squared 2-norm `sum(x .* x)` — `nrm2`'s square, what Listing 1 uses.
-pub fn nrm2_sq(gpu: &Gpu, x: &GpuBuffer, out: &GpuBuffer) -> (f64, LaunchStats) {
-    dot(gpu, x, x, out)
 }
 
 #[cfg(test)]
@@ -210,11 +175,11 @@ mod tests {
     #[test]
     fn fill_and_copy() {
         let g = gpu();
-        let a = g.alloc_f64("a", 1000);
-        fill(&g, &a, 3.5);
+        let a = g.try_alloc_f64("a", 1000).unwrap();
+        try_fill(&g, &a, 3.5).unwrap();
         assert!(a.to_vec_f64().iter().all(|&v| v == 3.5));
-        let b = g.alloc_f64("b", 1000);
-        copy(&g, &a, &b);
+        let b = g.try_alloc_f64("b", 1000).unwrap();
+        try_copy(&g, &a, &b).unwrap();
         assert_eq!(b.to_vec_f64(), a.to_vec_f64());
     }
 
@@ -223,9 +188,9 @@ mod tests {
         let g = gpu();
         let xh = random_vector(777, 1);
         let yh = random_vector(777, 2);
-        let x = g.upload_f64("x", &xh);
-        let y = g.upload_f64("y", &yh);
-        axpy(&g, -1.5, &x, &y);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        let y = g.try_upload_f64("y", &yh).unwrap();
+        try_axpy(&g, -1.5, &x, &y).unwrap();
         let mut expect = yh.clone();
         reference::axpy(-1.5, &xh, &mut expect);
         assert!(reference::max_abs_diff(&y.to_vec_f64(), &expect) < 1e-12);
@@ -235,8 +200,8 @@ mod tests {
     fn scal_and_ewmul() {
         let g = gpu();
         let xh = random_vector(100, 3);
-        let x = g.upload_f64("x", &xh);
-        scal(&g, 2.0, &x);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        try_scal(&g, 2.0, &x).unwrap();
         let got = x.to_vec_f64();
         assert!(got
             .iter()
@@ -244,9 +209,9 @@ mod tests {
             .all(|(a, b)| (a - 2.0 * b).abs() < 1e-15));
 
         let yh = random_vector(100, 4);
-        let y = g.upload_f64("y", &yh);
-        let out = g.alloc_f64("out", 100);
-        ewmul(&g, &x, &y, &out);
+        let y = g.try_upload_f64("y", &yh).unwrap();
+        let out = g.try_alloc_f64("out", 100).unwrap();
+        try_ewmul(&g, &x, &y, &out).unwrap();
         let expect: Vec<f64> = got.iter().zip(&yh).map(|(a, b)| a * b).collect();
         assert!(reference::max_abs_diff(&out.to_vec_f64(), &expect) < 1e-15);
     }
@@ -256,10 +221,10 @@ mod tests {
         let g = gpu();
         let xh = random_vector(4097, 5);
         let yh = random_vector(4097, 6);
-        let x = g.upload_f64("x", &xh);
-        let y = g.upload_f64("y", &yh);
-        let out = g.alloc_f64("dot", 1);
-        let (d, stats) = dot(&g, &x, &y, &out);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        let y = g.try_upload_f64("y", &yh).unwrap();
+        let out = g.try_alloc_f64("dot", 1).unwrap();
+        let (d, stats) = try_dot(&g, &x, &y, &out).unwrap();
         assert!((d - reference::dot(&xh, &yh)).abs() < 1e-9);
         // One atomic per block, not per element.
         assert!(stats.counters.global_atomics <= stats.config.grid_blocks as u64);
@@ -269,9 +234,9 @@ mod tests {
     fn nrm2_sq_positive() {
         let g = gpu();
         let xh = random_vector(513, 7);
-        let x = g.upload_f64("x", &xh);
-        let out = g.alloc_f64("n", 1);
-        let (n2, _) = nrm2_sq(&g, &x, &out);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        let out = g.try_alloc_f64("n", 1).unwrap();
+        let (n2, _) = try_nrm2_sq(&g, &x, &out).unwrap();
         assert!((n2 - reference::norm2_sq(&xh)).abs() < 1e-9);
     }
 
@@ -279,10 +244,10 @@ mod tests {
     fn dot_is_repeatable() {
         let g = gpu();
         let xh = random_vector(2048, 8);
-        let x = g.upload_f64("x", &xh);
-        let out = g.alloc_f64("d", 1);
-        let (a, _) = dot(&g, &x, &x, &out);
-        let (b, _) = dot(&g, &x, &x, &out);
+        let x = g.try_upload_f64("x", &xh).unwrap();
+        let out = g.try_alloc_f64("d", 1).unwrap();
+        let (a, _) = try_dot(&g, &x, &x, &out).unwrap();
+        let (b, _) = try_dot(&g, &x, &x, &out).unwrap();
         assert_eq!(a, b, "sequential simulation must be bitwise repeatable");
     }
 }

@@ -18,9 +18,10 @@
 // Lane-indexed loops over parallel arrays are the natural idiom for
 // warp-level kernel code; iterator zips would obscure the SIMT shape.
 #![allow(clippy::needless_range_loop)]
-// Simulator/kernels code surfaces failures as typed errors or explicit
-// panics with context; bare unwrap/expect is reserved for tests.
+// Simulator/kernels code surfaces failures as typed errors; each panic left
+// is an allowed misuse or invariant check. Bare ones are for tests only.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod cpu;
 pub mod csrmv;
@@ -37,13 +38,10 @@ pub mod transpose;
 pub use cpu::{
     measure_lrcg_iteration_dense, measure_lrcg_iteration_sparse, CpuEngine, MeasureError,
 };
-pub use csrmv::{csrmv, try_csrmv, vector_size_for_mean_nnz, SpmvStyle};
-pub use csrmv_t::{
-    csrmv_t_atomic, csrmv_t_pretransposed, csrmv_t_scatter, try_csrmv_t_atomic,
-    try_csrmv_t_pretransposed, try_csrmv_t_scatter,
-};
+pub use csrmv::{try_csrmv, vector_size_for_mean_nnz, SpmvStyle};
+pub use csrmv_t::{try_csrmv_t_atomic, try_csrmv_t_pretransposed, try_csrmv_t_scatter};
 pub use dev::{GpuCsr, GpuDense};
-pub use ellmv::{ellmv, hybmv, try_ellmv, try_hybmv, GpuEll, GpuHyb};
+pub use ellmv::{try_ellmv, try_hybmv, GpuEll, GpuHyb};
 pub use engine::{BaselineEngine, Flavor};
 #[cfg(target_arch = "x86_64")]
 pub use exec::Avx2Executor;
@@ -52,6 +50,6 @@ pub use exec::{
     fused_pattern_dense, fused_xtxp_csr, scalar_executor, scalar_forced, KernelExecutor, MtFused,
     MtWorkspace, ScalarExecutor, CANONICAL_BLOCKS,
 };
-pub use gemv::{gemv, gemv_t, gemv_t_direct, try_gemv, try_gemv_t, try_gemv_t_direct};
+pub use gemv::{try_gemv, try_gemv_t, try_gemv_t_direct};
 pub use strips::{Strip, StripTable, Strips};
-pub use transpose::{csr2csc_device, total_sim_ms, try_csr2csc_device};
+pub use transpose::{total_sim_ms, try_csr2csc_device};

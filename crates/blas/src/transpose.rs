@@ -286,11 +286,6 @@ pub fn try_csr2csc_device(
     Ok((xt, launches))
 }
 
-/// Infallible [`try_csr2csc_device`]; panics on device faults.
-pub fn csr2csc_device(gpu: &Gpu, x: &GpuCsr) -> (GpuCsr, Vec<LaunchStats>) {
-    try_csr2csc_device(gpu, x).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Total simulated milliseconds across a sequence of launches.
 pub fn total_sim_ms(launches: &[LaunchStats]) -> f64 {
     launches.iter().map(|l| l.sim_ms()).sum()
@@ -299,7 +294,7 @@ pub fn total_sim_ms(launches: &[LaunchStats]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csrmv::{csrmv, SpmvStyle};
+    use crate::csrmv::{try_csrmv, SpmvStyle};
     use fusedml_gpu_sim::DeviceSpec;
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
     use fusedml_matrix::reference;
@@ -312,8 +307,8 @@ mod tests {
     fn device_transpose_produces_valid_spmv() {
         let g = gpu();
         let x = uniform_sparse(120, 75, 0.1, 21);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let (xt, launches) = csr2csc_device(&g, &xd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let (xt, launches) = try_csr2csc_device(&g, &xd).unwrap();
         assert_eq!(xt.rows, 75);
         assert_eq!(xt.cols, 120);
         assert_eq!(xt.nnz, x.nnz());
@@ -322,9 +317,9 @@ mod tests {
 
         // X^T * p via the transposed matrix equals the reference.
         let p = random_vector(120, 9);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 75);
-        csrmv(&g, &xt, &pd, &wd, SpmvStyle::Vector { vs: 4 });
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 75).unwrap();
+        try_csrmv(&g, &xt, &pd, &wd, SpmvStyle::Vector { vs: 4 }).unwrap();
         let expect = reference::csr_tmv(&x, &p);
         assert!(reference::max_abs_diff(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -333,8 +328,8 @@ mod tests {
     fn transpose_offsets_match_host() {
         let g = gpu();
         let x = uniform_sparse(64, 40, 0.15, 5);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let (xt, _) = csr2csc_device(&g, &xd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let (xt, _) = try_csr2csc_device(&g, &xd).unwrap();
         let host_t = x.transpose();
         assert_eq!(
             xt.row_off.to_vec_u32(),
@@ -350,12 +345,12 @@ mod tests {
     fn transpose_cost_is_material() {
         let g = gpu();
         let x = uniform_sparse(500, 256, 0.05, 6);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let (_, launches) = csr2csc_device(&g, &xd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let (_, launches) = try_csr2csc_device(&g, &xd).unwrap();
         // Cost should exceed a single SpMV over the same data.
-        let y = g.upload_f64("y", &random_vector(256, 1));
-        let p = g.alloc_f64("p", 500);
-        let spmv = csrmv(&g, &xd, &y, &p, SpmvStyle::Vector { vs: 8 });
+        let y = g.try_upload_f64("y", &random_vector(256, 1)).unwrap();
+        let p = g.try_alloc_f64("p", 500).unwrap();
+        let spmv = try_csrmv(&g, &xd, &y, &p, SpmvStyle::Vector { vs: 8 }).unwrap();
         assert!(total_sim_ms(&launches) > spmv.sim_ms());
     }
 
@@ -363,8 +358,8 @@ mod tests {
     fn empty_matrix_transposes() {
         let g = gpu();
         let x = fusedml_matrix::CsrMatrix::empty(10, 6);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let (xt, _) = csr2csc_device(&g, &xd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let (xt, _) = try_csr2csc_device(&g, &xd).unwrap();
         assert_eq!(xt.nnz, 0);
         assert_eq!(xt.row_off.to_vec_u32(), vec![0; 7]);
     }

@@ -4,7 +4,7 @@
 //! matrix width with `TL`-way unrolled loops and explicitly named registers
 //! (Listing 2) — because indexed "register arrays" spill to local memory
 //! when the index is not a compile-time constant. The Rust analog is
-//! **monomorphization**: [`dense_fused_kernel`](crate::dense_fused::dense_fused_kernel) is generic over
+//! **monomorphization**: [`try_dense_fused_kernel`] is generic over
 //! `const TL: usize`, and this module provides the runtime dispatch table
 //! from a [`DensePlan`] to the 40 specialized instantiations, plus a
 //! faithful CUDA-source generator for inspection (mirroring Listing 2).
@@ -47,21 +47,6 @@ pub fn try_launch_dense_fused(
         1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
         26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40
     )
-}
-
-/// Infallible [`try_launch_dense_fused`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_dense_fused(
-    gpu: &Gpu,
-    plan: &DensePlan,
-    spec: PatternSpec,
-    x: &GpuDense,
-    v: Option<&GpuBuffer>,
-    y: &GpuBuffer,
-    z: Option<&GpuBuffer>,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_launch_dense_fused(gpu, plan, spec, x, v, y, z, w).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Generate the CUDA C source the paper's code generator would emit for a

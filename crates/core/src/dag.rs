@@ -117,6 +117,9 @@ impl DagBuilder {
         self.nodes.len() - 1
     }
 
+    // A scalar where a vector belongs is builder misuse, checked like the
+    // dimension asserts of the operators below.
+    #[allow(clippy::panic)]
     fn vdim(&self, n: NodeId) -> Dim {
         self.dims[n].unwrap_or_else(|| panic!("node {n} is a scalar, not a vector"))
     }

@@ -24,7 +24,7 @@ use fusedml_gpu_sim::{
 };
 
 /// Launch the dense fused kernel with compile-time thread load `TL`.
-/// Use [`crate::codegen::launch_dense_fused`] for runtime dispatch.
+/// Use [`crate::codegen::try_launch_dense_fused`] for runtime dispatch.
 ///
 /// `w` must be zeroed by the caller.
 #[allow(clippy::too_many_arguments)]
@@ -251,25 +251,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
     })
 }
 
-/// Infallible [`try_dense_fused_kernel`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn dense_fused_kernel<const TL: usize>(
-    gpu: &Gpu,
-    plan: &DensePlan,
-    spec: PatternSpec,
-    x: &GpuDense,
-    v: Option<&GpuBuffer>,
-    y: &GpuBuffer,
-    z: Option<&GpuBuffer>,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_dense_fused_kernel::<TL>(gpu, plan, spec, x, v, y, z, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::{plan_dense, DensePlan};
+    use crate::tuner::{try_plan_dense, DensePlan};
     use fusedml_gpu_sim::DeviceSpec;
     use fusedml_matrix::gen::{dense_random, random_vector};
     use fusedml_matrix::reference;
@@ -284,13 +269,14 @@ mod tests {
         let y = random_vector(n, seed + 1);
         let v = random_vector(m, seed + 2);
         let z = random_vector(n, seed + 3);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", n);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
         let spec = PatternSpec::full(1.5, -2.0);
-        crate::codegen::launch_dense_fused(&g, plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd);
+        crate::codegen::try_launch_dense_fused(&g, plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd)
+            .unwrap();
         let expect = reference::pattern_dense(1.5, &x, Some(&v), &y, -2.0, Some(&z));
         reference::rel_l2_error(&wd.to_vec_f64(), &expect)
     }
@@ -299,7 +285,7 @@ mod tests {
     fn higgs_shape_small_n() {
         // n = 28 triggers the BS=1024/TL=1 special case.
         let g = gpu();
-        let plan = plan_dense(g.spec(), 5000, 28);
+        let plan = try_plan_dense(g.spec(), 5000, 28).unwrap();
         assert_eq!(plan.tl, 1);
         assert!(run_with_plan(&plan, 5000, 28, 71) < 1e-12);
     }
@@ -307,7 +293,7 @@ mod tests {
     #[test]
     fn mid_width_intra_warp_vectors() {
         let g = gpu();
-        let plan = plan_dense(g.spec(), 2000, 200);
+        let plan = try_plan_dense(g.spec(), 2000, 200).unwrap();
         assert!(plan.vs * plan.tl >= 200);
         assert!(run_with_plan(&plan, 2000, 200, 72) < 1e-12);
     }
@@ -316,7 +302,7 @@ mod tests {
     fn wide_rows_block_vector_path() {
         let g = gpu();
         // Force the VS == BS path with a hand-built plan.
-        let mut plan = plan_dense(g.spec(), 500, 1024);
+        let mut plan = try_plan_dense(g.spec(), 500, 1024).unwrap();
         if plan.vs <= 32 {
             plan.vs = plan.bs;
             plan.tl = 1024usize.div_ceil(plan.bs);
@@ -335,11 +321,11 @@ mod tests {
         let n = 96;
         let x = dense_random(m, n, 74);
         let y = random_vector(n, 75);
-        let plan = plan_dense(g.spec(), m, n);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", n);
-        crate::codegen::launch_dense_fused(
+        let plan = try_plan_dense(g.spec(), m, n).unwrap();
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
+        crate::codegen::try_launch_dense_fused(
             &g,
             &plan,
             PatternSpec::xtxy(),
@@ -348,7 +334,8 @@ mod tests {
             &yd,
             None,
             &wd,
-        );
+        )
+        .unwrap();
         let expect = reference::pattern_dense(1.0, &x, None, &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -360,12 +347,12 @@ mod tests {
         let n = 256; // 8 MB matrix, far beyond the per-SM L2 slice
         let x = dense_random(m, n, 76);
         let y = random_vector(n, 77);
-        let plan = plan_dense(g.spec(), m, n);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", n);
+        let plan = try_plan_dense(g.spec(), m, n).unwrap();
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
         g.flush_caches();
-        let stats = crate::codegen::launch_dense_fused(
+        let stats = crate::codegen::try_launch_dense_fused(
             &g,
             &plan,
             PatternSpec::xtxy(),
@@ -374,7 +361,8 @@ mod tests {
             &yd,
             None,
             &wd,
-        );
+        )
+        .unwrap();
         let one_scan = (m * n * 8) as u64;
         assert!(
             stats.counters.dram_read_bytes < one_scan + one_scan / 4,

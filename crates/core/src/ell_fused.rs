@@ -25,6 +25,13 @@ pub struct EllPlan {
 
 /// Plan for an `m x n` ELL matrix: one resident wave, shared-memory
 /// aggregation when `w` fits (same limit as the CSR kernel).
+///
+/// # Panics
+/// If no block of 128 to 1024 threads at the kernel's 32 registers fits
+/// the device.
+// Every built-in spec fits a 128-thread block; a device too small for one
+// cannot run the ELL kernel at all.
+#[allow(clippy::panic)]
 pub fn plan_ell(gpu: &Gpu, m: usize, n: usize) -> EllPlan {
     let spec = gpu.spec();
     let use_shared_w = n * 8 <= spec.shared_mem_per_block / 2;
@@ -162,25 +169,10 @@ pub fn try_fused_pattern_ell(
     })
 }
 
-/// Infallible [`try_fused_pattern_ell`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_pattern_ell(
-    gpu: &Gpu,
-    plan: &EllPlan,
-    spec: PatternSpec,
-    x: &GpuEll,
-    v: Option<&GpuBuffer>,
-    y: &GpuBuffer,
-    z: Option<&GpuBuffer>,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_fused_pattern_ell(gpu, plan, spec, x, v, y, z, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_blas::level1::fill;
+    use fusedml_blas::level1::try_fill;
     use fusedml_gpu_sim::DeviceSpec;
     use fusedml_matrix::gen::{powerlaw_sparse, random_vector, uniform_sparse};
     use fusedml_matrix::{reference, EllMatrix};
@@ -200,14 +192,14 @@ mod tests {
         let y = random_vector(n, seed);
         let v = random_vector(m, seed + 1);
         let z = random_vector(n, seed + 2);
-        let xd = GpuEll::upload(g, "x", &ell);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", n);
-        fill(g, &wd, 0.0);
+        let xd = GpuEll::try_upload(g, "x", &ell).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
+        try_fill(g, &wd, 0.0).unwrap();
         let plan = plan_ell(g, m, n);
-        let stats = fused_pattern_ell(
+        let stats = try_fused_pattern_ell(
             g,
             &plan,
             spec,
@@ -216,7 +208,8 @@ mod tests {
             &yd,
             spec.with_z.then_some(&zd),
             &wd,
-        );
+        )
+        .unwrap();
         let expect = reference::pattern_csr(
             spec.alpha,
             x,

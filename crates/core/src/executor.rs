@@ -27,14 +27,15 @@ use std::collections::BTreeMap;
 ///
 /// let gpu = Gpu::new(DeviceSpec::gtx_titan());
 /// let x = uniform_sparse(1000, 128, 0.05, 1);
-/// let xd = GpuCsr::upload(&gpu, "X", &x);
-/// let y = gpu.upload_f64("y", &random_vector(128, 2));
-/// let w = gpu.alloc_f64("w", 128);
+/// let xd = GpuCsr::try_upload(&gpu, "X", &x)?;
+/// let y = gpu.try_upload_f64("y", &random_vector(128, 2))?;
+/// let w = gpu.try_alloc_f64("w", 128)?;
 ///
 /// let mut exec = FusedExecutor::new(&gpu);
-/// exec.pattern_sparse(PatternSpec::xtxy(), &xd, None, &y, None, &w);
+/// exec.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &y, None, &w)?;
 /// assert_eq!(exec.launch_count(), 2); // fill + ONE fused kernel
 /// assert!(exec.total_sim_ms() > 0.0);
+/// # Ok::<(), fusedml_gpu_sim::DeviceError>(())
 /// ```
 pub struct FusedExecutor<'g> {
     gpu: &'g Gpu,
@@ -190,11 +191,6 @@ impl<'g> FusedExecutor<'g> {
         Ok(plan)
     }
 
-    /// Infallible [`FusedExecutor::try_sparse_plan`].
-    pub fn sparse_plan(&self, x: &GpuCsr) -> SparsePlan {
-        self.try_sparse_plan(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The launch plan the tuner would pick for this dense matrix, or a
     /// typed (permanent) [`DeviceError`]. Memoized like
     /// [`FusedExecutor::try_sparse_plan`], keyed by shape.
@@ -252,11 +248,6 @@ impl<'g> FusedExecutor<'g> {
         Ok(plan)
     }
 
-    /// Infallible [`FusedExecutor::try_dense_plan`].
-    pub fn dense_plan(&self, x: &GpuDense) -> DensePlan {
-        self.try_dense_plan(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// `w = alpha * X^T (v ⊙ (X y)) + beta * z`, sparse, fully fused
     /// (zero-fill + one fused kernel).
     pub fn try_pattern_sparse(
@@ -272,21 +263,7 @@ impl<'g> FusedExecutor<'g> {
         self.try_pattern_sparse_with_plan(&plan, spec, x, v, y, z, w)
     }
 
-    /// Infallible [`FusedExecutor::try_pattern_sparse`].
-    pub fn pattern_sparse(
-        &mut self,
-        spec: PatternSpec,
-        x: &GpuCsr,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-    ) {
-        self.try_pattern_sparse(spec, x, v, y, z, w)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`FusedExecutor::pattern_sparse`] with an explicit plan (the
+    /// Like [`FusedExecutor::try_pattern_sparse`] with an explicit plan (the
     /// Fig. 6 sweep drives this directly).
     #[allow(clippy::too_many_arguments)]
     pub fn try_pattern_sparse_with_plan(
@@ -309,22 +286,6 @@ impl<'g> FusedExecutor<'g> {
         Ok(())
     }
 
-    /// Infallible [`FusedExecutor::try_pattern_sparse_with_plan`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn pattern_sparse_with_plan(
-        &mut self,
-        plan: &SparsePlan,
-        spec: PatternSpec,
-        x: &GpuCsr,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-    ) {
-        self.try_pattern_sparse_with_plan(plan, spec, x, v, y, z, w)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// `w = alpha * X^T y` (Table 1's first instantiation; `y` has row
     /// dimension), fused.
     pub fn try_xt_y_sparse(
@@ -345,12 +306,6 @@ impl<'g> FusedExecutor<'g> {
         Ok(())
     }
 
-    /// Infallible [`FusedExecutor::try_xt_y_sparse`].
-    pub fn xt_y_sparse(&mut self, alpha: f64, x: &GpuCsr, y: &GpuBuffer, w: &GpuBuffer) {
-        self.try_xt_y_sparse(alpha, x, y, w)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// `w = alpha * X^T (v ⊙ (X y)) + beta * z`, dense, fused through the
     /// monomorphized (generated) kernel.
     pub fn try_pattern_dense(
@@ -364,20 +319,6 @@ impl<'g> FusedExecutor<'g> {
     ) -> Result<(), DeviceError> {
         let plan = self.try_dense_plan(x)?;
         self.try_pattern_dense_with_plan(&plan, spec, x, v, y, z, w)
-    }
-
-    /// Infallible [`FusedExecutor::try_pattern_dense`].
-    pub fn pattern_dense(
-        &mut self,
-        spec: PatternSpec,
-        x: &GpuDense,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-    ) {
-        self.try_pattern_dense(spec, x, v, y, z, w)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Dense pattern with an explicit plan.
@@ -396,22 +337,6 @@ impl<'g> FusedExecutor<'g> {
         self.launches
             .push(try_launch_dense_fused(self.gpu, plan, spec, x, v, y, z, w)?);
         Ok(())
-    }
-
-    /// Infallible [`FusedExecutor::try_pattern_dense_with_plan`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn pattern_dense_with_plan(
-        &mut self,
-        plan: &DensePlan,
-        spec: PatternSpec,
-        x: &GpuDense,
-        v: Option<&GpuBuffer>,
-        y: &GpuBuffer,
-        z: Option<&GpuBuffer>,
-        w: &GpuBuffer,
-    ) {
-        self.try_pattern_dense_with_plan(plan, spec, x, v, y, z, w)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -433,20 +358,21 @@ mod tests {
         let y = random_vector(300, 1);
         let v = random_vector(600, 2);
         let z = random_vector(300, 3);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", 300);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", 300).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(
+        ex.try_pattern_sparse(
             PatternSpec::full(2.0, 0.5),
             &xd,
             Some(&vd),
             &yd,
             Some(&zd),
             &wd,
-        );
+        )
+        .unwrap();
         let expect = reference::pattern_csr(2.0, &x, Some(&v), &y, 0.5, Some(&z));
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
         // Fused path: fill + ONE kernel, versus the baseline's six.
@@ -457,14 +383,15 @@ mod tests {
     fn executor_picks_global_variant_for_wide_matrices() {
         let g = gpu();
         let x = powerlaw_sparse(800, 40_000, 6.0, 0.8, 82);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let plan = FusedExecutor::new(&g).sparse_plan(&xd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let plan = FusedExecutor::new(&g).try_sparse_plan(&xd).unwrap();
         assert!(!plan.use_shared_w);
         let y = random_vector(40_000, 4);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 40_000);
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 40_000).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         let expect = reference::pattern_csr(1.0, &x, None, &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-11);
     }
@@ -474,11 +401,11 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(500, 120, 0.06, 83);
         let yh = random_vector(500, 5);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &yh);
-        let wd = g.alloc_f64("w", 120);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &yh).unwrap();
+        let wd = g.try_alloc_f64("w", 120).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.xt_y_sparse(3.0, &xd, &yd, &wd);
+        ex.try_xt_y_sparse(3.0, &xd, &yd, &wd).unwrap();
         let mut expect = reference::csr_tmv(&x, &yh);
         reference::scal(3.0, &mut expect);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
@@ -489,11 +416,12 @@ mod tests {
         let g = gpu();
         let x = dense_random(1200, 28, 84);
         let y = random_vector(28, 6);
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 28);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 28).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_dense(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        ex.try_pattern_dense(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         let expect = reference::pattern_dense(1.0, &x, None, &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
         assert_eq!(ex.launch_count(), 2);
@@ -506,19 +434,23 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(4000, 512, 0.02, 85);
         let y = random_vector(512, 7);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
 
-        let wd1 = g.alloc_f64("w1", 512);
+        let wd1 = g.try_alloc_f64("w1", 512).unwrap();
         let mut fused = FusedExecutor::new(&g);
         g.flush_caches();
-        fused.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd1);
+        fused
+            .try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd1)
+            .unwrap();
 
-        let wd2 = g.alloc_f64("w2", 512);
-        let pd = g.alloc_f64("p", 4000);
-        let mut base = fusedml_blas::BaselineEngine::new(&g, fusedml_blas::Flavor::CuLibs);
+        let wd2 = g.try_alloc_f64("w2", 512).unwrap();
+        let pd = g.try_alloc_f64("p", 4000).unwrap();
+        let mut base =
+            fusedml_blas::BaselineEngine::try_new(&g, fusedml_blas::Flavor::CuLibs).unwrap();
         g.flush_caches();
-        base.pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd2, &pd);
+        base.try_pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd2, &pd)
+            .unwrap();
 
         assert!(
             fused.total_sim_ms() < base.total_sim_ms(),
@@ -535,14 +467,15 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(2000, 256, 0.03, 90);
         let y = random_vector(256, 8);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 256);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 256).unwrap();
         let mut ex = FusedExecutor::new(&g);
         ex.set_plan_cache(true); // independent of the process default
         let iterations = 10;
         for _ in 0..iterations {
-            ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+            ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+                .unwrap();
         }
         let s = ex.plan_stats();
         assert_eq!(s.plans_computed(), 1, "O(1) tuner runs per solve");
@@ -554,7 +487,7 @@ mod tests {
     fn cached_plan_is_bit_identical_to_fresh_plan() {
         let g = gpu();
         let x = uniform_sparse(3000, 400, 0.02, 91);
-        let xd = GpuCsr::upload(&g, "x", &x);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
         let ex = FusedExecutor::new(&g);
         ex.set_plan_cache(true);
         let first = ex.try_sparse_plan(&xd).unwrap();
@@ -569,7 +502,7 @@ mod tests {
     fn disabled_executor_cache_replans_every_call() {
         let g = gpu();
         let x = dense_random(900, 24, 92);
-        let xd = GpuDense::upload(&g, "x", &x);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
         let ex = FusedExecutor::new(&g);
         ex.set_plan_cache(false);
         for _ in 0..3 {
@@ -583,7 +516,7 @@ mod tests {
     fn invalidation_forces_replan() {
         let g = gpu();
         let x = uniform_sparse(1000, 200, 0.04, 93);
-        let xd = GpuCsr::upload(&g, "x", &x);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
         let ex = FusedExecutor::new(&g);
         ex.set_plan_cache(true);
         ex.try_sparse_plan(&xd).unwrap();

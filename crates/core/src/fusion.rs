@@ -717,11 +717,6 @@ impl<'g> DagExecutor<'g> {
         })
     }
 
-    /// Infallible [`DagExecutor::try_new`]; panics on device faults.
-    pub fn new(gpu: &'g Gpu) -> Self {
-        DagExecutor::try_new(gpu).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub fn gpu(&self) -> &'g Gpu {
         self.exec.gpu()
     }
@@ -825,6 +820,14 @@ impl<'g> DagExecutor<'g> {
 
     /// Execute `dag` under an explicit `plan` (the property suite uses
     /// this to run the unfused reference plan). Returns the dot scalars.
+    ///
+    /// # Panics
+    /// If `plan` was compiled for another DAG, `out` does not have the
+    /// output node's length, or `inputs` binds no value to a scalar
+    /// parameter of `dag`.
+    // Each is a mismatch between arguments the caller builds together,
+    // not a device fault.
+    #[allow(clippy::panic)]
     pub fn try_run_with_plan(
         &mut self,
         plan: &FusionPlan,
@@ -1148,11 +1151,11 @@ mod tests {
 
         // Hand-fused reference.
         let g1 = gpu();
-        let xd1 = GpuCsr::upload(&g1, "X", &x);
-        let y1 = g1.upload_f64("y", &yh);
-        let v1 = g1.upload_f64("v", &vh);
-        let z1 = g1.upload_f64("z", &zh);
-        let w_ref = g1.alloc_f64("w", 256);
+        let xd1 = GpuCsr::try_upload(&g1, "X", &x).unwrap();
+        let y1 = g1.try_upload_f64("y", &yh).unwrap();
+        let v1 = g1.try_upload_f64("v", &vh).unwrap();
+        let z1 = g1.try_upload_f64("z", &zh).unwrap();
+        let w_ref = g1.try_alloc_f64("w", 256).unwrap();
         let mut exec = FusedExecutor::new(&g1);
         exec.try_pattern_sparse(spec, &xd1, Some(&v1), &y1, Some(&z1), &w_ref)
             .unwrap();
@@ -1162,13 +1165,13 @@ mod tests {
 
         // Same chain as a DAG, same allocation order on a twin device.
         let g2 = gpu();
-        let xd2 = GpuCsr::upload(&g2, "X", &x);
-        let y2 = g2.upload_f64("y", &yh);
-        let v2 = g2.upload_f64("v", &vh);
-        let z2 = g2.upload_f64("z", &zh);
-        let w_dag = g2.alloc_f64("w", 256);
+        let xd2 = GpuCsr::try_upload(&g2, "X", &x).unwrap();
+        let y2 = g2.try_upload_f64("y", &yh).unwrap();
+        let v2 = g2.try_upload_f64("v", &vh).unwrap();
+        let z2 = g2.try_upload_f64("z", &zh).unwrap();
+        let w_dag = g2.try_alloc_f64("w", 256).unwrap();
         let dag = Dag::equation1(spec);
-        let mut dexec = DagExecutor::new(&g2);
+        let mut dexec = DagExecutor::try_new(&g2).unwrap();
         let run = dexec
             .try_run(
                 &dag,
@@ -1197,11 +1200,11 @@ mod tests {
     fn dag_plans_are_memoized_by_fingerprint() {
         let g = gpu();
         let x = uniform_sparse(500, 64, 0.05, 11);
-        let xd = GpuCsr::upload(&g, "X", &x);
-        let y = g.upload_f64("y", &random_vector(64, 4));
-        let w = g.alloc_f64("w", 64);
+        let xd = GpuCsr::try_upload(&g, "X", &x).unwrap();
+        let y = g.try_upload_f64("y", &random_vector(64, 4)).unwrap();
+        let w = g.try_alloc_f64("w", 64).unwrap();
         let dag = Dag::equation1(PatternSpec::xtxy());
-        let mut dexec = DagExecutor::new(&g);
+        let mut dexec = DagExecutor::try_new(&g).unwrap();
         let inputs = DagInputs::new().vector("y", &y);
         let r1 = dexec
             .try_run(&dag, &DagMatrix::Sparse(&xd), &inputs, &w)
@@ -1213,7 +1216,7 @@ mod tests {
         assert_eq!(r1.plan, r2.plan);
         // A structurally different DAG misses.
         let dag2 = Dag::equation1(PatternSpec::xtxy_plus_bz(0.5));
-        let z = g.upload_f64("z", &random_vector(64, 5));
+        let z = g.try_upload_f64("z", &random_vector(64, 5)).unwrap();
         let r3 = dexec
             .try_run(
                 &dag2,
@@ -1235,10 +1238,10 @@ mod tests {
     fn ew_chain_fusion_is_bit_identical_to_singles() {
         let g = gpu();
         let x = uniform_sparse(300, 40, 0.1, 3);
-        let xd = GpuCsr::upload(&g, "X", &x);
-        let a = g.upload_f64("a", &random_vector(300, 6));
-        let b = g.upload_f64("b", &random_vector(300, 7));
-        let c = g.upload_f64("c", &random_vector(300, 8));
+        let xd = GpuCsr::try_upload(&g, "X", &x).unwrap();
+        let a = g.try_upload_f64("a", &random_vector(300, 6)).unwrap();
+        let b = g.try_upload_f64("b", &random_vector(300, 7)).unwrap();
+        let c = g.try_upload_f64("c", &random_vector(300, 8)).unwrap();
 
         // chain: ((a ⊙ b) * 1.7) + 0.3*c — all rows-dim, no matrix op.
         let mut builder = DagBuilder::new();
@@ -1256,8 +1259,8 @@ mod tests {
             .vector("c", &c);
         let shape = MatrixShape::of_sparse(&xd);
 
-        let w_fused = g.alloc_f64("w_fused", 300);
-        let mut dexec = DagExecutor::new(&g);
+        let w_fused = g.try_alloc_f64("w_fused", 300).unwrap();
+        let mut dexec = DagExecutor::try_new(&g).unwrap();
         let run = dexec
             .try_run(&dag, &DagMatrix::Sparse(&xd), &inputs, &w_fused)
             .unwrap();
@@ -1265,9 +1268,9 @@ mod tests {
         assert!(matches!(run.plan.groups[0].kind, GroupKind::EwChain { .. }));
         let fused_launches = dexec.launch_count();
 
-        let w_ref = g.alloc_f64("w_ref", 300);
+        let w_ref = g.try_alloc_f64("w_ref", 300).unwrap();
         let reference = unfused_plan(g.spec(), &dag, shape).unwrap();
-        let mut rexec = DagExecutor::new(&g);
+        let mut rexec = DagExecutor::try_new(&g).unwrap();
         rexec
             .try_run_with_plan(&reference, &dag, &DagMatrix::Sparse(&xd), &inputs, &w_ref)
             .unwrap();
@@ -1279,9 +1282,9 @@ mod tests {
     fn dot_nodes_surface_host_scalars() {
         let g = gpu();
         let x = uniform_sparse(200, 50, 0.1, 9);
-        let xd = GpuCsr::upload(&g, "X", &x);
-        let y = g.upload_f64("y", &random_vector(50, 10));
-        let w = g.alloc_f64("w", 200);
+        let xd = GpuCsr::try_upload(&g, "X", &x).unwrap();
+        let y = g.try_upload_f64("y", &random_vector(50, 10)).unwrap();
+        let w = g.try_alloc_f64("w", 200).unwrap();
 
         let mut b = DagBuilder::new();
         let iy = b.input("y", Dim::Cols);
@@ -1290,7 +1293,7 @@ mod tests {
         let dag = b.finish(p);
         assert!(matches!(dag.nodes()[d], Op::Dot { .. }));
 
-        let mut dexec = DagExecutor::new(&g);
+        let mut dexec = DagExecutor::try_new(&g).unwrap();
         let run = dexec
             .try_run(
                 &dag,

@@ -23,10 +23,11 @@
 // Lane-indexed loops over parallel arrays are the natural idiom for
 // warp-level kernel code; iterator zips would obscure the SIMT shape.
 #![allow(clippy::needless_range_loop)]
-// Hot-path code must report faults through typed errors (or panic with an
-// explicit message via the infallible wrappers), never through bare
-// unwrap/expect. Tests and benches are exempt.
+// Hot-path code must report faults through typed errors, never through a
+// panic or a bare unwrap/expect; a documented misuse or invariant check
+// is allowed where it stands. Tests and benches are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod codegen;
 pub mod cpu_exec;
@@ -43,10 +44,10 @@ pub mod sparse_fused;
 pub mod sparse_large;
 pub mod tuner;
 
-pub use codegen::{generate_cuda_source, launch_dense_fused};
+pub use codegen::generate_cuda_source;
 pub use cpu_exec::CpuFusedPattern;
 pub use dag::{Dag, DagBuilder, Dim, NodeId, Op, ScalarRef};
-pub use ell_fused::{fused_pattern_ell, plan_ell, EllPlan};
+pub use ell_fused::{plan_ell, EllPlan};
 pub use executor::FusedExecutor;
 pub use fusion::{
     select_plan, unfused_plan, DagExecutor, DagInputs, DagMatrix, DagRun, FusionPlan, GroupKind,
@@ -59,6 +60,5 @@ pub use plancache::{
 pub use rowranges::{RowRange, RowRangeExecutor, RowRanges};
 pub use sharded::{shard_rows, try_fused_pattern_shard, ShardedExecutor};
 pub use tuner::{
-    plan_dense, plan_sparse, plan_sparse_with_vs, try_plan_dense, try_plan_sparse,
-    try_plan_sparse_with_vs, DensePlan, PlanError, SparsePlan,
+    try_plan_dense, try_plan_sparse, try_plan_sparse_with_vs, DensePlan, PlanError, SparsePlan,
 };

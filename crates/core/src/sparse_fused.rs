@@ -327,21 +327,6 @@ pub fn try_fused_pattern_shared(
     })
 }
 
-/// Infallible [`try_fused_pattern_shared`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_pattern_shared(
-    gpu: &Gpu,
-    plan: &SparsePlan,
-    spec: PatternSpec,
-    x: &GpuCsr,
-    v: Option<&GpuBuffer>,
-    y: &GpuBuffer,
-    z: Option<&GpuBuffer>,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_fused_pattern_shared(gpu, plan, spec, x, v, y, z, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Algorithm 1: `w += alpha * X^T * p` with shared-memory aggregation.
 /// `p` has row dimension (`m`); this is the `alpha * X^T y` instantiation
 /// of Table 1 that Fig. 2 measures. `w` must be zeroed by the caller.
@@ -394,23 +379,10 @@ pub fn try_fused_xt_p_shared(
     })
 }
 
-/// Infallible [`try_fused_xt_p_shared`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_xt_p_shared(
-    gpu: &Gpu,
-    plan: &SparsePlan,
-    alpha: f64,
-    x: &GpuCsr,
-    p: &GpuBuffer,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_fused_xt_p_shared(gpu, plan, alpha, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::plan_sparse;
+    use crate::tuner::try_plan_sparse;
     use fusedml_gpu_sim::DeviceSpec;
     use fusedml_matrix::gen::{random_vector, uniform_sparse};
     use fusedml_matrix::reference;
@@ -424,11 +396,11 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(400, 150, 0.06, 51);
         let p = random_vector(400, 1);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 150);
-        let plan = plan_sparse(g.spec(), 400, 150, x.mean_nnz_per_row());
-        fused_xt_p_shared(&g, &plan, 2.0, &xd, &pd, &wd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 150).unwrap();
+        let plan = try_plan_sparse(g.spec(), 400, 150, x.mean_nnz_per_row()).unwrap();
+        try_fused_xt_p_shared(&g, &plan, 2.0, &xd, &pd, &wd).unwrap();
         let mut expect = reference::csr_tmv(&x, &p);
         reference::scal(2.0, &mut expect);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
@@ -441,14 +413,14 @@ mod tests {
         let y = random_vector(200, 2);
         let v = random_vector(350, 3);
         let z = random_vector(200, 4);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", 200);
-        let plan = plan_sparse(g.spec(), 350, 200, x.mean_nnz_per_row());
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", 200).unwrap();
+        let plan = try_plan_sparse(g.spec(), 350, 200, x.mean_nnz_per_row()).unwrap();
         let spec = PatternSpec::full(1.25, -0.5);
-        fused_pattern_shared(&g, &plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd);
+        try_fused_pattern_shared(&g, &plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd).unwrap();
         let expect = reference::pattern_csr(1.25, &x, Some(&v), &y, -0.5, Some(&z));
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -458,11 +430,12 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(300, 128, 0.08, 53);
         let y = random_vector(128, 5);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 128);
-        let plan = plan_sparse(g.spec(), 300, 128, x.mean_nnz_per_row());
-        fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 128).unwrap();
+        let plan = try_plan_sparse(g.spec(), 300, 128, x.mean_nnz_per_row()).unwrap();
+        try_fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         let expect = reference::pattern_csr(1.0, &x, None, &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -484,12 +457,15 @@ mod tests {
         let g = gpu();
         let y = random_vector(600, 8);
         let v = random_vector(200, 9);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let (yd, vd) = (g.upload_f64("y", &y), g.upload_f64("v", &v));
-        let wd = g.alloc_f64("w", 600);
-        let plan = plan_sparse(g.spec(), 200, 600, x.mean_nnz_per_row());
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let (yd, vd) = (
+            g.try_upload_f64("y", &y).unwrap(),
+            g.try_upload_f64("v", &v).unwrap(),
+        );
+        let wd = g.try_alloc_f64("w", 600).unwrap();
+        let plan = try_plan_sparse(g.spec(), 200, 600, x.mean_nnz_per_row()).unwrap();
         let spec = PatternSpec::xtvxy();
-        fused_pattern_shared(&g, &plan, spec, &xd, Some(&vd), &yd, None, &wd);
+        try_fused_pattern_shared(&g, &plan, spec, &xd, Some(&vd), &yd, None, &wd).unwrap();
         let expect = reference::pattern_csr(1.0, &x, Some(&v), &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -502,12 +478,14 @@ mod tests {
         // noise against the X traffic.
         let x = uniform_sparse(8000, 512, 0.02, 54);
         let y = random_vector(512, 6);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 512);
-        let plan = plan_sparse(g.spec(), 8000, 512, x.mean_nnz_per_row());
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 512).unwrap();
+        let plan = try_plan_sparse(g.spec(), 8000, 512, x.mean_nnz_per_row()).unwrap();
         g.flush_caches();
-        let stats = fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        let stats =
+            try_fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+                .unwrap();
         // The second scan re-reads values+col_idx; if temporal locality
         // works, DRAM traffic is much closer to one scan than two.
         let one_scan_bytes = (x.nnz() * 12) as u64;
@@ -525,11 +503,13 @@ mod tests {
         let g = gpu();
         let x = uniform_sparse(1000, 100, 0.1, 55);
         let y = random_vector(100, 7);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 100);
-        let plan = plan_sparse(g.spec(), 1000, 100, x.mean_nnz_per_row());
-        let stats = fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 100).unwrap();
+        let plan = try_plan_sparse(g.spec(), 1000, 100, x.mean_nnz_per_row()).unwrap();
+        let stats =
+            try_fused_pattern_shared(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+                .unwrap();
         // Hierarchical aggregation: global atomics only in the final flush
         // (grid * n), never per non-zero.
         assert_eq!(
@@ -545,11 +525,11 @@ mod tests {
     fn shared_kernel_rejects_global_plan() {
         let g = gpu();
         let x = uniform_sparse(10, 5, 0.5, 1);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &random_vector(10, 1));
-        let wd = g.alloc_f64("w", 5);
-        let mut plan = plan_sparse(g.spec(), 10, 5, 2.0);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &random_vector(10, 1)).unwrap();
+        let wd = g.try_alloc_f64("w", 5).unwrap();
+        let mut plan = try_plan_sparse(g.spec(), 10, 5, 2.0).unwrap();
         plan.use_shared_w = false;
-        fused_xt_p_shared(&g, &plan, 1.0, &xd, &pd, &wd);
+        try_fused_xt_p_shared(&g, &plan, 1.0, &xd, &pd, &wd).unwrap();
     }
 }

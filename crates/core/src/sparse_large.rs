@@ -70,21 +70,6 @@ pub fn try_fused_pattern_global(
     })
 }
 
-/// Infallible [`try_fused_pattern_global`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_pattern_global(
-    gpu: &Gpu,
-    plan: &SparsePlan,
-    spec: PatternSpec,
-    x: &GpuCsr,
-    v: Option<&GpuBuffer>,
-    y: &GpuBuffer,
-    z: Option<&GpuBuffer>,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_fused_pattern_global(gpu, plan, spec, x, v, y, z, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Algorithm 1 with global-memory aggregation: `w += alpha * X^T p` for
 /// matrices whose column count exceeds the shared-memory limit.
 /// `w` must be zeroed by the caller.
@@ -131,23 +116,10 @@ pub fn try_fused_xt_p_global(
     })
 }
 
-/// Infallible [`try_fused_xt_p_global`]; panics on device faults.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_xt_p_global(
-    gpu: &Gpu,
-    plan: &SparsePlan,
-    alpha: f64,
-    x: &GpuCsr,
-    p: &GpuBuffer,
-    w: &GpuBuffer,
-) -> LaunchStats {
-    try_fused_xt_p_global(gpu, plan, alpha, x, p, w).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::{plan_sparse, plan_sparse_with_vs};
+    use crate::tuner::{try_plan_sparse, try_plan_sparse_with_vs};
     use fusedml_gpu_sim::DeviceSpec;
     use fusedml_matrix::gen::{powerlaw_sparse, random_vector};
     use fusedml_matrix::reference;
@@ -159,7 +131,7 @@ mod tests {
     /// A matrix wide enough to force the global variant on a tiny device
     /// is huge; instead, force the plan with `use_shared_w = false`.
     fn global_plan(g: &Gpu, m: usize, n: usize, vs: usize) -> SparsePlan {
-        let mut p = plan_sparse_with_vs(g.spec(), m, n, vs);
+        let mut p = try_plan_sparse_with_vs(g.spec(), m, n, vs).unwrap();
         if p.use_shared_w {
             p.use_shared_w = false;
             p.shared_bytes = (p.bs / p.vs) * 8;
@@ -174,14 +146,14 @@ mod tests {
         let y = random_vector(300, 1);
         let v = random_vector(500, 2);
         let z = random_vector(300, 3);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", 300);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", 300).unwrap();
         let plan = global_plan(&g, 500, 300, 4);
         let spec = PatternSpec::full(0.75, 2.0);
-        fused_pattern_global(&g, &plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd);
+        try_fused_pattern_global(&g, &plan, spec, &xd, Some(&vd), &yd, Some(&zd), &wd).unwrap();
         let expect = reference::pattern_csr(0.75, &x, Some(&v), &y, 2.0, Some(&z));
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
     }
@@ -191,11 +163,11 @@ mod tests {
         let g = gpu();
         let x = powerlaw_sparse(400, 250, 5.0, 0.8, 62);
         let p = random_vector(400, 4);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let pd = g.upload_f64("p", &p);
-        let wd = g.alloc_f64("w", 250);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let pd = g.try_upload_f64("p", &p).unwrap();
+        let wd = g.try_alloc_f64("w", 250).unwrap();
         let plan = global_plan(&g, 400, 250, 4);
-        fused_xt_p_global(&g, &plan, -1.5, &xd, &pd, &wd);
+        try_fused_xt_p_global(&g, &plan, -1.5, &xd, &pd, &wd).unwrap();
         let mut expect = reference::csr_tmv(&x, &p);
         reference::scal(-1.5, &mut expect);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-12);
@@ -205,14 +177,15 @@ mod tests {
     fn wide_matrix_auto_plans_global_variant() {
         let g = gpu();
         // 50k columns cannot fit in 48KB shared memory.
-        let plan = plan_sparse(g.spec(), 1000, 50_000, 8.0);
+        let plan = try_plan_sparse(g.spec(), 1000, 50_000, 8.0).unwrap();
         assert!(!plan.use_shared_w);
         let x = powerlaw_sparse(1000, 50_000, 8.0, 0.8, 63);
         let y = random_vector(50_000, 5);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 50_000);
-        fused_pattern_global(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 50_000).unwrap();
+        try_fused_pattern_global(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         let expect = reference::pattern_csr(1.0, &x, None, &y, 0.0, None);
         assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-11);
     }
@@ -222,11 +195,13 @@ mod tests {
         let g = gpu();
         let x = powerlaw_sparse(300, 10_000, 4.0, 0.8, 64);
         let y = random_vector(10_000, 6);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let wd = g.alloc_f64("w", 10_000);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let wd = g.try_alloc_f64("w", 10_000).unwrap();
         let plan = global_plan(&g, 300, 10_000, 4);
-        let stats = fused_pattern_global(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        let stats =
+            try_fused_pattern_global(&g, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+                .unwrap();
         // One global atomic per non-zero (no shared pre-aggregation).
         assert_eq!(stats.counters.global_atomics, x.nnz() as u64);
         assert_eq!(stats.counters.shared_atomics, 0);

@@ -18,8 +18,8 @@ use fusedml_blas::ellmv::GpuEll;
 use fusedml_blas::{GpuCsr, GpuDense};
 use fusedml_core::tuner::dense_kernel_regs;
 use fusedml_core::{
-    codegen::try_launch_dense_fused, ell_fused::try_fused_pattern_ell, plan_dense, plan_ell,
-    plan_sparse, sparse_fused, sparse_large, try_fused_pattern_shard, PatternSpec,
+    codegen::try_launch_dense_fused, ell_fused::try_fused_pattern_ell, plan_ell, sparse_fused,
+    sparse_large, try_fused_pattern_shard, try_plan_dense, try_plan_sparse, PatternSpec,
 };
 use fusedml_gpu_sim::{Counters, DeviceSpec, Gpu, LaunchStats, TimeBreakdown};
 use fusedml_matrix::gen::{dense_random, powerlaw_sparse, random_vector, uniform_sparse};
@@ -157,13 +157,13 @@ fn full_spec() -> PatternSpec {
 /// kernel its natural plan selects; `expect_shared` pins which one.
 fn sparse_pattern(g: &Gpu, x: &CsrMatrix, expect_shared: bool) -> LaunchStats {
     let (m, n) = (x.rows(), x.cols());
-    let plan = plan_sparse(g.spec(), m, n, x.mean_nnz_per_row());
+    let plan = try_plan_sparse(g.spec(), m, n, x.mean_nnz_per_row()).unwrap();
     assert_eq!(plan.use_shared_w, expect_shared, "plan {plan:?}");
-    let xd = GpuCsr::upload(g, "x", x);
-    let y = g.upload_f64("y", &random_vector(n, 2));
-    let v = g.upload_f64("v", &random_vector(m, 3));
-    let z = g.upload_f64("z", &random_vector(n, 4));
-    let w = g.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(g, "x", x).unwrap();
+    let y = g.try_upload_f64("y", &random_vector(n, 2)).unwrap();
+    let v = g.try_upload_f64("v", &random_vector(m, 3)).unwrap();
+    let z = g.try_upload_f64("z", &random_vector(n, 4)).unwrap();
+    let w = g.try_alloc_f64("w", n).unwrap();
     let run = if expect_shared {
         sparse_fused::try_fused_pattern_shared
     } else {
@@ -175,11 +175,11 @@ fn sparse_pattern(g: &Gpu, x: &CsrMatrix, expect_shared: bool) -> LaunchStats {
 /// Algorithm 1, `w = -0.75 X^T p`, through the kernel the plan selects.
 fn sparse_xt_p(g: &Gpu, x: &CsrMatrix, expect_shared: bool) -> LaunchStats {
     let (m, n) = (x.rows(), x.cols());
-    let plan = plan_sparse(g.spec(), m, n, x.mean_nnz_per_row());
+    let plan = try_plan_sparse(g.spec(), m, n, x.mean_nnz_per_row()).unwrap();
     assert_eq!(plan.use_shared_w, expect_shared, "plan {plan:?}");
-    let xd = GpuCsr::upload(g, "x", x);
-    let p = g.upload_f64("p", &random_vector(m, 5));
-    let w = g.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(g, "x", x).unwrap();
+    let p = g.try_upload_f64("p", &random_vector(m, 5)).unwrap();
+    let w = g.try_alloc_f64("w", n).unwrap();
     let run = if expect_shared {
         sparse_fused::try_fused_xt_p_shared
     } else {
@@ -191,7 +191,7 @@ fn sparse_xt_p(g: &Gpu, x: &CsrMatrix, expect_shared: bool) -> LaunchStats {
 /// The dense kernel with the planner's choice, or forced onto the
 /// block-wide vector path (VS = BS) the planner picks only for wide rows.
 fn dense_pattern(g: &Gpu, m: usize, n: usize, block_wide: bool) -> LaunchStats {
-    let mut plan = plan_dense(g.spec(), m, n);
+    let mut plan = try_plan_dense(g.spec(), m, n).unwrap();
     if block_wide && plan.vs <= 32 {
         plan.vs = plan.bs;
         plan.tl = n.div_ceil(plan.bs);
@@ -200,35 +200,35 @@ fn dense_pattern(g: &Gpu, m: usize, n: usize, block_wide: bool) -> LaunchStats {
     }
     assert_eq!(plan.vs > 32, block_wide, "plan {plan:?}");
     let x = dense_random(m, n, 21);
-    let xd = GpuDense::upload(g, "x", &x);
-    let y = g.upload_f64("y", &random_vector(n, 22));
-    let v = g.upload_f64("v", &random_vector(m, 23));
-    let z = g.upload_f64("z", &random_vector(n, 24));
-    let w = g.alloc_f64("w", n);
+    let xd = GpuDense::try_upload(g, "x", &x).unwrap();
+    let y = g.try_upload_f64("y", &random_vector(n, 22)).unwrap();
+    let v = g.try_upload_f64("v", &random_vector(m, 23)).unwrap();
+    let z = g.try_upload_f64("z", &random_vector(n, 24)).unwrap();
+    let w = g.try_alloc_f64("w", n).unwrap();
     try_launch_dense_fused(g, &plan, full_spec(), &xd, Some(&v), &y, Some(&z), &w).unwrap()
 }
 
 fn ell_pattern(g: &Gpu, x: &CsrMatrix) -> LaunchStats {
     let e = EllMatrix::from_csr(x);
     let plan = plan_ell(g, e.rows(), e.cols());
-    let xd = GpuEll::upload(g, "x", &e);
-    let y = g.upload_f64("y", &random_vector(e.cols(), 31));
-    let v = g.upload_f64("v", &random_vector(e.rows(), 32));
-    let z = g.upload_f64("z", &random_vector(e.cols(), 33));
-    let w = g.alloc_f64("w", e.cols());
+    let xd = GpuEll::try_upload(g, "x", &e).unwrap();
+    let y = g.try_upload_f64("y", &random_vector(e.cols(), 31)).unwrap();
+    let v = g.try_upload_f64("v", &random_vector(e.rows(), 32)).unwrap();
+    let z = g.try_upload_f64("z", &random_vector(e.cols(), 33)).unwrap();
+    let w = g.try_alloc_f64("w", e.cols()).unwrap();
     try_fused_pattern_ell(g, &plan, full_spec(), &xd, Some(&v), &y, Some(&z), &w).unwrap()
 }
 
 /// The shard kernel over one shard's rows, storing `p_r` to `u`.
 fn shard(g: &Gpu, x: &CsrMatrix, expect_shared: bool) -> LaunchStats {
     let (m, n) = (x.rows(), x.cols());
-    let plan = plan_sparse(g.spec(), m, n, x.mean_nnz_per_row());
+    let plan = try_plan_sparse(g.spec(), m, n, x.mean_nnz_per_row()).unwrap();
     assert_eq!(plan.use_shared_w, expect_shared, "plan {plan:?}");
-    let xd = GpuCsr::upload(g, "x", x);
-    let y = g.upload_f64("y", &random_vector(n, 41));
-    let v = g.upload_f64("v", &random_vector(m, 42));
-    let u = g.alloc_f64("u", m);
-    let w = g.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(g, "x", x).unwrap();
+    let y = g.try_upload_f64("y", &random_vector(n, 41)).unwrap();
+    let v = g.try_upload_f64("v", &random_vector(m, 42)).unwrap();
+    let u = g.try_alloc_f64("u", m).unwrap();
+    let w = g.try_alloc_f64("w", n).unwrap();
     try_fused_pattern_shard(g, &plan, &xd, Some(&v), &y, &u, &w, 0.5).unwrap()
 }
 

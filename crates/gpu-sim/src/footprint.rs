@@ -86,6 +86,9 @@ impl Footprints {
         let lines = self.dedup.as_slice();
         for (&line, mask) in lines.iter().zip(masks) {
             let entry = (line << count_bits) | u64::from(mask.count_ones() - 1);
+            // The documented limit above: only a buffer of more than 2^26
+            // lines overflows an entry.
+            #[allow(clippy::panic)]
             let entry = u32::try_from(entry)
                 .unwrap_or_else(|_| panic!("footprint line {line} past 32-bit entries"));
             self.lines.push(entry);

@@ -179,7 +179,7 @@ mod tests {
         let g = group(3, FaultProfile::disabled());
         assert_eq!(g.len(), 3);
         assert_eq!(g.alive_count(), 3);
-        let b0 = g.device(0).upload_f64("x", &[1.0, 2.0]);
+        let b0 = g.device(0).try_upload_f64("x", &[1.0, 2.0]).unwrap();
         assert_eq!(g.device(0).allocated_bytes(), 16);
         assert_eq!(g.device(1).allocated_bytes(), 0);
         assert_eq!(g.device(0).track(), "device0");
@@ -252,8 +252,10 @@ mod tests {
         let run = |profile: FaultProfile| {
             let gpu =
                 Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1).with_fault_profile(profile);
-            let x = gpu.upload_f64("x", &(0..256).map(f64::from).collect::<Vec<_>>());
-            let out = gpu.alloc_f64("out", 1);
+            let x = gpu
+                .try_upload_f64("x", &(0..256).map(f64::from).collect::<Vec<_>>())
+                .unwrap();
+            let out = gpu.try_alloc_f64("out", 1).unwrap();
             let stats = gpu
                 .try_launch("sum", LaunchConfig::new(2, 128), |blk| {
                     blk.each_warp(|w| {

@@ -26,25 +26,27 @@
 //! use fusedml_gpu_sim::{Gpu, DeviceSpec, LaunchConfig};
 //!
 //! let gpu = Gpu::new(DeviceSpec::gtx_titan());
-//! let x = gpu.upload_f64("x", &[1.0, 2.0, 3.0, 4.0]);
-//! let out = gpu.alloc_f64("out", 1);
-//! let stats = gpu.launch("sum", LaunchConfig::new(1, 32), |blk| {
+//! let x = gpu.try_upload_f64("x", &[1.0, 2.0, 3.0, 4.0])?;
+//! let out = gpu.try_alloc_f64("out", 1)?;
+//! let stats = gpu.try_launch("sum", LaunchConfig::new(1, 32), |blk| {
 //!     blk.each_warp(|w| {
 //!         let mut v = w.load_f64(&x, |lane| (lane < 4).then_some(lane));
 //!         w.shuffle_reduce_sum(&mut v, 32);
 //!         w.store_f64(&out, |lane| (lane == 0).then_some((0, v[0])));
 //!     });
-//! });
+//! })?;
 //! assert_eq!(out.host_read_f64(0), 10.0);
 //! assert!(stats.sim_ms() > 0.0);
+//! # Ok::<(), fusedml_gpu_sim::DeviceError>(())
 //! ```
 
 // Lane-indexed loops over multiple parallel arrays are the natural idiom
 // for warp-level kernel code; iterator zips would obscure the SIMT shape.
 #![allow(clippy::needless_range_loop)]
-// Simulator/kernels code surfaces failures as typed errors or explicit
-// panics with context; bare unwrap/expect is reserved for tests.
+// Simulator/kernels code surfaces failures as typed errors; each panic left
+// is an allowed misuse or invariant check. Bare ones are for tests only.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod cache;
 pub mod copyengine;

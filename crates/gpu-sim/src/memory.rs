@@ -156,6 +156,9 @@ impl GpuBuffer {
     /// The panic of an element access at `idx`, past the buffer's length.
     #[cold]
     #[inline(never)]
+    // A kernel indexing past a buffer is a bug in the kernel, which panics
+    // as slice indexing does.
+    #[allow(clippy::panic)]
     pub(crate) fn out_of_bounds(&self, idx: usize) -> ! {
         panic!(
             "index {idx} out of bounds for {} of length {}",

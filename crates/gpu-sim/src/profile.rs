@@ -152,20 +152,22 @@ mod tests {
     #[test]
     fn report_contains_all_sections() {
         let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
-        let x = g.upload_f64("x", &vec![1.0; 4096]);
-        let out = g.alloc_f64("out", 8);
-        let stats = g.launch("probe", LaunchConfig::new(8, 128), |blk| {
-            let n = 4096;
-            let grid_threads = blk.grid_dim() * blk.block_dim();
-            blk.each_warp(|w| {
-                let mut base = w.gtid(0);
-                while base < n {
-                    let v = w.load_f64(&x, |l| (base + l < n).then_some(base + l));
-                    w.atomic_add_f64(&out, |l| (base + l < n).then(|| ((base + l) % 8, v[l])));
-                    base += grid_threads;
-                }
-            });
-        });
+        let x = g.try_upload_f64("x", &vec![1.0; 4096]).unwrap();
+        let out = g.try_alloc_f64("out", 8).unwrap();
+        let stats = g
+            .try_launch("probe", LaunchConfig::new(8, 128), |blk| {
+                let n = 4096;
+                let grid_threads = blk.grid_dim() * blk.block_dim();
+                blk.each_warp(|w| {
+                    let mut base = w.gtid(0);
+                    while base < n {
+                        let v = w.load_f64(&x, |l| (base + l < n).then_some(base + l));
+                        w.atomic_add_f64(&out, |l| (base + l < n).then(|| ((base + l) % 8, v[l])));
+                        base += grid_threads;
+                    }
+                });
+            })
+            .unwrap();
         let report = profile_report(&stats);
         for needle in [
             "kernel 'probe'",
@@ -182,14 +184,16 @@ mod tests {
     #[test]
     fn contended_atomics_trigger_advice() {
         let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
-        let out = g.alloc_f64("hot", 1);
-        let stats = g.launch("contended", LaunchConfig::new(64, 256), |blk| {
-            blk.each_warp(|w| {
-                for _ in 0..16 {
-                    w.atomic_add_f64(&out, |_l| Some((0, 1.0)));
-                }
-            });
-        });
+        let out = g.try_alloc_f64("hot", 1).unwrap();
+        let stats = g
+            .try_launch("contended", LaunchConfig::new(64, 256), |blk| {
+                blk.each_warp(|w| {
+                    for _ in 0..16 {
+                        w.atomic_add_f64(&out, |_l| Some((0, 1.0)));
+                    }
+                });
+            })
+            .unwrap();
         let report = profile_report(&stats);
         assert!(
             report.contains("advice:") && report.contains("contention"),
@@ -200,14 +204,16 @@ mod tests {
     #[test]
     fn divergence_triggers_advice() {
         let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
-        let x = g.upload_f64("x", &vec![1.0; 1024]);
-        let stats = g.launch("divergent", LaunchConfig::new(1, 32), |blk| {
-            blk.each_warp(|w| {
-                for i in 0..32 {
-                    w.load_f64(&x, |l| (l == 0).then_some(i));
-                }
-            });
-        });
+        let x = g.try_upload_f64("x", &vec![1.0; 1024]).unwrap();
+        let stats = g
+            .try_launch("divergent", LaunchConfig::new(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    for i in 0..32 {
+                        w.load_f64(&x, |l| (l == 0).then_some(i));
+                    }
+                });
+            })
+            .unwrap();
         let report = profile_report(&stats);
         assert!(report.contains("divergence"), "report:\n{report}");
     }
@@ -215,20 +221,22 @@ mod tests {
     #[test]
     fn clean_kernel_gets_no_advice() {
         let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
-        let x = g.upload_f64("x", &vec![1.0; 32 * 256]);
-        let y = g.alloc_f64("y", 32 * 256);
-        let stats = g.launch("clean", LaunchConfig::new(8, 256), |blk| {
-            let n = 32 * 256;
-            let grid_threads = blk.grid_dim() * blk.block_dim();
-            blk.each_warp(|w| {
-                let mut base = w.gtid(0);
-                while base < n {
-                    let v = w.load_f64(&x, |l| (base + l < n).then_some(base + l));
-                    w.store_f64(&y, |l| (base + l < n).then(|| (base + l, v[l])));
-                    base += grid_threads;
-                }
-            });
-        });
+        let x = g.try_upload_f64("x", &vec![1.0; 32 * 256]).unwrap();
+        let y = g.try_alloc_f64("y", 32 * 256).unwrap();
+        let stats = g
+            .try_launch("clean", LaunchConfig::new(8, 256), |blk| {
+                let n = 32 * 256;
+                let grid_threads = blk.grid_dim() * blk.block_dim();
+                blk.each_warp(|w| {
+                    let mut base = w.gtid(0);
+                    while base < n {
+                        let v = w.load_f64(&x, |l| (base + l < n).then_some(base + l));
+                        w.store_f64(&y, |l| (base + l < n).then(|| (base + l, v[l])));
+                        base += grid_threads;
+                    }
+                });
+            })
+            .unwrap();
         let report = profile_report(&stats);
         assert!(!report.contains("advice:"), "unexpected advice:\n{report}");
     }

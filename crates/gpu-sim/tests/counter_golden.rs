@@ -131,7 +131,7 @@ fn render(s: &LaunchStats) -> String {
 /// lines, and an all-lanes-off load. 80-thread blocks end in a 16-lane warp.
 fn gather(g: &Gpu, x: &GpuBuffer, idx: &GpuBuffer) -> LaunchStats {
     let (nx, ni) = (x.len(), idx.len());
-    g.launch("gather", LaunchConfig::new(7, 80), |blk| {
+    g.try_launch("gather", LaunchConfig::new(7, 80), |blk| {
         let grid_threads = blk.grid_dim() * blk.block_dim();
         blk.each_warp(|w| {
             let mut base = w.gtid(0);
@@ -151,13 +151,14 @@ fn gather(g: &Gpu, x: &GpuBuffer, idx: &GpuBuffer) -> LaunchStats {
             }
         });
     })
+    .unwrap()
 }
 
 /// Stores that straddle cache lines, and f64/u32 global atomics with
 /// same-address lanes inside a warp.
 fn scatter(g: &Gpu, out: &GpuBuffer, cur: &GpuBuffer, acc: &GpuBuffer) -> LaunchStats {
     let (no, nc, na) = (out.len(), cur.len(), acc.len());
-    g.launch("scatter", LaunchConfig::new(9, 72), |blk| {
+    g.try_launch("scatter", LaunchConfig::new(9, 72), |blk| {
         let b = blk.block_id();
         blk.each_warp(|w| {
             let t0 = w.tid(0);
@@ -178,6 +179,7 @@ fn scatter(g: &Gpu, out: &GpuBuffer, cur: &GpuBuffer, acc: &GpuBuffer) -> Launch
             w.atomic_add_f64(acc, |lane| Some(((t0 + lane * 17) % na, 1.0)));
         });
     })
+    .unwrap()
 }
 
 /// Shared-memory loads, stores and atomics with bank conflicts, same-word
@@ -185,7 +187,7 @@ fn scatter(g: &Gpu, out: &GpuBuffer, cur: &GpuBuffer, acc: &GpuBuffer) -> Launch
 fn shared(g: &Gpu, out: &GpuBuffer) -> LaunchStats {
     let no = out.len();
     let cfg = LaunchConfig::new(5, 104).with_shared_bytes(256 * 8);
-    g.launch("shared", cfg, |blk| {
+    g.try_launch("shared", cfg, |blk| {
         let sd = blk.shared_f64(256);
         blk.each_warp(|w| {
             let wid = w.warp_id();
@@ -208,6 +210,7 @@ fn shared(g: &Gpu, out: &GpuBuffer) -> LaunchStats {
         });
         blk.sync();
     })
+    .unwrap()
 }
 
 /// The launch mix on the tiny device (2 SMs, 64 KiB L2): the 128 KiB `x`
@@ -216,14 +219,14 @@ fn launch_mix(host_threads: usize) -> Vec<LaunchStats> {
     let g = Gpu::with_host_threads(DeviceSpec::tiny_test_device(), host_threads);
     let nx = 16 * 1024;
     let xs: Vec<f64> = (0..nx).map(|i| (i % 31) as f64).collect();
-    let x = g.upload_f64("x", &xs);
+    let x = g.try_upload_f64("x", &xs).unwrap();
     let ids: Vec<u32> = (0..3000u32)
         .map(|i| i.wrapping_mul(2_654_435_761) >> 18)
         .collect();
-    let idx = g.upload_u32("idx", &ids);
-    let out = g.alloc_f64("out", 2000);
-    let cur = g.alloc_u32("cur", 1000);
-    let acc = g.alloc_f64("acc", 300);
+    let idx = g.try_upload_u32("idx", &ids).unwrap();
+    let out = g.try_alloc_f64("out", 2000).unwrap();
+    let cur = g.try_alloc_u32("cur", 1000).unwrap();
+    let acc = g.try_alloc_f64("acc", 300).unwrap();
     vec![
         gather(&g, &x, &idx),
         scatter(&g, &out, &cur, &acc),

@@ -12,9 +12,9 @@ fn reference_launch(host_threads: usize) -> LaunchStats {
     let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), host_threads);
     let n = 4096usize;
     let data: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.5).collect();
-    let x = g.upload_f64("x", &data);
-    let out = g.alloc_f64("out", 64);
-    g.launch("reference", LaunchConfig::new(8, 128), |blk| {
+    let x = g.try_upload_f64("x", &data).unwrap();
+    let out = g.try_alloc_f64("out", 64).unwrap();
+    g.try_launch("reference", LaunchConfig::new(8, 128), |blk| {
         blk.each_warp(|w| {
             let base = (w.block_id() * 128 + w.warp_id() * 32) * 2;
             let mut v = w.load_f64(&x, |lane| {
@@ -26,6 +26,7 @@ fn reference_launch(host_threads: usize) -> LaunchStats {
             w.atomic_add_f64(&out, |lane| (lane == 0).then_some((block % 64, v[0])));
         });
     })
+    .unwrap()
 }
 
 fn assert_stats_identical(a: &LaunchStats, b: &LaunchStats) {

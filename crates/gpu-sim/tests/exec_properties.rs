@@ -19,12 +19,12 @@ proptest! {
     #[test]
     fn strided_load_transaction_count_is_exact(stride in 1usize..64) {
         let g = gpu();
-        let buf = g.upload_f64("x", &vec![1.0; 32 * stride]);
-        let stats = g.launch("strided", LaunchConfig::new(1, 32), |blk| {
+        let buf = g.try_upload_f64("x", &vec![1.0; 32 * stride]).unwrap();
+        let stats = g.try_launch("strided", LaunchConfig::new(1, 32), |blk| {
             blk.each_warp(|w| {
                 w.load_f64(&buf, |lane| Some(lane * stride));
             });
-        });
+        }).unwrap();
         // Expected sectors: unique addr/32B among the 32 lanes.
         let mut sectors: Vec<u64> = (0..32u64)
             .map(|l| l * stride as u64 * 8 / 32)
@@ -42,7 +42,7 @@ proptest! {
         let g = gpu();
         let width = 1usize << width_pow;
         let vals2 = vals.clone();
-        g.launch("reduce", LaunchConfig::new(1, 32), move |blk| {
+        g.try_launch("reduce", LaunchConfig::new(1, 32), move |blk| {
             blk.each_warp(|w| {
                 let mut lanes = [0.0; WARP_LANES];
                 lanes.copy_from_slice(&vals2);
@@ -57,7 +57,7 @@ proptest! {
                     );
                 }
             });
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -66,12 +66,12 @@ proptest! {
         block in (1usize..33).prop_map(|b| b * 32),
     ) {
         let g = gpu();
-        let out = g.alloc_f64("acc", 4);
-        let stats = g.launch("atomics", LaunchConfig::new(grid, block), |blk| {
+        let out = g.try_alloc_f64("acc", 4).unwrap();
+        let stats = g.try_launch("atomics", LaunchConfig::new(grid, block), |blk| {
             blk.each_warp(|w| {
                 w.atomic_add_f64(&out, |lane| Some((lane % 4, 1.0)));
             });
-        });
+        }).unwrap();
         let total: f64 = out.to_vec_f64().iter().sum();
         let threads = (grid * block) as f64;
         prop_assert!((total - threads).abs() < 1e-9);
@@ -105,9 +105,9 @@ proptest! {
     ) {
         let g = gpu();
         let vals: Vec<f64> = (0..n).map(|i| (i as f64) * 1.5 + seed as f64).collect();
-        let src = g.upload_f64("src", &vals);
-        let dst = g.alloc_f64("dst", n);
-        g.launch("copy", LaunchConfig::new(4, 128), |blk| {
+        let src = g.try_upload_f64("src", &vals).unwrap();
+        let dst = g.try_alloc_f64("dst", n).unwrap();
+        g.try_launch("copy", LaunchConfig::new(4, 128), |blk| {
             let grid_threads = blk.grid_dim() * blk.block_dim();
             blk.each_warp(|w| {
                 let mut base = w.gtid(0);
@@ -117,7 +117,7 @@ proptest! {
                     base += grid_threads;
                 }
             });
-        });
+        }).unwrap();
         prop_assert_eq!(dst.to_vec_f64(), vals);
     }
 }
@@ -125,9 +125,9 @@ proptest! {
 #[test]
 fn cache_warmup_reduces_dram_traffic_on_second_launch() {
     let g = gpu();
-    let buf = g.upload_f64("x", &vec![1.0; 8192]);
+    let buf = g.try_upload_f64("x", &vec![1.0; 8192]).unwrap();
     let run = || {
-        g.launch("scan", LaunchConfig::new(1, 256), |blk| {
+        g.try_launch("scan", LaunchConfig::new(1, 256), |blk| {
             blk.each_warp(|w| {
                 let mut base = w.tid(0);
                 while base < 8192 {
@@ -136,6 +136,7 @@ fn cache_warmup_reduces_dram_traffic_on_second_launch() {
                 }
             });
         })
+        .unwrap()
     };
     g.flush_caches();
     let cold = run();
@@ -147,23 +148,27 @@ fn cache_warmup_reduces_dram_traffic_on_second_launch() {
 #[test]
 fn divergence_is_counted() {
     let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
-    let buf = g.upload_f64("x", &vec![1.0; 64]);
+    let buf = g.try_upload_f64("x", &vec![1.0; 64]).unwrap();
     // Half the lanes predicated off on every load.
-    let stats = g.launch("divergent", LaunchConfig::new(1, 32), |blk| {
-        blk.each_warp(|w| {
-            w.load_f64(&buf, |lane| (lane % 2 == 0).then_some(lane));
-        });
-    });
+    let stats = g
+        .try_launch("divergent", LaunchConfig::new(1, 32), |blk| {
+            blk.each_warp(|w| {
+                w.load_f64(&buf, |lane| (lane % 2 == 0).then_some(lane));
+            });
+        })
+        .unwrap();
     assert_eq!(stats.counters.divergent_instructions, 1);
     assert_eq!(stats.counters.inactive_lanes, 16);
     assert!((stats.counters.simd_efficiency() - 0.5).abs() < 1e-12);
 
     // Fully active loads do not count as divergent.
-    let full = g.launch("full", LaunchConfig::new(1, 32), |blk| {
-        blk.each_warp(|w| {
-            w.load_f64(&buf, Some);
-        });
-    });
+    let full = g
+        .try_launch("full", LaunchConfig::new(1, 32), |blk| {
+            blk.each_warp(|w| {
+                w.load_f64(&buf, Some);
+            });
+        })
+        .unwrap();
     assert_eq!(full.counters.divergent_instructions, 0);
     assert_eq!(full.counters.simd_efficiency(), 1.0);
 }
@@ -177,14 +182,16 @@ fn skewed_rows_diverge_more_than_uniform() {
     // in their group, masking finished lanes.
     let run = |lens: Vec<usize>| {
         let max = *lens.iter().max().unwrap();
-        let data = g.upload_f64("d", &vec![1.0; 32 * max]);
-        let stats = g.launch("march", LaunchConfig::new(1, 32), |blk| {
-            blk.each_warp(|w| {
-                for step in 0..max {
-                    w.load_f64(&data, |lane| (step < lens[lane]).then(|| lane * max + step));
-                }
-            });
-        });
+        let data = g.try_upload_f64("d", &vec![1.0; 32 * max]).unwrap();
+        let stats = g
+            .try_launch("march", LaunchConfig::new(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    for step in 0..max {
+                        w.load_f64(&data, |lane| (step < lens[lane]).then(|| lane * max + step));
+                    }
+                });
+            })
+            .unwrap();
         stats.counters.simd_efficiency()
     };
     let uniform = run(vec![8; 32]);

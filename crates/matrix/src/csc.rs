@@ -26,7 +26,7 @@ impl CscMatrix {
     ) -> Self {
         assert_eq!(col_off.len(), cols + 1, "col_off must have cols+1 entries");
         assert_eq!(col_off[0], 0);
-        assert_eq!(*col_off.last().unwrap(), row_idx.len());
+        assert_eq!(col_off[cols], row_idx.len());
         assert_eq!(row_idx.len(), values.len());
         for c in 0..cols {
             assert!(col_off[c] <= col_off[c + 1], "col_off must be monotone");
@@ -103,7 +103,9 @@ mod tests {
 
     #[test]
     fn csc_from_csr_matches() {
-        let csr = CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![5.0, 6.0, 7.0]);
+        let csr =
+            CsrMatrix::try_from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![5.0, 6.0, 7.0])
+                .unwrap();
         let csc = csr.to_csc();
         assert_eq!(csc.col_entries(0).collect::<Vec<_>>(), vec![(0, 5.0)]);
         assert_eq!(csc.col_entries(1).collect::<Vec<_>>(), vec![(1, 7.0)]);

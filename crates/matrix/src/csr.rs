@@ -14,10 +14,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// // [1 0 2]
 /// // [0 3 0]
-/// let x = CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]);
+/// let x = CsrMatrix::try_from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0])?;
 /// assert_eq!(x.nnz(), 3);
 /// assert_eq!(x.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
 /// assert_eq!(x.transpose().to_dense(), x.to_dense().transpose());
+/// # Ok::<(), fusedml_matrix::FormatError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CsrMatrix {
@@ -30,25 +31,9 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Build from raw parts, validating every CSR invariant.
-    ///
-    /// # Panics
-    /// On malformed inputs: wrong offset length, non-monotone offsets,
-    /// column index out of range, or unsorted columns within a row. Use
-    /// [`CsrMatrix::try_from_parts`] to get the violation as a value.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_off: Vec<usize>,
-        col_idx: Vec<u32>,
-        values: Vec<f64>,
-    ) -> Self {
-        Self::try_from_parts(rows, cols, row_off, col_idx, values).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build from raw parts, reporting the first violated CSR invariant
-    /// instead of panicking — for untrusted inputs (file loaders,
-    /// foreign-format converters).
+    /// Build from raw parts, reporting the first violated CSR invariant:
+    /// wrong offset length, non-monotone offsets, column index out of
+    /// range, or unsorted columns within a row.
     ///
     /// ```
     /// use fusedml_matrix::{CsrMatrix, FormatError};
@@ -224,13 +209,13 @@ impl CsrMatrix {
     /// The transposed matrix, still in CSR form (CSR of `X^T` == CSC of `X`).
     pub fn transpose(&self) -> CsrMatrix {
         let csc = self.to_csc();
-        CsrMatrix::from_parts(
-            self.cols,
-            self.rows,
-            csc.col_off().to_vec(),
-            csc.row_idx().to_vec(),
-            csc.values().to_vec(),
-        )
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_off: csc.col_off().to_vec(),
+            col_idx: csc.row_idx().to_vec(),
+            values: csc.values().to_vec(),
+        }
     }
 
     /// Densify (for testing and small reference computations).
@@ -319,7 +304,13 @@ impl CsrMatrix {
         for r in 0..coo.rows() {
             row_off[r + 1] = row_off[r + 1].max(row_off[r]);
         }
-        CsrMatrix::from_parts(coo.rows(), coo.cols(), row_off, col_idx, values)
+        CsrMatrix {
+            rows: coo.rows(),
+            cols: coo.cols(),
+            row_off,
+            col_idx,
+            values,
+        }
     }
 }
 
@@ -331,13 +322,14 @@ mod tests {
         // [1 0 2]
         // [0 0 0]
         // [3 4 0]
-        CsrMatrix::from_parts(
+        CsrMatrix::try_from_parts(
             3,
             3,
             vec![0, 2, 2, 4],
             vec![0, 2, 0, 1],
             vec![1.0, 2.0, 3.0, 4.0],
         )
+        .unwrap()
     }
 
     #[test]
@@ -381,15 +373,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
     fn rejects_unsorted_columns() {
-        CsrMatrix::from_parts(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]);
+        assert_eq!(
+            CsrMatrix::try_from_parts(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]),
+            Err(FormatError::UnsortedColumns {
+                row: 0,
+                prev: 2,
+                next: 0
+            })
+        );
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_column() {
-        CsrMatrix::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]);
+        assert_eq!(
+            CsrMatrix::try_from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]),
+            Err(FormatError::ColumnOutOfRange {
+                row: 0,
+                col: 5,
+                cols: 2
+            })
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl EllMatrix {
     /// Convert from CSR with `K = max row length`.
     pub fn from_csr(x: &CsrMatrix) -> Self {
         let width = (0..x.rows()).map(|r| x.row_nnz(r)).max().unwrap_or(0);
-        Self::from_csr_with_width(x, width).expect("max width always fits")
+        Self::pack(x, width)
     }
 
     /// Convert from CSR with an explicit width; `None` if any row exceeds
@@ -47,30 +47,35 @@ impl EllMatrix {
     /// overflowed when the width is too small — for callers picking a
     /// width from external configuration rather than from the matrix.
     pub fn try_from_csr_with_width(x: &CsrMatrix, width: usize) -> Result<Self, FormatError> {
+        if let Some(row) = (0..x.rows()).find(|&r| x.row_nnz(r) > width) {
+            return Err(FormatError::RowTooWide {
+                row,
+                row_nnz: x.row_nnz(row),
+                width,
+            });
+        }
+        Ok(Self::pack(x, width))
+    }
+
+    /// Lay `x` out in `width` slots per row. Every row must fit.
+    pub(crate) fn pack(x: &CsrMatrix, width: usize) -> Self {
         let rows = x.rows();
         let mut col_idx = vec![ELL_PAD; width * rows];
         let mut values = vec![0.0; width * rows];
         for r in 0..rows {
-            if x.row_nnz(r) > width {
-                return Err(FormatError::RowTooWide {
-                    row: r,
-                    row_nnz: x.row_nnz(r),
-                    width,
-                });
-            }
             for (slot, (c, v)) in x.row_entries(r).enumerate() {
                 col_idx[slot * rows + r] = c;
                 values[slot * rows + r] = v;
             }
         }
-        Ok(EllMatrix {
+        EllMatrix {
             rows,
             cols: x.cols(),
             width,
             col_idx,
             values,
             nnz: x.nnz(),
-        })
+        }
     }
 
     pub fn rows(&self) -> usize {
@@ -199,7 +204,8 @@ mod tests {
 
     #[test]
     fn bounded_width_error_names_the_overflowing_row() {
-        let x = CsrMatrix::from_parts(2, 3, vec![0, 1, 4], vec![0, 0, 1, 2], vec![1.0; 4]);
+        let x =
+            CsrMatrix::try_from_parts(2, 3, vec![0, 1, 4], vec![0, 0, 1, 2], vec![1.0; 4]).unwrap();
         let err = EllMatrix::try_from_csr_with_width(&x, 2).unwrap_err();
         assert_eq!(
             err,
@@ -216,7 +222,9 @@ mod tests {
     #[test]
     fn column_major_layout() {
         // [10 20; 30 0]: slot 0 holds rows' first entries adjacently.
-        let x = CsrMatrix::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![10.0, 20.0, 30.0]);
+        let x =
+            CsrMatrix::try_from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![10.0, 20.0, 30.0])
+                .unwrap();
         let ell = EllMatrix::from_csr(&x);
         assert_eq!(ell.width(), 2);
         assert_eq!(&ell.values()[0..2], &[10.0, 30.0]); // slot 0, rows 0..2

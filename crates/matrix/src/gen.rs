@@ -57,13 +57,18 @@ pub fn powerlaw_sparse(
     assert!(skew > 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
     // Row lengths: a Zipf draw over 1..=4x the requested mean, unscaled.
-    let zipf_rows =
-        Zipf::new((4.0 * mean_nnz_per_row).max(2.0) as u64, 1.0 + skew).expect("valid zipf");
     // Column popularity: a mild Zipf over the column space (exponent well
     // below 1 — sparse feature spaces like KDD's 30M n-gram columns have a
     // heavy tail of rare features; even the hottest column holds well
     // under 1% of all non-zeros), scattered across the index range.
-    let zipf_cols = Zipf::new(cols as u64, 0.3 + skew / 4.0).expect("valid zipf");
+    let (Ok(zipf_rows), Ok(zipf_cols)) = (
+        Zipf::new((4.0 * mean_nnz_per_row).max(2.0) as u64, 1.0 + skew),
+        Zipf::new(cols as u64, 0.3 + skew / 4.0),
+    ) else {
+        // The asserts above leave a request with no columns as the only one
+        // without a Zipf; every row of such a matrix is empty.
+        return CsrMatrix::from_coo(&Coo::new(rows, cols));
+    };
 
     let mut coo = Coo::with_capacity(rows, cols, rows * mean_nnz_per_row as usize);
     // Cheap bijective scatter of the popularity rank onto column ids.

@@ -33,8 +33,8 @@ impl HybMatrix {
             }
         }
         let ell_csr = CsrMatrix::from_coo(&ell_coo);
-        let ell = EllMatrix::from_csr_with_width(&ell_csr, width)
-            .expect("rows truncated to width by construction");
+        // Every row was truncated to `width` above.
+        let ell = EllMatrix::pack(&ell_csr, width);
         HybMatrix {
             ell,
             coo: overflow,

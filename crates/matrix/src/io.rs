@@ -49,6 +49,12 @@ impl From<std::io::Error> for MtxError {
     }
 }
 
+/// The most entries a reader reserves before reading any. A size line is
+/// untrusted: entries arrive one at a time and the final count check
+/// rejects a file that promised more than it holds, so the reservation
+/// only has to be a good start, not the declared size.
+const MAX_RESERVE: usize = 1 << 20;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
     Real,
@@ -134,7 +140,7 @@ pub fn read_sparse_mtx<R: Read>(reader: R) -> Result<CsrMatrix, MtxError> {
         )));
     }
 
-    let mut coo = Coo::with_capacity(rows, cols, nnz);
+    let mut coo = Coo::with_capacity(rows, cols, nnz.min(MAX_RESERVE));
     let mut seen = 0usize;
     for (idx, line) in lines {
         let line = line?;
@@ -239,7 +245,7 @@ pub fn read_dense_mtx<R: Read>(reader: R) -> Result<DenseMatrix, MtxError> {
                 )));
             };
             dims = Some((rows, cols));
-            values.reserve(total);
+            values.reserve(total.min(MAX_RESERVE));
             continue;
         }
         for t in trimmed.split_whitespace() {
@@ -356,6 +362,22 @@ mod tests {
         let rect_sym = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n";
         assert!(matches!(
             read_sparse_mtx(rect_sym.as_bytes()),
+            Err(MtxError::Inconsistent(_))
+        ));
+        // Size lines declaring more entries than any host can hold used to
+        // be reserved up front, aborting on the allocation (or panicking on
+        // capacity overflow) before the first entry was read.
+        for nnz in ["1000000000000", "1000000000000000000"] {
+            let huge =
+                format!("%%MatrixMarket matrix coordinate real general\n1 1 {nnz}\n1 1 1.0\n");
+            assert!(matches!(
+                read_sparse_mtx(huge.as_bytes()),
+                Err(MtxError::Inconsistent(_))
+            ));
+        }
+        let huge_dense = "%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n";
+        assert!(matches!(
+            read_dense_mtx(huge_dense.as_bytes()),
             Err(MtxError::Inconsistent(_))
         ));
     }

@@ -6,6 +6,11 @@
 //! tuner, and single-threaded CPU reference implementations of every
 //! operation (the ground truth all simulated kernels are checked against).
 
+// Malformed input from files or foreign formats is a typed error, never a
+// panic or a bare unwrap/expect; tests are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
+
 pub mod coo;
 pub mod csc;
 pub mod csr;

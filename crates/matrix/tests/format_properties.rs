@@ -33,13 +33,13 @@ proptest! {
         let csr_sum: f64 = csr.values().iter().sum();
         prop_assert!((coo_sum - csr_sum).abs() < 1e-9);
         // Invariants hold by construction (from_parts re-validates).
-        let _ = CsrMatrix::from_parts(
+        let _ = CsrMatrix::try_from_parts(
             csr.rows(),
             csr.cols(),
             csr.row_off().to_vec(),
             csr.col_idx().to_vec(),
             csr.values().to_vec(),
-        );
+        ).unwrap();
     }
 
     #[test]

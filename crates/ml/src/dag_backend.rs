@@ -148,11 +148,11 @@ mod tests {
         };
 
         let g1 = gpu();
-        let mut fused = FusedBackend::new_sparse(&g1, &x);
+        let mut fused = FusedBackend::try_new_sparse(&g1, &x).unwrap();
         let r_fused = try_lr_cg(&mut fused, &y, opts).unwrap();
 
         let g2 = gpu();
-        let mut dag = DagBackend::new_sparse(&g2, &x);
+        let mut dag = DagBackend::try_new_sparse(&g2, &x).unwrap();
         let r_dag = try_lr_cg(&mut dag, &y, opts).unwrap();
 
         // The compiler selects the hand-fused kernels, so the solve is
@@ -172,7 +172,7 @@ mod tests {
         let x = uniform_sparse(800, 96, 0.04, 23);
         let y = random_vector(800, 24);
         let iters = 6;
-        let mut dag = DagBackend::new_sparse(&g, &x);
+        let mut dag = DagBackend::try_new_sparse(&g, &x).unwrap();
         try_lr_cg(
             &mut dag,
             &y,
@@ -193,7 +193,7 @@ mod tests {
     fn dense_tmv_goes_through_the_dag_path() -> Result<(), DeviceError> {
         let g = gpu();
         let xh = fusedml_matrix::gen::dense_random(300, 40, 31);
-        let mut dag = DagBackend::new_dense(&g, &xh);
+        let mut dag = DagBackend::try_new_dense(&g, &xh).unwrap();
         let u = dag.try_from_host("u", &random_vector(300, 32))?;
         let mut out = dag.try_zeros("out", 40)?;
         dag.try_tmv(2.5, &u, &mut out)?;

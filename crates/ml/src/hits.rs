@@ -36,12 +36,8 @@ impl Default for HitsOptions {
 }
 
 /// Run HITS on the adjacency matrix held by the backend (`A[i, j] = 1`
-/// when page `i` links to page `j`).
-pub fn hits<B: Backend>(backend: &mut B, opts: HitsOptions) -> HitsResult {
-    try_hits(backend, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`hits`]: device faults propagate as [`SolverError::Device`];
+/// when page `i` links to page `j`). Device faults propagate as
+/// [`SolverError::Device`];
 /// a non-finite authority norm or delta (e.g. after silent corruption of
 /// the iterate) aborts with [`SolverError::NumericalBreakdown`] instead of
 /// normalizing NaNs into the scores.
@@ -180,7 +176,7 @@ mod tests {
     fn star_graph_authority_concentrates() {
         let a = star_graph(20);
         let mut cpu = CpuBackend::new_sparse(a);
-        let res = hits(&mut cpu, HitsOptions::default());
+        let res = try_hits(&mut cpu, HitsOptions::default()).unwrap();
         assert!(
             res.authorities[0] > 0.99,
             "hub page score {}",
@@ -211,7 +207,7 @@ mod tests {
         }
         let x = CsrMatrix::from_dense(&bin);
         let mut cpu = CpuBackend::new_sparse(x);
-        let res = hits(&mut cpu, HitsOptions::default());
+        let res = try_hits(&mut cpu, HitsOptions::default()).unwrap();
         let an: f64 = res.authorities.iter().map(|v| v * v).sum();
         assert!((an - 1.0).abs() < 1e-9);
         assert!(res.authorities.iter().all(|&v| v >= -1e-12));
@@ -241,7 +237,7 @@ mod tests {
             tolerance: 0.0,
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let full = hits(&mut cpu, opts);
+        let full = try_hits(&mut cpu, opts).unwrap();
 
         let h = CheckpointHandle::new(3);
         let mut first = CpuBackend::new_sparse(x.clone());
@@ -272,9 +268,9 @@ mod tests {
             ..Default::default()
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let r_cpu = hits(&mut cpu, opts);
-        let mut fused = FusedBackend::new_sparse(&g, &x);
-        let r_fused = hits(&mut fused, opts);
+        let r_cpu = try_hits(&mut cpu, opts).unwrap();
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+        let r_fused = try_hits(&mut fused, opts).unwrap();
         assert!(reference::rel_l2_error(&r_fused.authorities, &r_cpu.authorities) < 1e-9);
         assert!(fused.stats().pattern_counts["X^T x (X x y)"] >= 1);
     }

@@ -11,6 +11,7 @@
 // Production solver code must surface faults as typed errors, never
 // panic; tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod checkpoint;
 pub mod dag_backend;
@@ -27,20 +28,20 @@ pub mod svm;
 pub use checkpoint::{CheckpointHandle, SolverCheckpoint};
 pub use dag_backend::DagBackend;
 pub use error::SolverError;
-pub use glm::{glm, try_glm, try_glm_ckpt, Family, GlmOptions, GlmResult};
-pub use hits::{hits, try_hits, try_hits_ckpt, HitsOptions, HitsResult};
+pub use glm::{try_glm, try_glm_ckpt, Family, GlmOptions, GlmResult};
+pub use hits::{try_hits, try_hits_ckpt, HitsOptions, HitsResult};
 pub use logreg::{
-    logreg, logreg_tron, try_logreg, try_logreg_ckpt, try_logreg_tron, try_logreg_tron_ckpt,
-    LogRegOptions, LogRegResult, TronOptions, TronResult,
+    try_logreg, try_logreg_ckpt, try_logreg_tron, try_logreg_tron_ckpt, LogRegOptions,
+    LogRegResult, TronOptions, TronResult,
 };
-pub use lr_cg::{lr_cg, try_lr_cg, try_lr_cg_ckpt, LrCgOptions, LrCgResult};
+pub use lr_cg::{try_lr_cg, try_lr_cg_ckpt, LrCgOptions, LrCgResult};
 pub use ops::{
     Backend, BackendStats, BaselineBackend, CpuBackend, DeviceBackend, DeviceMatrix, FusedBackend,
     MatrixEngine,
 };
 pub use pagerank::{
-    inv_out_degrees, pagerank, try_pagerank, try_pagerank_backend, try_pagerank_backend_ckpt,
+    inv_out_degrees, try_pagerank, try_pagerank_backend, try_pagerank_backend_ckpt,
     PagerankOptions, PagerankPlan, PagerankPowerResult, PagerankResult,
 };
 pub use sharded_backend::ShardedBackend;
-pub use svm::{svm_primal, try_svm, try_svm_ckpt, SvmOptions, SvmResult};
+pub use svm::{try_svm, try_svm_ckpt, SvmOptions, SvmResult};

@@ -53,13 +53,8 @@ fn sigmoid(t: f64) -> f64 {
     }
 }
 
-/// Train binomial logistic regression with labels in `{-1, +1}`.
-pub fn logreg<B: Backend>(backend: &mut B, labels: &[f64], opts: LogRegOptions) -> LogRegResult {
-    try_logreg(backend, labels, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`logreg`]: device faults propagate as
-/// [`SolverError::Device`]; a non-finite objective, gradient norm, or CG
+/// Train binomial logistic regression with labels in `{-1, +1}`. Device
+/// faults propagate as [`SolverError::Device`]; a non-finite objective, gradient norm, or CG
 /// curvature aborts with [`SolverError::NumericalBreakdown`]. The
 /// `max_outer`/`max_inner_cg` caps bound the work done before either
 /// outcome.
@@ -281,7 +276,7 @@ mod tests {
     fn learns_separable_data() {
         let (x, labels) = problem(400, 30, 111);
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let res = logreg(&mut cpu, &labels, LogRegOptions::default());
+        let res = try_logreg(&mut cpu, &labels, LogRegOptions::default()).unwrap();
         assert!(res.iterations > 0);
         let acc = accuracy(&x, &res.weights, &labels);
         assert!(acc > 0.95, "accuracy {acc}");
@@ -297,9 +292,9 @@ mod tests {
             ..Default::default()
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let r_cpu = logreg(&mut cpu, &labels, opts);
-        let mut fused = FusedBackend::new_sparse(&g, &x);
-        let r_fused = logreg(&mut fused, &labels, opts);
+        let r_cpu = try_logreg(&mut cpu, &labels, opts).unwrap();
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+        let r_fused = try_logreg(&mut fused, &labels, opts).unwrap();
         assert!(
             reference::rel_l2_error(&r_fused.weights, &r_cpu.weights) < 1e-6,
             "err {}",
@@ -314,26 +309,28 @@ mod tests {
     fn objective_decreases_monotonically_enough() {
         let (x, labels) = problem(300, 25, 113);
         let mut cpu = CpuBackend::new_sparse(x);
-        let short = logreg(
+        let short = try_logreg(
             &mut cpu,
             &labels,
             LogRegOptions {
                 max_outer: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let mut cpu2 = CpuBackend::new_sparse(
             // rebuild: backend consumed the matrix
             problem(300, 25, 113).0,
         );
-        let long = logreg(
+        let long = try_logreg(
             &mut cpu2,
             &labels,
             LogRegOptions {
                 max_outer: 10,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(long.objective <= short.objective + 1e-9);
     }
 }
@@ -389,12 +386,7 @@ const SIGMA2: f64 = 0.5;
 const SIGMA3: f64 = 4.0;
 
 /// Train binomial logistic regression with TRON. Labels in `{-1, +1}`.
-pub fn logreg_tron<B: Backend>(backend: &mut B, labels: &[f64], opts: TronOptions) -> TronResult {
-    try_logreg_tron(backend, labels, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`logreg_tron`]: device faults propagate as
-/// [`SolverError::Device`]; a non-finite objective or gradient norm
+/// Device faults propagate as [`SolverError::Device`]; a non-finite objective or gradient norm
 /// aborts with [`SolverError::NumericalBreakdown`].
 pub fn try_logreg_tron<B: Backend>(
     backend: &mut B,
@@ -668,7 +660,7 @@ mod tron_tests {
     fn tron_separates_data() {
         let (x, labels) = problem(400, 30, 201);
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let res = logreg_tron(&mut cpu, &labels, TronOptions::default());
+        let res = try_logreg_tron(&mut cpu, &labels, TronOptions::default()).unwrap();
         let scores = reference::csr_mv(&x, &res.weights);
         let acc = scores
             .iter()
@@ -684,9 +676,9 @@ mod tron_tests {
     fn tron_matches_damped_newton_solution() {
         let (x, labels) = problem(300, 25, 202);
         let mut a = CpuBackend::new_sparse(x.clone());
-        let tron = logreg_tron(&mut a, &labels, TronOptions::default());
+        let tron = try_logreg_tron(&mut a, &labels, TronOptions::default()).unwrap();
         let mut b = CpuBackend::new_sparse(x);
-        let newton = logreg(&mut b, &labels, LogRegOptions::default());
+        let newton = try_logreg(&mut b, &labels, LogRegOptions::default()).unwrap();
         // Same strictly convex objective => same optimum.
         assert!(
             (tron.objective - newton.objective).abs() < 1e-3 * (1.0 + newton.objective.abs()),
@@ -705,9 +697,9 @@ mod tron_tests {
             ..Default::default()
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let r_cpu = logreg_tron(&mut cpu, &labels, opts);
-        let mut fused = FusedBackend::new_sparse(&g, &x);
-        let r_fused = logreg_tron(&mut fused, &labels, opts);
+        let r_cpu = try_logreg_tron(&mut cpu, &labels, opts).unwrap();
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+        let r_fused = try_logreg_tron(&mut fused, &labels, opts).unwrap();
         assert!(
             reference::rel_l2_error(&r_fused.weights, &r_cpu.weights) < 1e-6,
             "err {}",
@@ -721,7 +713,7 @@ mod tron_tests {
     fn tiny_initial_radius_forces_boundary_steps_then_grows() {
         let (x, labels) = problem(250, 20, 204);
         let mut cpu = CpuBackend::new_sparse(x);
-        let res = logreg_tron(
+        let res = try_logreg_tron(
             &mut cpu,
             &labels,
             TronOptions {
@@ -729,7 +721,8 @@ mod tron_tests {
                 max_outer: 40,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // The region must have expanded well beyond the crippled start.
         assert!(res.radius > 1e-2, "radius stayed at {}", res.radius);
         assert!(res.objective.is_finite());

@@ -49,10 +49,13 @@ impl Default for LrCgOptions {
 
 /// Solve `argmin_w ||X w - y||^2 + eps ||w||^2` by conjugate gradient on
 /// the normal equations, exactly as Listing 1 stitches it from kernels.
-/// `labels` is the target vector of length m.
+/// `labels` is the target vector of length m. Device faults propagate as
+/// [`SolverError::Device`]; non-finite residuals or curvature trigger a
+/// bounded CG restart (recompute `r` from `w`) before giving up with
+/// [`SolverError::NumericalBreakdown`].
 ///
 /// ```
-/// use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
+/// use fusedml_ml::{try_lr_cg, CpuBackend, LrCgOptions};
 /// use fusedml_matrix::gen::{random_vector, uniform_sparse};
 /// use fusedml_matrix::reference;
 ///
@@ -60,17 +63,10 @@ impl Default for LrCgOptions {
 /// let w_true = random_vector(30, 2);
 /// let labels = reference::csr_mv(&x, &w_true);
 /// let mut backend = CpuBackend::new_sparse(x);
-/// let result = lr_cg(&mut backend, &labels, LrCgOptions { eps: 0.0, ..Default::default() });
+/// let result = try_lr_cg(&mut backend, &labels, LrCgOptions { eps: 0.0, ..Default::default() })?;
 /// assert!(reference::rel_l2_error(&result.weights, &w_true) < 1e-4);
+/// # Ok::<(), fusedml_ml::SolverError>(())
 /// ```
-pub fn lr_cg<B: Backend>(backend: &mut B, labels: &[f64], opts: LrCgOptions) -> LrCgResult {
-    try_lr_cg(backend, labels, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`lr_cg`]: device faults propagate as
-/// [`SolverError::Device`]; non-finite residuals or curvature trigger a
-/// bounded CG restart (recompute `r` from `w`) before giving up with
-/// [`SolverError::NumericalBreakdown`].
 pub fn try_lr_cg<B: Backend>(
     backend: &mut B,
     labels: &[f64],
@@ -289,14 +285,15 @@ mod tests {
     fn recovers_true_weights_on_cpu() {
         let (x, w_true, labels) = synthetic_problem(300, 40, 101);
         let mut cpu = CpuBackend::new_sparse(x);
-        let res = lr_cg(
+        let res = try_lr_cg(
             &mut cpu,
             &labels,
             LrCgOptions {
                 eps: 0.0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(res.iterations > 0);
         assert!(
             reference::rel_l2_error(&res.weights, &w_true) < 1e-4,
@@ -316,13 +313,13 @@ mod tests {
         };
 
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let r_cpu = lr_cg(&mut cpu, &labels, opts);
+        let r_cpu = try_lr_cg(&mut cpu, &labels, opts).unwrap();
 
-        let mut fused = FusedBackend::new_sparse(&g, &x);
-        let r_fused = lr_cg(&mut fused, &labels, opts);
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+        let r_fused = try_lr_cg(&mut fused, &labels, opts).unwrap();
 
-        let mut base = BaselineBackend::new_sparse(&g, &x);
-        let r_base = lr_cg(&mut base, &labels, opts);
+        let mut base = BaselineBackend::try_new_sparse(&g, &x).unwrap();
+        let r_base = try_lr_cg(&mut base, &labels, opts).unwrap();
 
         assert_eq!(r_cpu.iterations, r_fused.iterations);
         assert_eq!(r_cpu.iterations, r_base.iterations);
@@ -334,7 +331,7 @@ mod tests {
     fn residual_decreases() {
         let (x, _, labels) = synthetic_problem(250, 50, 103);
         let mut cpu = CpuBackend::new_sparse(x);
-        let res = lr_cg(&mut cpu, &labels, LrCgOptions::default());
+        let res = try_lr_cg(&mut cpu, &labels, LrCgOptions::default()).unwrap();
         assert!(res.final_nr2 < res.initial_nr2 * 1e-6);
     }
 
@@ -342,13 +339,13 @@ mod tests {
     fn pattern_instrumentation_matches_iterations() {
         let g = gpu();
         let (x, _, labels) = synthetic_problem(120, 25, 104);
-        let mut fused = FusedBackend::new_sparse(&g, &x);
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
         let opts = LrCgOptions {
             max_iterations: 7,
             tolerance: 0.0,
             ..Default::default()
         };
-        let res = lr_cg(&mut fused, &labels, opts);
+        let res = try_lr_cg(&mut fused, &labels, opts).unwrap();
         assert_eq!(res.iterations, 7);
         let stats = fused.stats();
         // One X^T y at init, one XtXy+bz per iteration.
@@ -367,7 +364,7 @@ mod tests {
         };
 
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let full = lr_cg(&mut cpu, &labels, opts);
+        let full = try_lr_cg(&mut cpu, &labels, opts).unwrap();
 
         // Run 4 iterations with snapshots every 2, as if a fault killed
         // the run, then resume on a *fresh* backend for the remainder.
@@ -407,10 +404,10 @@ mod tests {
             max_iterations: 8,
             ..Default::default()
         };
-        let mut a = FusedBackend::new_sparse(&g, &x);
+        let mut a = FusedBackend::try_new_sparse(&g, &x).unwrap();
         let plain = try_lr_cg(&mut a, &labels, opts).expect("plain");
         let stats_a = a.stats();
-        let mut b = FusedBackend::new_sparse(&g, &x);
+        let mut b = FusedBackend::try_new_sparse(&g, &x).unwrap();
         let with_none = try_lr_cg_ckpt(&mut b, &labels, opts, None).expect("ckpt none");
         assert_eq!(plain, with_none);
         assert_eq!(stats_a.launches, b.stats().launches, "no extra device work");
@@ -422,15 +419,16 @@ mod tests {
         let x = fusedml_matrix::gen::dense_random(150, 28, 105);
         let w_true = random_vector(28, 106);
         let labels = reference::dense_mv(&x, &w_true);
-        let mut fused = FusedBackend::new_dense(&g, &x);
-        let res = lr_cg(
+        let mut fused = FusedBackend::try_new_dense(&g, &x).unwrap();
+        let res = try_lr_cg(
             &mut fused,
             &labels,
             LrCgOptions {
                 eps: 0.0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(reference::rel_l2_error(&res.weights, &w_true) < 1e-4);
     }
 }

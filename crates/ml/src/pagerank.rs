@@ -81,11 +81,6 @@ pub struct PagerankResult {
     pub plan_stats: fusedml_core::PlanCacheStats,
 }
 
-/// Infallible [`try_pagerank`]; panics on device faults.
-pub fn pagerank(gpu: &Gpu, links: &CsrMatrix, opts: PagerankOptions) -> PagerankResult {
-    try_pagerank(gpu, links, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Run PageRank on `links` through the DAG fusion compiler. Device faults
 /// propagate as [`SolverError::Device`]; a non-finite rank delta aborts
 /// with [`SolverError::NumericalBreakdown`].
@@ -519,7 +514,7 @@ mod tests {
         assert!(reference::rel_l2_error(&res.ranks, &expect) < 1e-9);
         // The fused device backend agrees with the CPU backend.
         let g = gpu();
-        let mut fused = crate::ops::FusedBackend::new_sparse(&g, &links);
+        let mut fused = crate::ops::FusedBackend::try_new_sparse(&g, &links).unwrap();
         let dev = try_pagerank_backend(&mut fused, &inv_out_degrees(&links), opts).unwrap();
         assert_eq!(dev.iterations, res.iterations);
         assert!(reference::rel_l2_error(&dev.ranks, &res.ranks) < 1e-9);

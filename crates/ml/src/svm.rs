@@ -41,13 +41,8 @@ impl Default for SvmOptions {
     }
 }
 
-/// Train a binary L2-SVM with labels in `{-1, +1}`.
-pub fn svm_primal<B: Backend>(backend: &mut B, labels: &[f64], opts: SvmOptions) -> SvmResult {
-    try_svm(backend, labels, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`svm_primal`]: device faults propagate as
-/// [`SolverError::Device`]; a non-finite objective, gradient norm, or CG
+/// Train a binary L2-SVM with labels in `{-1, +1}`. Device faults
+/// propagate as [`SolverError::Device`]; a non-finite objective, gradient norm, or CG
 /// curvature (e.g. after silent corruption of the iterate) aborts with
 /// [`SolverError::NumericalBreakdown`].
 pub fn try_svm<B: Backend>(
@@ -261,7 +256,7 @@ mod tests {
     fn separates_separable_data() {
         let (x, labels) = problem(300, 25, 121);
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let res = svm_primal(&mut cpu, &labels, SvmOptions::default());
+        let res = try_svm(&mut cpu, &labels, SvmOptions::default()).unwrap();
         let scores = reference::csr_mv(&x, &res.weights);
         let acc = scores
             .iter()
@@ -283,9 +278,9 @@ mod tests {
             ..Default::default()
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let r_cpu = svm_primal(&mut cpu, &labels, opts);
-        let mut fused = FusedBackend::new_sparse(&g, &x);
-        let r_fused = svm_primal(&mut fused, &labels, opts);
+        let r_cpu = try_svm(&mut cpu, &labels, opts).unwrap();
+        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+        let r_fused = try_svm(&mut fused, &labels, opts).unwrap();
         assert!(reference::rel_l2_error(&r_fused.weights, &r_cpu.weights) < 1e-6);
     }
 
@@ -311,7 +306,7 @@ mod tests {
             ..Default::default()
         };
         let mut cpu = CpuBackend::new_sparse(x.clone());
-        let full = svm_primal(&mut cpu, &labels, opts);
+        let full = try_svm(&mut cpu, &labels, opts).unwrap();
 
         let h = CheckpointHandle::new(2);
         let mut first = CpuBackend::new_sparse(x.clone());
@@ -338,23 +333,25 @@ mod tests {
     fn objective_improves_with_more_iterations() {
         let (x, labels) = problem(200, 20, 123);
         let mut a = CpuBackend::new_sparse(x.clone());
-        let short = svm_primal(
+        let short = try_svm(
             &mut a,
             &labels,
             SvmOptions {
                 max_outer: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let mut b = CpuBackend::new_sparse(x);
-        let long = svm_primal(
+        let long = try_svm(
             &mut b,
             &labels,
             SvmOptions {
                 max_outer: 8,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(long.objective <= short.objective + 1e-9);
     }
 }

@@ -6,10 +6,11 @@
 //! conversion), end-to-end execution sessions that reproduce Tables 5
 //! and 6, and one fault-recovery driver shared by sessions and serving.
 
-// Hot-path code must report faults through typed errors (or panic with an
-// explicit message via the infallible wrappers), never through bare
-// unwrap/expect. Tests and benches are exempt.
+// Hot-path code must report faults through typed errors, never through a
+// panic or a bare unwrap/expect; a documented misuse or invariant check
+// is allowed where it stands. Tests and benches are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod memman;
 pub mod recovery;

@@ -236,6 +236,8 @@ impl<T: RecoveryTier + fmt::Debug> std::error::Error for LadderError<T> {
 /// # Panics
 ///
 /// If `ladder` is empty.
+// An empty ladder is caller misuse: every caller passes a `LADDER` const.
+#[allow(clippy::panic)]
 pub fn run_with_recovery<T: RecoveryTier, R>(
     ladder: &[T],
     policy: &RecoveryPolicy,

@@ -9,11 +9,11 @@ use crate::recovery::{run_with_recovery, BackendTier, LadderError, RecoveryEvent
 use crate::shard_recovery::ShardTier;
 use crate::transfer::TransferModel;
 use fusedml_core::ShardedExecutor;
-use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceGroup, Gpu};
+use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceGroup, DeviceSpec, Gpu};
 use fusedml_matrix::{CsrMatrix, DenseMatrix};
 use fusedml_ml::ops::TransposePolicy;
 use fusedml_ml::{
-    lr_cg, try_lr_cg_ckpt, Backend, BackendStats, BaselineBackend, CheckpointHandle, CpuBackend,
+    try_lr_cg_ckpt, Backend, BackendStats, BaselineBackend, CheckpointHandle, CpuBackend,
     FusedBackend, LrCgOptions, LrCgResult, ShardedBackend, SolverError,
 };
 use serde::{Deserialize, Serialize};
@@ -139,13 +139,20 @@ impl EndToEndReport {
 
 /// Run LR-CG end to end on the device, charging transfers through the
 /// memory manager. Iteration count is fixed (tolerance disabled), matching
-/// the paper's 100 (KDD) / 32 (HIGGS) iteration setups.
+/// the paper's 100 (KDD) / 32 (HIGGS) iteration setups. A device fault
+/// ends the run with [`SolverError::Device`]; use
+/// [`run_device_fault_tolerant`] to retry and degrade instead.
+///
+/// # Panics
+/// If the matrix or the labels exceed the device's memory: a session
+/// keeps one resident copy of each, and out-of-core inputs go through the
+/// streaming runtime instead.
 pub fn run_device(
     gpu: &Gpu,
     data: &DataSet,
     labels: &[f64],
     cfg: &SessionConfig,
-) -> EndToEndReport {
+) -> Result<EndToEndReport, SolverError> {
     let mut session_span = fusedml_trace::wall_span("session", "run_device", "host");
     session_span.arg(
         "engine",
@@ -158,54 +165,35 @@ pub fn run_device(
     session_span.arg("cols", data.cols());
     session_span.arg("iterations", cfg.iterations);
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(gpu.spec().global_mem_bytes as u64, cfg.transfer.clone());
-    mm.register("X", data.matrix_bytes(), data.needs_conversion());
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
-
-    let opts = LrCgOptions {
-        eps: 0.001,
-        tolerance: 0.0, // run exactly `iterations` steps
-        max_iterations: cfg.iterations,
-    };
+    let transfer_ms = upload_inputs(
+        gpu.spec(),
+        cfg,
+        data.matrix_bytes(),
+        data.needs_conversion(),
+        labels,
+    );
+    let opts = fixed_iterations(cfg.iterations);
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
-    let (kernel_ms, launches, iterations, counters) = match (cfg.engine, data) {
+    let (r, s) = match (cfg.engine, data) {
         (EngineKind::Fused, DataSet::Sparse(x)) => {
-            let mut b = FusedBackend::new_sparse(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
+            solve_lr_cg(FusedBackend::try_new_sparse(gpu, x)?, labels, opts, None)?
         }
         (EngineKind::Fused, DataSet::Dense(x)) => {
-            let mut b = FusedBackend::new_dense(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
+            solve_lr_cg(FusedBackend::try_new_dense(gpu, x)?, labels, opts, None)?
         }
         (EngineKind::Baseline, DataSet::Sparse(x)) => {
-            let mut b =
-                BaselineBackend::new_sparse(gpu, x).with_transpose_policy(cfg.transpose_policy);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
+            let b = BaselineBackend::try_new_sparse(gpu, x)?
+                .with_transpose_policy(cfg.transpose_policy);
+            solve_lr_cg(b, labels, opts, None)?
         }
         (EngineKind::Baseline, DataSet::Dense(x)) => {
-            let mut b = BaselineBackend::new_dense(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
+            solve_lr_cg(BaselineBackend::try_new_dense(gpu, x)?, labels, opts, None)?
         }
     };
     drop(solve_span);
+    let (kernel_ms, launches, iterations, counters) =
+        (s.sim_ms, s.launches, r.iterations, s.counters);
 
     // Listing 1 reads back two scalars per iteration (alpha's dot, the
     // convergence nr2) plus the initial nr2.
@@ -226,7 +214,7 @@ pub fn run_device(
         );
     }
 
-    EndToEndReport {
+    Ok(EndToEndReport {
         kernel_ms,
         transfer_ms,
         readback_ms,
@@ -235,6 +223,43 @@ pub fn run_device(
         launches,
         iterations,
         counters,
+    })
+}
+
+/// The upload preamble every session shares: register `X` and the labels
+/// with a memory manager sized to the device, charge their transfers, and
+/// pin `X` for the run. Returns the transfer milliseconds.
+// Inputs that fit the device are every session's documented precondition
+// (see `run_device`'s `# Panics`), not a fault the ladder could route
+// around.
+#[allow(clippy::panic)]
+fn upload_inputs(
+    spec: &DeviceSpec,
+    cfg: &SessionConfig,
+    x_bytes: u64,
+    x_needs_conversion: bool,
+    labels: &[f64],
+) -> f64 {
+    let _span = fusedml_trace::wall_span("session", "phase.upload", "host");
+    let mm = MemoryManager::new(spec.global_mem_bytes as u64, cfg.transfer.clone());
+    mm.register("X", x_bytes, x_needs_conversion);
+    mm.register("labels", (labels.len() * 8) as u64, false);
+    let mut transfer_ms = mm
+        .ensure_on_device("X")
+        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
+    transfer_ms += mm
+        .ensure_on_device("labels")
+        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
+    mm.pin("X");
+    transfer_ms
+}
+
+/// CG options for a run of exactly `iterations` steps (tolerance off).
+fn fixed_iterations(iterations: usize) -> LrCgOptions {
+    LrCgOptions {
+        eps: 0.001,
+        tolerance: 0.0,
+        max_iterations: iterations,
     }
 }
 
@@ -312,10 +337,15 @@ fn solve_lr_cg<B: Backend>(
 /// at that cadence and every retry or degraded attempt resumes from the
 /// last snapshot instead of iteration 0 — the snapshot lives on the
 /// host, so it survives the switch to a fresh backend on a lower tier.
-/// With `policy.allow_degradation` set (the default) this always
-/// succeeds, because the CPU tier cannot fault; `Err` is only possible
-/// when degradation is disabled, and carries the last error seen on
-/// every tier attempted.
+/// With `policy.allow_degradation` set (the default) no device fault
+/// ends the run, because the CPU tier cannot fault; `Err` then means the
+/// CPU tier failed too, with a numerical breakdown. With degradation off,
+/// the first tier's failure ends the run. `Err` carries the last error
+/// seen on every tier attempted.
+///
+/// # Panics
+/// If the matrix or the labels exceed the device's memory, as
+/// [`run_device`].
 pub fn run_device_fault_tolerant(
     gpu: &Gpu,
     data: &DataSet,
@@ -328,24 +358,14 @@ pub fn run_device_fault_tolerant(
     session_span.arg("cols", data.cols());
     session_span.arg("iterations", cfg.iterations);
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(gpu.spec().global_mem_bytes as u64, cfg.transfer.clone());
-    mm.register("X", data.matrix_bytes(), data.needs_conversion());
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
-
-    let opts = LrCgOptions {
-        eps: 0.001,
-        tolerance: 0.0, // run exactly `iterations` steps
-        max_iterations: cfg.iterations,
-    };
+    let transfer_ms = upload_inputs(
+        gpu.spec(),
+        cfg,
+        data.matrix_bytes(),
+        data.needs_conversion(),
+        labels,
+    );
+    let opts = fixed_iterations(cfg.iterations);
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
     let ckpt = policy.checkpoint();
@@ -530,6 +550,10 @@ pub struct ShardedSessionReport {
 /// executor's reduction is canonical, the final weights are bit-identical
 /// whatever tier finishes the run — including `SingleDevice` — except
 /// `Cpu`, which has its own (reference) summation order.
+///
+/// # Panics
+/// If the matrix or the labels exceed the memory of the group's first
+/// device, as [`run_device`].
 pub fn run_sharded_fault_tolerant(
     group: &DeviceGroup,
     x: &CsrMatrix,
@@ -546,27 +570,8 @@ pub fn run_sharded_fault_tolerant(
     session_span.arg("devices", group.len());
     session_span.arg("interconnect", group.interconnect().name.clone());
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(
-        group.device(0).spec().global_mem_bytes as u64,
-        cfg.transfer.clone(),
-    );
-    mm.register("X", x.size_bytes(), true);
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
-
-    let opts = LrCgOptions {
-        eps: 0.001,
-        tolerance: 0.0, // run exactly `iterations` steps
-        max_iterations: cfg.iterations,
-    };
+    let transfer_ms = upload_inputs(group.device(0).spec(), cfg, x.size_bytes(), true, labels);
+    let opts = fixed_iterations(cfg.iterations);
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
     let ckpt = policy.checkpoint();
@@ -663,13 +668,16 @@ pub fn run_sharded_fault_tolerant(
 /// The report's `counters` are those of the longest run actually
 /// simulated (`2 * sim_iters` iterations); times and launch counts are
 /// extrapolated, raw event counts are not.
+///
+/// # Panics
+/// As [`run_device`].
 pub fn run_device_extrapolated(
     gpu: &Gpu,
     data: &DataSet,
     labels: &[f64],
     cfg: &SessionConfig,
     sim_iters: usize,
-) -> EndToEndReport {
+) -> Result<EndToEndReport, SolverError> {
     let sim_iters = sim_iters.max(1);
     if cfg.iterations <= 2 * sim_iters {
         return run_device(gpu, data, labels, cfg);
@@ -682,8 +690,8 @@ pub fn run_device_extrapolated(
         iterations: 2 * sim_iters,
         ..cfg.clone()
     };
-    let r1 = run_device(gpu, data, labels, &short);
-    let r2 = run_device(gpu, data, labels, &long);
+    let r1 = run_device(gpu, data, labels, &short)?;
+    let r2 = run_device(gpu, data, labels, &long)?;
     let delta_iters = (r2.iterations - r1.iterations).max(1) as f64;
     let per_iter_kernel = (r2.kernel_ms - r1.kernel_ms) / delta_iters;
     let per_iter_launches = (r2.launches - r1.launches) as f64 / delta_iters;
@@ -692,7 +700,7 @@ pub fn run_device_extrapolated(
     let launches = r1.launches + (per_iter_launches * extra) as usize;
     let readback_ms = (2 * cfg.iterations + 1) as f64 * cfg.transfer.scalar_readback_ms();
     let dispatch_ms = launches as f64 * cfg.per_launch_overhead_ms;
-    EndToEndReport {
+    Ok(EndToEndReport {
         kernel_ms,
         transfer_ms: r1.transfer_ms,
         readback_ms,
@@ -701,7 +709,7 @@ pub fn run_device_extrapolated(
         launches,
         iterations: cfg.iterations,
         counters: r2.counters,
-    }
+    })
 }
 
 /// CPU run extrapolated the same way as [`run_device_extrapolated`].
@@ -710,37 +718,26 @@ pub fn run_cpu_extrapolated(
     labels: &[f64],
     iterations: usize,
     sim_iters: usize,
-) -> f64 {
+) -> Result<f64, SolverError> {
     let sim_iters = sim_iters.max(1);
     if iterations <= 2 * sim_iters {
         return run_cpu(data, labels, iterations);
     }
-    let t1 = run_cpu(data, labels, sim_iters);
-    let t2 = run_cpu(data, labels, 2 * sim_iters);
+    let t1 = run_cpu(data, labels, sim_iters)?;
+    let t2 = run_cpu(data, labels, 2 * sim_iters)?;
     let per_iter = (t2 - t1) / sim_iters as f64;
-    t1 + per_iter * (iterations - sim_iters) as f64
+    Ok(t1 + per_iter * (iterations - sim_iters) as f64)
 }
 
 /// The CPU-only run (SystemML's CPU backend in Table 6; modelled MKL
 /// clock). Returns total milliseconds.
-pub fn run_cpu(data: &DataSet, labels: &[f64], iterations: usize) -> f64 {
-    let opts = LrCgOptions {
-        eps: 0.001,
-        tolerance: 0.0,
-        max_iterations: iterations,
+pub fn run_cpu(data: &DataSet, labels: &[f64], iterations: usize) -> Result<f64, SolverError> {
+    let opts = fixed_iterations(iterations);
+    let (_, s) = match data {
+        DataSet::Sparse(x) => solve_lr_cg(CpuBackend::new_sparse(x.clone()), labels, opts, None)?,
+        DataSet::Dense(x) => solve_lr_cg(CpuBackend::new_dense(x.clone()), labels, opts, None)?,
     };
-    match data {
-        DataSet::Sparse(x) => {
-            let mut b = CpuBackend::new_sparse(x.clone());
-            lr_cg(&mut b, labels, opts);
-            b.stats().sim_ms
-        }
-        DataSet::Dense(x) => {
-            let mut b = CpuBackend::new_dense(x.clone());
-            lr_cg(&mut b, labels, opts);
-            b.stats().sim_ms
-        }
-    }
+    Ok(s.sim_ms)
 }
 
 #[cfg(test)]
@@ -770,14 +767,16 @@ mod tests {
             &data,
             &labels,
             &SessionConfig::native(EngineKind::Fused, 10),
-        );
+        )
+        .unwrap();
         g.flush_caches();
         let base = run_device(
             &g,
             &data,
             &labels,
             &SessionConfig::native(EngineKind::Baseline, 10),
-        );
+        )
+        .unwrap();
         assert_eq!(fused.iterations, 10);
         assert!(fused.kernel_ms < base.kernel_ms);
         assert!(fused.total_ms < base.total_ms);
@@ -794,14 +793,16 @@ mod tests {
             &data,
             &labels,
             &SessionConfig::native(EngineKind::Fused, 5),
-        );
+        )
+        .unwrap();
         g.flush_caches();
         let sysml = run_device(
             &g,
             &data,
             &labels,
             &SessionConfig::systemml(EngineKind::Fused, 5),
-        );
+        )
+        .unwrap();
         assert!(sysml.transfer_ms > native.transfer_ms);
         assert!(sysml.dispatch_ms > 0.0);
         assert_eq!(native.dispatch_ms, 0.0);
@@ -811,10 +812,10 @@ mod tests {
     #[test]
     fn cpu_run_produces_time() {
         let (data, labels) = dataset();
-        let ms = run_cpu(&data, &labels, 5);
+        let ms = run_cpu(&data, &labels, 5).unwrap();
         assert!(ms > 0.0);
         // More iterations cost more.
-        assert!(run_cpu(&data, &labels, 10) > ms);
+        assert!(run_cpu(&data, &labels, 10).unwrap() > ms);
     }
 
     #[test]
@@ -826,7 +827,8 @@ mod tests {
             &data,
             &labels,
             &SessionConfig::systemml(EngineKind::Fused, 3),
-        );
+        )
+        .unwrap();
         let sum = r.kernel_ms + r.transfer_ms + r.readback_ms + r.dispatch_ms;
         assert!((r.total_ms - sum).abs() < 1e-9);
     }

@@ -993,6 +993,8 @@ impl RowRangeExecutor for SparseStreamer<'_> {
 /// pass through (the recovery ladder consumes them); shape and
 /// configuration errors from inside a backend call are caller bugs,
 /// reported the way the other device backends report them — a panic.
+// A shape or configuration error here is backend misuse, as above.
+#[allow(clippy::panic)]
 fn device_err(e: StreamError) -> DeviceError {
     match e {
         StreamError::Device(e) => e,

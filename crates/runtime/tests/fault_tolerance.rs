@@ -3,7 +3,7 @@
 
 use fusedml_gpu_sim::{DeviceSpec, FaultProfile, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
-use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
+use fusedml_ml::{try_lr_cg, CpuBackend, LrCgOptions};
 use fusedml_runtime::{
     run_device_fault_tolerant, BackendTier, DataSet, EngineKind, RecoveryAction, RecoveryPolicy,
     SessionConfig,
@@ -21,7 +21,7 @@ fn cpu_reference(data: &DataSet, labels: &[f64], iterations: usize) -> Vec<f64> 
         panic!("sparse problem expected")
     };
     let mut b = CpuBackend::new_sparse(x.clone());
-    lr_cg(
+    try_lr_cg(
         &mut b,
         labels,
         LrCgOptions {
@@ -30,6 +30,7 @@ fn cpu_reference(data: &DataSet, labels: &[f64], iterations: usize) -> Vec<f64> 
             max_iterations: iterations,
         },
     )
+    .unwrap()
     .weights
 }
 

@@ -18,7 +18,7 @@ use crate::parser::{parse, ParseError};
 use crate::value::{HostMatrix, MatrixVal, Value};
 use fusedml_blas::{BaselineEngine, Flavor, GpuCsr, GpuDense};
 use fusedml_core::{FusedExecutor, PatternSpec};
-use fusedml_gpu_sim::Gpu;
+use fusedml_gpu_sim::{DeviceError, Gpu};
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
 use std::collections::HashMap;
 use std::fmt;
@@ -71,6 +71,7 @@ impl From<ParseError> for ScriptError {
     }
 }
 
+#[derive(Clone)]
 enum DeviceMat {
     Sparse(GpuCsr),
     Dense(GpuDense),
@@ -566,16 +567,22 @@ impl<'g> Interpreter<'g> {
 
     // ------------- device dispatch -------------
 
-    fn device_matrix(&mut self, m: &Rc<MatrixVal>) -> Option<&DeviceMat> {
-        let gpu = self.gpu?;
-        let id = m.id;
-        self.device_cache
-            .entry(id)
-            .or_insert_with(|| match &m.data {
-                HostMatrix::Sparse(x) => DeviceMat::Sparse(GpuCsr::upload(gpu, "script.X", x)),
-                HostMatrix::Dense(x) => DeviceMat::Dense(GpuDense::upload(gpu, "script.X", x)),
-            });
-        self.device_cache.get(&id)
+    /// The device matrix operators run on; `None` in host-only mode.
+    fn device(&self) -> Option<&'g Gpu> {
+        self.gpu.filter(|_| self.mode != EngineMode::HostOnly)
+    }
+
+    /// `m`'s device copy, uploaded on first use.
+    fn device_matrix(&mut self, gpu: &Gpu, m: &MatrixVal) -> Result<DeviceMat, DeviceError> {
+        if let Some(d) = self.device_cache.get(&m.id) {
+            return Ok(d.clone());
+        }
+        let d = match &m.data {
+            HostMatrix::Sparse(x) => DeviceMat::Sparse(GpuCsr::try_upload(gpu, "script.X", x)?),
+            HostMatrix::Dense(x) => DeviceMat::Dense(GpuDense::try_upload(gpu, "script.X", x)?),
+        };
+        self.device_cache.insert(m.id, d.clone());
+        Ok(d)
     }
 
     /// `X %*% y` with per-mode cost accounting.
@@ -583,20 +590,23 @@ impl<'g> Interpreter<'g> {
         &mut self,
         x: &Rc<MatrixVal>,
         y: &[f64],
-        _line: usize,
+        line: usize,
     ) -> Result<Value, ScriptError> {
-        if self.mode == EngineMode::HostOnly || self.gpu.is_none() {
+        let Some(gpu) = self.device() else {
             return Ok(Value::vector(host_mv(&x.data, y)));
-        }
-        let gpu = self.gpu.expect("checked");
-        self.device_matrix(x);
-        let yd = gpu.upload_f64("script.y", y);
-        let out = gpu.alloc_f64("script.p", x.data.rows());
-        let mut engine = BaselineEngine::new(gpu, Flavor::CuLibs);
-        match self.device_cache.get(&x.id).expect("cached") {
-            DeviceMat::Sparse(xd) => engine.csrmv(&xd.clone(), &yd, &out),
-            DeviceMat::Dense(xd) => engine.gemv(&xd.clone(), &yd, &out),
-        }
+        };
+        let xd = self.device_matrix(gpu, x).map_err(device_error(line))?;
+        let run = || -> Result<_, DeviceError> {
+            let yd = gpu.try_upload_f64("script.y", y)?;
+            let out = gpu.try_alloc_f64("script.p", x.data.rows())?;
+            let mut engine = BaselineEngine::try_new(gpu, Flavor::CuLibs)?;
+            match &xd {
+                DeviceMat::Sparse(xd) => engine.try_csrmv(xd, &yd, &out)?,
+                DeviceMat::Dense(xd) => engine.try_gemv(xd, &yd, &out)?,
+            }
+            Ok((out, engine))
+        };
+        let (out, engine) = run().map_err(device_error(line))?;
         self.stats.sim_ms += engine.total_sim_ms();
         self.stats.launches += engine.launch_count();
         Ok(Value::vector(out.to_vec_f64()))
@@ -607,20 +617,23 @@ impl<'g> Interpreter<'g> {
         &mut self,
         x: &Rc<MatrixVal>,
         p: &[f64],
-        _line: usize,
+        line: usize,
     ) -> Result<Value, ScriptError> {
-        if self.mode == EngineMode::HostOnly || self.gpu.is_none() {
+        let Some(gpu) = self.device() else {
             return Ok(Value::vector(host_tmv(&x.data, p)));
-        }
-        let gpu = self.gpu.expect("checked");
-        self.device_matrix(x);
-        let pd = gpu.upload_f64("script.p", p);
-        let out = gpu.alloc_f64("script.w", x.data.cols());
-        let mut engine = BaselineEngine::new(gpu, Flavor::CuLibs);
-        match self.device_cache.get(&x.id).expect("cached") {
-            DeviceMat::Sparse(xd) => engine.csrmv_t(&xd.clone(), &pd, &out),
-            DeviceMat::Dense(xd) => engine.gemv_t(&xd.clone(), &pd, &out),
-        }
+        };
+        let xd = self.device_matrix(gpu, x).map_err(device_error(line))?;
+        let run = || -> Result<_, DeviceError> {
+            let pd = gpu.try_upload_f64("script.p", p)?;
+            let out = gpu.try_alloc_f64("script.w", x.data.cols())?;
+            let mut engine = BaselineEngine::try_new(gpu, Flavor::CuLibs)?;
+            match &xd {
+                DeviceMat::Sparse(xd) => engine.try_csrmv_t(xd, &pd, &out)?,
+                DeviceMat::Dense(xd) => engine.try_gemv_t(xd, &pd, &out)?,
+            }
+            Ok((out, engine))
+        };
+        let (out, engine) = run().map_err(device_error(line))?;
         self.stats.sim_ms += engine.total_sim_ms();
         self.stats.launches += engine.launch_count();
         Ok(Value::vector(out.to_vec_f64()))
@@ -758,7 +771,7 @@ impl<'g> Interpreter<'g> {
         };
 
         // Host-only (or no GPU): reference evaluation.
-        if self.mode == EngineMode::HostOnly || self.gpu.is_none() {
+        let Some(gpu) = self.device() else {
             let w = host_fused(
                 &x.data,
                 &spec,
@@ -769,55 +782,55 @@ impl<'g> Interpreter<'g> {
                 line,
             )?;
             return Ok(Value::vector(w));
-        }
+        };
+        // `X (...)` takes `y` of column dimension; `X^T y` of row dimension.
+        let y_dim = if p.inner_mv {
+            x.data.cols()
+        } else {
+            x.data.rows()
+        };
+        check_dim(y.len(), y_dim, "y", line)?;
 
-        let gpu = self.gpu.expect("checked");
-        self.device_matrix(&x);
-        let mut ex = FusedExecutor::new(gpu);
-        let yd = gpu.upload_f64("script.y", &y);
-        let vd = v.as_ref().map(|v| gpu.upload_f64("script.v", v));
-        let zd = z.as_ref().map(|z| gpu.upload_f64("script.z", z));
-        let wd = gpu.alloc_f64("script.w", x.data.cols());
-
-        match self.device_cache.get(&x.id).expect("cached") {
-            DeviceMat::Sparse(xd) => {
-                let xd = xd.clone();
-                if p.inner_mv {
-                    check_dim(y.len(), x.data.cols(), "y", line)?;
-                    ex.pattern_sparse(spec, &xd, vd.as_ref(), &yd, zd.as_ref(), &wd);
-                } else {
-                    check_dim(y.len(), x.data.rows(), "y", line)?;
-                    // alpha * X^T y (+ beta z as a follow-up axpy).
-                    ex.xt_y_sparse(alpha, &xd, &yd, &wd);
-                    if let (Some(zd), true) = (zd.as_ref(), spec.with_z) {
-                        let s = fusedml_blas::level1::axpy(gpu, beta, zd, &wd);
-                        ex.launches.push(s);
-                    }
+        let xd = self.device_matrix(gpu, &x).map_err(device_error(line))?;
+        let run = || -> Result<_, DeviceError> {
+            let mut ex = FusedExecutor::new(gpu);
+            let yd = gpu.try_upload_f64("script.y", &y)?;
+            let vd = v
+                .as_ref()
+                .map(|v| gpu.try_upload_f64("script.v", v))
+                .transpose()?;
+            let zd = z
+                .as_ref()
+                .map(|z| gpu.try_upload_f64("script.z", z))
+                .transpose()?;
+            let wd = gpu.try_alloc_f64("script.w", x.data.cols())?;
+            match (&xd, p.inner_mv) {
+                (DeviceMat::Sparse(xd), true) => {
+                    ex.try_pattern_sparse(spec, xd, vd.as_ref(), &yd, zd.as_ref(), &wd)?
                 }
-            }
-            DeviceMat::Dense(xd) => {
-                let xd = xd.clone();
-                if p.inner_mv {
-                    check_dim(y.len(), x.data.cols(), "y", line)?;
-                    ex.pattern_dense(spec, &xd, vd.as_ref(), &yd, zd.as_ref(), &wd);
-                } else {
-                    check_dim(y.len(), x.data.rows(), "y", line)?;
-                    for s in fusedml_blas::gemv_t(gpu, &xd, &yd, &wd) {
-                        ex.launches.push(s);
-                    }
+                (DeviceMat::Dense(xd), true) => {
+                    ex.try_pattern_dense(spec, xd, vd.as_ref(), &yd, zd.as_ref(), &wd)?
+                }
+                // alpha * X^T y (+ beta z as a follow-up axpy).
+                (DeviceMat::Sparse(xd), false) => ex.try_xt_y_sparse(alpha, xd, &yd, &wd)?,
+                (DeviceMat::Dense(xd), false) => {
+                    ex.launches
+                        .extend(fusedml_blas::try_gemv_t(gpu, xd, &yd, &wd)?);
                     if alpha != 1.0 {
-                        let s = fusedml_blas::level1::scal(gpu, alpha, &wd);
-                        ex.launches.push(s);
-                    }
-                    if let (Some(zd), true) = (zd.as_ref(), spec.with_z) {
-                        let s = fusedml_blas::level1::axpy(gpu, beta, zd, &wd);
-                        ex.launches.push(s);
+                        ex.launches
+                            .push(fusedml_blas::level1::try_scal(gpu, alpha, &wd)?);
                     }
                 }
             }
-        }
-        self.stats.sim_ms += ex.total_sim_ms();
-        self.stats.launches += ex.launch_count();
+            if let (Some(zd), true, false) = (&zd, spec.with_z, p.inner_mv) {
+                ex.launches
+                    .push(fusedml_blas::level1::try_axpy(gpu, beta, zd, &wd)?);
+            }
+            Ok((wd, ex.total_sim_ms(), ex.launch_count()))
+        };
+        let (wd, sim_ms, launches) = run().map_err(device_error(line))?;
+        self.stats.sim_ms += sim_ms;
+        self.stats.launches += launches;
         Ok(Value::vector(wd.to_vec_f64()))
     }
 
@@ -827,6 +840,14 @@ impl<'g> Interpreter<'g> {
             line,
             message: format!("expected a scalar operand, got {}", v.type_name()),
         })
+    }
+}
+
+/// A device fault surfaces as a [`ScriptError`] on the line that hit it.
+fn device_error(line: usize) -> impl Fn(DeviceError) -> ScriptError + Copy {
+    move |e| ScriptError {
+        line,
+        message: format!("device error: {e}"),
     }
 }
 

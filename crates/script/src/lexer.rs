@@ -250,10 +250,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         s.push(c);
                         chars.next();
                         // allow a sign right after an exponent marker
-                        if (s.ends_with('e') || s.ends_with('E'))
-                            && matches!(chars.peek(), Some('+') | Some('-'))
-                        {
-                            s.push(chars.next().expect("peeked"));
+                        if s.ends_with('e') || s.ends_with('E') {
+                            if let Some(sign) = chars.next_if(|&c| c == '+' || c == '-') {
+                                s.push(sign);
+                            }
                         }
                     } else {
                         break;

@@ -29,6 +29,11 @@
 //! assert!(host.outputs()["norm"].as_scalar().unwrap() > 0.0);
 //! ```
 
+// A bad script, or a device fault while running one, is a typed error,
+// never a panic or a bare unwrap/expect; tests are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
+
 pub mod ast;
 pub mod interp;
 pub mod lexer;

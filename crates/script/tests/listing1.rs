@@ -2,10 +2,10 @@
 //! frontend, produces the same weights as the hand-written LR-CG, and the
 //! fused engine transparently dispatches one fused kernel per iteration.
 
-use fusedml_gpu_sim::{DeviceSpec, Gpu};
+use fusedml_gpu_sim::{DeviceSpec, FaultProfile, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
+use fusedml_ml::{try_lr_cg, CpuBackend, LrCgOptions};
 use fusedml_script::{count_fused, optimize, parse, EngineMode, Interpreter, Value, LISTING_1};
 
 fn problem() -> (fusedml_matrix::CsrMatrix, Vec<f64>) {
@@ -41,7 +41,7 @@ fn listing1_host_matches_handwritten_lr_cg() {
         tolerance: 1e-6,
         max_iterations: 100,
     };
-    let r = lr_cg(&mut backend, &labels, opts);
+    let r = try_lr_cg(&mut backend, &labels, opts).unwrap();
     assert!(
         reference::rel_l2_error(&w_script, &r.weights) < 1e-8,
         "script vs handwritten: {}",
@@ -175,6 +175,32 @@ fn runaway_loop_is_stopped() {
         .run("i = 0\nwhile (1 > 0) { i = i + 1 }")
         .unwrap_err();
     assert!(err.message.contains("budget"));
+}
+
+#[test]
+fn a_device_fault_is_a_script_error() {
+    // Listing 1's first fused evaluation launches a kernel; its first
+    // device step of all uploads `V`.
+    let (x, labels) = problem();
+    for (faults, device_error) in [
+        (
+            FaultProfile::seeded(1).with_kernel_fault_rate(1.0),
+            "injected transient fault",
+        ),
+        (
+            FaultProfile::seeded(1).with_alloc_fault_rate(1.0),
+            "failed (injected fault",
+        ),
+    ] {
+        let gpu = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1).with_fault_profile(faults);
+        let mut interp = Interpreter::on_gpu(&gpu, EngineMode::FusedGpu);
+        interp.bind_sparse("V", x.clone());
+        interp.bind_vector("y", labels.clone());
+        let err = interp.run(LISTING_1).unwrap_err();
+        assert!(err.message.starts_with("device error: "), "{err}");
+        assert!(err.message.contains(device_error), "{err}");
+        assert!(err.line > 0, "{err}");
+    }
 }
 
 #[test]

@@ -35,8 +35,9 @@
 //! ```
 
 // The collector must never take down the traced process; lock recovery
-// and fallbacks are explicit, so bare unwrap/expect stays test-only.
+// and fallbacks are explicit, so bare unwrap/expect/panic! stay test-only.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic))]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

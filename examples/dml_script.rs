@@ -11,10 +11,10 @@ use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 use fusedml_script::{count_fused, optimize, parse, EngineMode, Interpreter, Value, LISTING_1};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- the script (paper Listing 1) ---\n{LISTING_1}");
 
-    let prog = parse(LISTING_1).expect("parses");
+    let prog = parse(LISTING_1)?;
     let fused_nodes = count_fused(&optimize(&prog));
     println!("optimizer found {fused_nodes} fusable pattern instances\n");
 
@@ -39,9 +39,9 @@ fn main() {
         };
         interp.bind_sparse("V", x.clone());
         interp.bind_vector("y", labels.clone());
-        interp.run(LISTING_1).expect("script runs");
-        let Value::Vector(w) = &interp.outputs()["w"] else {
-            panic!("no weight output")
+        interp.run(LISTING_1)?;
+        let Some(Value::Vector(w)) = interp.outputs().get("w") else {
+            return Err("the script wrote no weight vector".into());
         };
         results.push((
             name,
@@ -65,4 +65,5 @@ fn main() {
         base_ms / fused_ms
     );
     assert!(fused_ms < base_ms);
+    Ok(())
 }

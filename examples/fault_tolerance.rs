@@ -10,7 +10,7 @@
 use fusedml_gpu_sim::{DeviceSpec, FaultProfile, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
+use fusedml_ml::{try_lr_cg, CpuBackend, LrCgOptions};
 use fusedml_runtime::{
     run_device_fault_tolerant, DataSet, EngineKind, FaultTolerantReport, RecoveryPolicy,
     SessionConfig,
@@ -44,7 +44,7 @@ fn show(label: &str, r: &FaultTolerantReport, reference_w: &[f64]) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = uniform_sparse(2_000, 128, 0.05, 11);
     let w_true = random_vector(128, 12);
     let labels = reference::csr_mv(&x, &w_true);
@@ -54,7 +54,7 @@ fn main() {
 
     // Ground truth from the host reference implementation.
     let mut cpu = CpuBackend::new_sparse(x);
-    let reference_w = lr_cg(
+    let reference_w = try_lr_cg(
         &mut cpu,
         &labels,
         LrCgOptions {
@@ -62,13 +62,12 @@ fn main() {
             tolerance: 0.0,
             max_iterations: 12,
         },
-    )
+    )?
     .weights;
 
     // 1. No injection: the fused tier completes on the first attempt.
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy)
-        .expect("clean run cannot fail");
+    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy)?;
     show("clean device", &r, &reference_w);
 
     // 2. Occasional transient kernel faults: retried on the same tier.
@@ -78,8 +77,7 @@ fn main() {
         max_retries: 8,
         ..policy
     };
-    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy_retry)
-        .expect("retries recover");
+    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy_retry)?;
     show("flaky device", &r, &reference_w);
 
     // 3. Saturated faults: both device tiers are unusable, the ladder
@@ -89,8 +87,7 @@ fn main() {
             .with_kernel_fault_rate(1.0)
             .with_alloc_fault_rate(1.0),
     );
-    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy)
-        .expect("cpu tier cannot fault");
+    let r = run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy)?;
     show("broken device", &r, &reference_w);
 
     // 4. Same seed, same trail: the injector is deterministic.
@@ -101,9 +98,9 @@ fn main() {
             max_retries: 20,
             ..RecoveryPolicy::default()
         };
-        run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy).expect("recovers")
+        run_device_fault_tolerant(&gpu, &data, &labels, &cfg, &policy)
     };
-    let (a, b) = (rerun(42), rerun(42));
+    let (a, b) = (rerun(42)?, rerun(42)?);
     println!(
         "determinism: seed 42 twice -> identical reports: {}",
         a == b
@@ -126,4 +123,5 @@ fn main() {
             e.is_transient()
         ),
     }
+    Ok(())
 }

@@ -9,9 +9,9 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::powerlaw_sparse;
 use fusedml_matrix::{Coo, CsrMatrix};
-use fusedml_ml::{hits, HitsOptions};
+use fusedml_ml::{try_hits, HitsOptions};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A power-law link graph of 30k pages, plus three authority hubs that
     // many pages point to.
     let pages = 30_000;
@@ -32,8 +32,8 @@ fn main() {
     println!("graph: {pages} pages, {} links", graph.nnz());
 
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let mut backend = FusedBackend::new_sparse(&gpu, &graph);
-    let result = hits(&mut backend, HitsOptions::default());
+    let mut backend = FusedBackend::try_new_sparse(&gpu, &graph)?;
+    let result = try_hits(&mut backend, HitsOptions::default())?;
     let stats = backend.stats();
 
     let mut ranked: Vec<(usize, f64)> = result.authorities.iter().copied().enumerate().collect();
@@ -58,4 +58,5 @@ fn main() {
         );
     }
     println!("==> the three planted celebrity pages rank top-3, as expected");
+    Ok(())
 }

@@ -9,9 +9,9 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::{dense_random, random_vector};
 use fusedml_matrix::reference;
-use fusedml_ml::{lr_cg, LrCgOptions};
+use fusedml_ml::{try_lr_cg, LrCgOptions};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // HIGGS-shaped: tall and 28 columns (scaled rows for a quick demo).
     let (m, n) = (100_000, 28);
     let x = dense_random(m, n, 7);
@@ -26,13 +26,13 @@ fn main() {
         max_iterations: 50,
     };
 
-    let mut fused = FusedBackend::new_dense(&gpu, &x);
-    let r_fused = lr_cg(&mut fused, &labels, opts);
+    let mut fused = FusedBackend::try_new_dense(&gpu, &x)?;
+    let r_fused = try_lr_cg(&mut fused, &labels, opts)?;
     let fused_stats = fused.stats();
 
     gpu.flush_caches();
-    let mut baseline = BaselineBackend::new_dense(&gpu, &x);
-    let r_base = lr_cg(&mut baseline, &labels, opts);
+    let mut baseline = BaselineBackend::try_new_dense(&gpu, &x)?;
+    let r_base = try_lr_cg(&mut baseline, &labels, opts)?;
     let base_stats = baseline.stats();
 
     let err_fused = reference::rel_l2_error(&r_fused.weights, &w_true);
@@ -52,4 +52,5 @@ fn main() {
         base_stats.sim_ms / fused_stats.sim_ms,
         fused_stats.pattern_counts
     );
+    Ok(())
 }

@@ -9,9 +9,9 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_ml::{logreg, LogRegOptions};
+use fusedml_ml::{try_logreg, LogRegOptions};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (m, n) = (20_000, 200);
     let x = uniform_sparse(m, n, 0.05, 17);
     let w_true = random_vector(n, 18);
@@ -22,8 +22,8 @@ fn main() {
     println!("data: {m} x {n} sparse ({} nnz), separable labels", x.nnz());
 
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let mut backend = FusedBackend::new_sparse(&gpu, &x);
-    let result = logreg(&mut backend, &labels, LogRegOptions::default());
+    let mut backend = FusedBackend::try_new_sparse(&gpu, &x)?;
+    let result = try_logreg(&mut backend, &labels, LogRegOptions::default())?;
     let stats = backend.stats();
 
     // Training accuracy.
@@ -48,4 +48,5 @@ fn main() {
     );
     println!("pattern instantiations used: {:#?}", stats.pattern_counts);
     assert!(acc > 0.95, "logistic regression failed to separate");
+    Ok(())
 }

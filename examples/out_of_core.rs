@@ -12,7 +12,7 @@ use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 use fusedml_runtime::{SparseStreamer, StreamConfig, TransferModel};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pretend this matrix exceeds device memory and must stream.
     let (m, n) = (200_000, 512);
     let x = uniform_sparse(m, n, 0.01, 99);
@@ -32,12 +32,9 @@ fn main() {
         gpu.flush_caches();
         // Depth 2 is double buffering; no chunk stays resident.
         let cfg = StreamConfig::fixed(chunk_rows, 2);
-        let mut streamer = SparseStreamer::try_new(&gpu, &x, TransferModel::native(), cfg)
-            .expect("valid stream config");
+        let mut streamer = SparseStreamer::try_new(&gpu, &x, TransferModel::native(), cfg)?;
         let mut w = vec![0.0; n];
-        let report = streamer
-            .try_pattern_host(spec, None, &y, None, &mut w)
-            .expect("streamed pass");
+        let report = streamer.try_pattern_host(spec, None, &y, None, &mut w)?;
         println!(
             "{chunk_rows:>10}  {:>6}  {:>11.3}  {:>9.3}  {:>13.3}  {:>9.3}",
             report.chunks,
@@ -59,4 +56,5 @@ fn main() {
         "==> overlap hides the smaller of transfer/compute; the single-chunk run \
          shows the in-core floor"
     );
+    Ok(())
 }

@@ -11,40 +11,40 @@ use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 50k x 1k sparse matrix at 1% density, like the paper's sweep data.
     let (m, n) = (50_000, 1000);
     let x = uniform_sparse(m, n, 0.01, 42);
     println!("matrix: {m} x {n}, {} non-zeros", x.nnz());
 
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let xd = GpuCsr::upload(&gpu, "X", &x);
+    let xd = GpuCsr::try_upload(&gpu, "X", &x)?;
     let y = random_vector(n, 1);
     let v = random_vector(m, 2);
     let z = random_vector(n, 3);
-    let yd = gpu.upload_f64("y", &y);
-    let vd = gpu.upload_f64("v", &v);
-    let zd = gpu.upload_f64("z", &z);
+    let yd = gpu.try_upload_f64("y", &y)?;
+    let vd = gpu.try_upload_f64("v", &v)?;
+    let zd = gpu.try_upload_f64("z", &z)?;
     let (alpha, beta) = (2.0, -0.5);
     let spec = PatternSpec::full(alpha, beta);
 
     // Fused: one kernel, hierarchical aggregation.
-    let w_fused = gpu.alloc_f64("w_fused", n);
+    let w_fused = gpu.try_alloc_f64("w_fused", n)?;
     gpu.flush_caches();
     let mut fused = FusedExecutor::new(&gpu);
-    fused.pattern_sparse(spec, &xd, Some(&vd), &yd, Some(&zd), &w_fused);
-    let plan = fused.sparse_plan(&xd);
+    fused.try_pattern_sparse(spec, &xd, Some(&vd), &yd, Some(&zd), &w_fused)?;
+    let plan = fused.try_sparse_plan(&xd)?;
     println!(
         "fused plan: VS={} BS={} C={} grid={} (occupancy {:.2})",
         plan.vs, plan.bs, plan.c, plan.grid, plan.occupancy.occupancy
     );
 
     // Baseline: one kernel per operator, cuBLAS/cuSPARSE style.
-    let w_base = gpu.alloc_f64("w_base", n);
-    let p_tmp = gpu.alloc_f64("p", m);
+    let w_base = gpu.try_alloc_f64("w_base", n)?;
+    let p_tmp = gpu.try_alloc_f64("p", m)?;
     gpu.flush_caches();
-    let mut baseline = BaselineEngine::new(&gpu, Flavor::CuLibs);
-    baseline.pattern_sparse(alpha, &xd, Some(&vd), &yd, beta, Some(&zd), &w_base, &p_tmp);
+    let mut baseline = BaselineEngine::try_new(&gpu, Flavor::CuLibs)?;
+    baseline.try_pattern_sparse(alpha, &xd, Some(&vd), &yd, beta, Some(&zd), &w_base, &p_tmp)?;
 
     // Both must match the CPU reference.
     let expect = reference::pattern_csr(alpha, &x, Some(&v), &y, beta, Some(&z));
@@ -69,4 +69,5 @@ fn main() {
     println!("\n--- simulated profiler report for the fused kernel ---");
     let fused_kernel = fused.launches.last().expect("launched");
     print!("{}", fusedml_gpu_sim::profile_report(fused_kernel));
+    Ok(())
 }

@@ -9,9 +9,9 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_ml::{svm_primal, SvmOptions};
+use fusedml_ml::{try_svm, SvmOptions};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (m, n) = (30_000, 300);
     let x = uniform_sparse(m, n, 0.04, 33);
     let w_true = random_vector(n, 34);
@@ -24,8 +24,8 @@ fn main() {
     println!("data: {m} x {n} sparse, {} nnz", x.nnz());
 
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let mut fused = FusedBackend::new_sparse(&gpu, &x);
-    let result = svm_primal(&mut fused, &labels, SvmOptions::default());
+    let mut fused = FusedBackend::try_new_sparse(&gpu, &x)?;
+    let result = try_svm(&mut fused, &labels, SvmOptions::default())?;
     let stats = fused.stats();
 
     let predictions = reference::csr_mv(&x, &result.weights);
@@ -48,4 +48,5 @@ fn main() {
         stats.sim_ms, stats.launches, stats.pattern_counts
     );
     assert!(correct as f64 / m as f64 > 0.95);
+    Ok(())
 }

@@ -10,18 +10,18 @@
 
 use fusedml::prelude::*;
 use fusedml_core::tuner::manual_sparse_plan;
-use fusedml_core::{generate_cuda_source, plan_dense, plan_sparse};
+use fusedml_core::{generate_cuda_source, try_plan_dense, try_plan_sparse};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (m, n) = (60_000, 1000);
     let x = uniform_sparse(m, n, 0.01, 21);
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let xd = GpuCsr::upload(&gpu, "X", &x);
-    let y = gpu.upload_f64("y", &random_vector(n, 22));
-    let w = gpu.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&gpu, "X", &x)?;
+    let y = gpu.try_upload_f64("y", &random_vector(n, 22))?;
+    let w = gpu.try_alloc_f64("w", n)?;
 
-    let model = plan_sparse(gpu.spec(), m, n, x.mean_nnz_per_row());
+    let model = try_plan_sparse(gpu.spec(), m, n, x.mean_nnz_per_row())?;
     println!(
         "analytical model: VS={} BS={} C={} grid={} occupancy={:.2}",
         model.vs, model.bs, model.c, model.grid, model.occupancy.occupancy
@@ -38,7 +38,7 @@ fn main() {
             };
             gpu.flush_caches();
             let mut ex = FusedExecutor::new(&gpu);
-            ex.pattern_sparse_with_plan(&plan, spec, &xd, None, &y, None, &w);
+            ex.try_pattern_sparse_with_plan(&plan, spec, &xd, None, &y, None, &w)?;
             results.push((bs, c, ex.total_sim_ms()));
         }
     }
@@ -55,7 +55,7 @@ fn main() {
 
     gpu.flush_caches();
     let mut ex = FusedExecutor::new(&gpu);
-    ex.pattern_sparse_with_plan(&model, spec, &xd, None, &y, None, &w);
+    ex.try_pattern_sparse_with_plan(&model, spec, &xd, None, &y, None, &w)?;
     let model_ms = ex.total_sim_ms();
     let best_ms = results[0].2;
     println!(
@@ -64,10 +64,11 @@ fn main() {
     );
 
     // Bonus: the dense kernel's "generated" CUDA for the paper's example.
-    let dense = plan_dense(gpu.spec(), m, 32);
+    let dense = try_plan_dense(gpu.spec(), m, 32)?;
     println!(
         "\ndense plan for n=32: VS={} TL={} BS={}; generated kernel:\n",
         dense.vs, dense.tl, dense.bs
     );
     println!("{}", generate_cuda_source(32, 16, 2));
+    Ok(())
 }

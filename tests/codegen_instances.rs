@@ -3,8 +3,8 @@
 //! vector-size cases (intra-warp and block-wide vectors).
 
 use fusedml::prelude::*;
-use fusedml_blas::level1::fill;
-use fusedml_core::codegen::launch_dense_fused;
+use fusedml_blas::level1::try_fill;
+use fusedml_core::codegen::try_launch_dense_fused;
 use fusedml_core::tuner::{dense_kernel_regs, DensePlan, MAX_TL};
 use fusedml_gpu_sim::occupancy;
 use fusedml_matrix::gen::{dense_random, random_vector};
@@ -38,12 +38,13 @@ fn all_forty_thread_loads_compute_correctly() {
         let n = vs * tl;
         let x = dense_random(m, n, tl as u64);
         let y = random_vector(n, 100 + tl as u64);
-        let xd = GpuDense::upload(&gpu, "x", &x);
-        let yd = gpu.upload_f64("y", &y);
-        let wd = gpu.alloc_f64("w", n);
-        fill(&gpu, &wd, 0.0);
+        let xd = GpuDense::try_upload(&gpu, "x", &x).unwrap();
+        let yd = gpu.try_upload_f64("y", &y).unwrap();
+        let wd = gpu.try_alloc_f64("w", n).unwrap();
+        try_fill(&gpu, &wd, 0.0).unwrap();
         let plan = manual_dense_plan(&gpu, m, n, vs, tl);
-        launch_dense_fused(&gpu, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        try_launch_dense_fused(&gpu, &plan, PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         let expect = reference::pattern_dense(1.0, &x, None, &y, 0.0, None);
         let err = reference::rel_l2_error(&wd.to_vec_f64(), &expect);
         assert!(err < 1e-10, "TL={tl}: rel error {err}");
@@ -59,12 +60,12 @@ fn block_wide_vectors_across_thread_loads() {
         let n = vs * tl - 3; // deliberately not a multiple: masked slots
         let x = dense_random(m, n, 200 + tl as u64);
         let y = random_vector(n, 300 + tl as u64);
-        let xd = GpuDense::upload(&gpu, "x", &x);
-        let yd = gpu.upload_f64("y", &y);
-        let wd = gpu.alloc_f64("w", n);
-        fill(&gpu, &wd, 0.0);
+        let xd = GpuDense::try_upload(&gpu, "x", &x).unwrap();
+        let yd = gpu.try_upload_f64("y", &y).unwrap();
+        let wd = gpu.try_alloc_f64("w", n).unwrap();
+        try_fill(&gpu, &wd, 0.0).unwrap();
         let plan = manual_dense_plan(&gpu, m, n, vs, tl);
-        launch_dense_fused(
+        try_launch_dense_fused(
             &gpu,
             &plan,
             PatternSpec {
@@ -78,7 +79,8 @@ fn block_wide_vectors_across_thread_loads() {
             &yd,
             None,
             &wd,
-        );
+        )
+        .unwrap();
         let expect = reference::pattern_dense(1.5, &x, None, &y, 0.0, None);
         let err = reference::rel_l2_error(&wd.to_vec_f64(), &expect);
         assert!(err < 1e-10, "VS=BS TL={tl}: rel error {err}");

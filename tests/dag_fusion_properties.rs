@@ -141,8 +141,12 @@ fn random_dag(rng: &mut Rng) -> Dag {
 fn assert_fused_matches_unfused(gpu: &Gpu, dag: &Dag, x: &DagMatrix<'_>, seed: u64) {
     let shape = x.shape();
     let (m, n) = (shape.rows, shape.cols);
-    let y0 = gpu.upload_f64("y0", &random_vector(n, seed + 10));
-    let u0 = gpu.upload_f64("u0", &random_vector(m, seed + 11));
+    let y0 = gpu
+        .try_upload_f64("y0", &random_vector(n, seed + 10))
+        .unwrap();
+    let u0 = gpu
+        .try_upload_f64("u0", &random_vector(m, seed + 11))
+        .unwrap();
     let inputs = DagInputs::new()
         .vector("y0", &y0)
         .vector("u0", &u0)
@@ -151,14 +155,14 @@ fn assert_fused_matches_unfused(gpu: &Gpu, dag: &Dag, x: &DagMatrix<'_>, seed: u
     let out_dim = dag.dim(dag.output()).expect("output is a vector");
     let out_len = shape.dim_len(out_dim);
 
-    let mut dexec = DagExecutor::new(gpu);
-    let fused_out = gpu.alloc_f64("out.fused", out_len);
+    let mut dexec = DagExecutor::try_new(gpu).unwrap();
+    let fused_out = gpu.try_alloc_f64("out.fused", out_len).unwrap();
     let run = dexec
         .try_run(dag, x, &inputs, &fused_out)
         .expect("selected plan must execute");
 
     let reference = unfused_plan(gpu.spec(), dag, shape).expect("unfused plan must build");
-    let unfused_out = gpu.alloc_f64("out.unfused", out_len);
+    let unfused_out = gpu.try_alloc_f64("out.unfused", out_len).unwrap();
     let ref_scalars = dexec
         .try_run_with_plan(&reference, dag, x, &inputs, &unfused_out)
         .expect("unfused plan must execute");
@@ -207,7 +211,7 @@ fn random_sparse_dags_match_the_unfused_reference_bit_for_bit() {
         let n = 16 + rng.below(64);
         let dag = random_dag(&mut rng);
         let x = uniform_sparse(m, n, 0.05 + rng.f64() * 0.15, seed);
-        let xd = GpuCsr::upload(&gpu, "x", &x);
+        let xd = GpuCsr::try_upload(&gpu, "x", &x).unwrap();
         assert_fused_matches_unfused(&gpu, &dag, &DagMatrix::Sparse(&xd), seed);
     }
 }
@@ -221,7 +225,7 @@ fn random_dense_dags_match_the_unfused_reference_bit_for_bit() {
         let n = 16 + rng.below(40);
         let dag = random_dag(&mut rng);
         let x = dense_random(m, n, seed);
-        let xd = GpuDense::upload(&gpu, "X", &x);
+        let xd = GpuDense::try_upload(&gpu, "X", &x).unwrap();
         assert_fused_matches_unfused(&gpu, &dag, &DagMatrix::Dense(&xd), seed);
     }
 }

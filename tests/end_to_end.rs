@@ -6,8 +6,8 @@ use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_labels, random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 use fusedml_ml::{
-    glm, hits, logreg, lr_cg, svm_primal, Backend, Family, GlmOptions, HitsOptions, LogRegOptions,
-    LrCgOptions, SvmOptions,
+    try_glm, try_hits, try_logreg, try_lr_cg, try_svm, Backend, Family, GlmOptions, HitsOptions,
+    LogRegOptions, LrCgOptions, SvmOptions,
 };
 use fusedml_runtime::session::{run_device, DataSet, EngineKind, SessionConfig};
 
@@ -31,8 +31,8 @@ fn all_five_algorithms_agree_across_backends() {
     macro_rules! compare {
         ($name:literal, $run:expr) => {{
             let mut cpu = CpuBackend::new_sparse(x.clone());
-            let mut fused = FusedBackend::new_sparse(&g, &x);
-            let mut base = BaselineBackend::new_sparse(&g, &x);
+            let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+            let mut base = BaselineBackend::try_new_sparse(&g, &x).unwrap();
             let wc: Vec<f64> = $run(&mut cpu);
             let wf: Vec<f64> = $run(&mut fused);
             let wb: Vec<f64> = $run(&mut base);
@@ -53,7 +53,7 @@ fn all_five_algorithms_agree_across_backends() {
         }};
     }
 
-    compare!("lr_cg", |b: &mut _| lr_cg(
+    compare!("lr_cg", |b: &mut _| try_lr_cg(
         b,
         &regression,
         LrCgOptions {
@@ -61,8 +61,9 @@ fn all_five_algorithms_agree_across_backends() {
             ..Default::default()
         }
     )
+    .unwrap()
     .weights);
-    compare!("logreg", |b: &mut _| logreg(
+    compare!("logreg", |b: &mut _| try_logreg(
         b,
         &labels,
         LogRegOptions {
@@ -70,8 +71,9 @@ fn all_five_algorithms_agree_across_backends() {
             ..Default::default()
         }
     )
+    .unwrap()
     .weights);
-    compare!("svm", |b: &mut _| svm_primal(
+    compare!("svm", |b: &mut _| try_svm(
         b,
         &labels,
         SvmOptions {
@@ -79,8 +81,9 @@ fn all_five_algorithms_agree_across_backends() {
             ..Default::default()
         }
     )
+    .unwrap()
     .weights);
-    compare!("glm", |b: &mut _| glm(
+    compare!("glm", |b: &mut _| try_glm(
         b,
         &counts,
         GlmOptions {
@@ -89,14 +92,16 @@ fn all_five_algorithms_agree_across_backends() {
             ..Default::default()
         }
     )
+    .unwrap()
     .weights);
-    compare!("hits", |b: &mut _| hits(
+    compare!("hits", |b: &mut _| try_hits(
         b,
         HitsOptions {
             max_iterations: 5,
             ..Default::default()
         }
     )
+    .unwrap()
     .authorities);
 }
 
@@ -107,14 +112,14 @@ fn fused_backend_is_faster_on_every_algorithm() {
     let x = uniform_sparse(m, n, 0.03, 7);
     let labels = random_labels(m, 8);
 
-    let mut fused = FusedBackend::new_sparse(&g, &x);
-    let mut base = BaselineBackend::new_sparse(&g, &x);
+    let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+    let mut base = BaselineBackend::try_new_sparse(&g, &x).unwrap();
     let opts = LogRegOptions {
         max_outer: 2,
         ..Default::default()
     };
-    logreg(&mut fused, &labels, opts);
-    logreg(&mut base, &labels, opts);
+    try_logreg(&mut fused, &labels, opts).unwrap();
+    try_logreg(&mut base, &labels, opts).unwrap();
     let f = fused.stats();
     let b = base.stats();
     assert!(
@@ -138,14 +143,16 @@ fn runtime_session_cost_ordering() {
         &data,
         &labels,
         &SessionConfig::native(EngineKind::Fused, 8),
-    );
+    )
+    .unwrap();
     g.flush_caches();
     let nb = run_device(
         &g,
         &data,
         &labels,
         &SessionConfig::native(EngineKind::Baseline, 8),
-    );
+    )
+    .unwrap();
     assert!(nf.total_ms < nb.total_ms);
 
     // SystemML regime strictly costs more than native for the same engine.
@@ -155,7 +162,8 @@ fn runtime_session_cost_ordering() {
         &data,
         &labels,
         &SessionConfig::systemml(EngineKind::Fused, 8),
-    );
+    )
+    .unwrap();
     assert!(sf.total_ms > nf.total_ms);
     assert!(sf.dispatch_ms > 0.0 && sf.transfer_ms > nf.transfer_ms);
 }
@@ -171,10 +179,10 @@ fn pattern_instrumentation_is_consistent_across_backends() {
         ..Default::default()
     };
 
-    let mut fused = FusedBackend::new_sparse(&g, &x);
-    lr_cg(&mut fused, &labels, opts);
+    let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
+    try_lr_cg(&mut fused, &labels, opts).unwrap();
     let mut cpu = CpuBackend::new_sparse(x);
-    lr_cg(&mut cpu, &labels, opts);
+    try_lr_cg(&mut cpu, &labels, opts).unwrap();
 
     // Identical algorithm -> identical pattern invocation counts.
     assert_eq!(fused.stats().pattern_counts, cpu.stats().pattern_counts);

@@ -18,12 +18,12 @@ fn abstract_speedup_range() {
     let g = gpu();
     let (m, n) = (20_000, 512);
     let x = uniform_sparse(m, n, 0.01, 1);
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &random_vector(n, 2));
-    let vd = g.upload_f64("v", &random_vector(m, 3));
-    let zd = g.upload_f64("z", &random_vector(n, 4));
-    let wd = g.alloc_f64("w", n);
-    let pd = g.alloc_f64("p", m);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(n, 2)).unwrap();
+    let vd = g.try_upload_f64("v", &random_vector(m, 3)).unwrap();
+    let zd = g.try_upload_f64("z", &random_vector(n, 4)).unwrap();
+    let wd = g.try_alloc_f64("w", n).unwrap();
+    let pd = g.try_alloc_f64("p", m).unwrap();
 
     for spec in [
         PatternSpec::xtxy(),
@@ -33,17 +33,19 @@ fn abstract_speedup_range() {
     ] {
         g.flush_caches();
         let mut fused = FusedExecutor::new(&g);
-        fused.pattern_sparse(
-            spec,
-            &xd,
-            spec.with_v.then_some(&vd),
-            &yd,
-            spec.with_z.then_some(&zd),
-            &wd,
-        );
+        fused
+            .try_pattern_sparse(
+                spec,
+                &xd,
+                spec.with_v.then_some(&vd),
+                &yd,
+                spec.with_z.then_some(&zd),
+                &wd,
+            )
+            .unwrap();
         g.flush_caches();
-        let mut base = BaselineEngine::new(&g, Flavor::CuLibs);
-        base.pattern_sparse(
+        let mut base = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+        base.try_pattern_sparse(
             spec.alpha,
             &xd,
             spec.with_v.then_some(&vd),
@@ -52,7 +54,8 @@ fn abstract_speedup_range() {
             spec.with_z.then_some(&zd),
             &wd,
             &pd,
-        );
+        )
+        .unwrap();
         let speedup = base.total_sim_ms() / fused.total_sim_ms();
         assert!(
             (2.0..=120.0).contains(&speedup),
@@ -70,14 +73,16 @@ fn temporal_locality_halves_matrix_traffic() {
     let (m, n) = (30_000, 512);
     let x = uniform_sparse(m, n, 0.01, 5);
     let one_scan = (x.nnz() * 12) as u64;
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &random_vector(n, 6));
-    let wd = g.alloc_f64("w", n);
-    let pd = g.alloc_f64("p", m);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(n, 6)).unwrap();
+    let wd = g.try_alloc_f64("w", n).unwrap();
+    let pd = g.try_alloc_f64("p", m).unwrap();
 
     g.flush_caches();
     let mut fused = FusedExecutor::new(&g);
-    fused.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+    fused
+        .try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+        .unwrap();
     let fused_dram: u64 = fused
         .launches
         .iter()
@@ -85,8 +90,9 @@ fn temporal_locality_halves_matrix_traffic() {
         .sum();
 
     g.flush_caches();
-    let mut base = BaselineEngine::new(&g, Flavor::BidmatGpu);
-    base.pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd);
+    let mut base = BaselineEngine::try_new(&g, Flavor::BidmatGpu).unwrap();
+    base.try_pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd)
+        .unwrap();
     let base_dram: u64 = base
         .launches
         .iter()
@@ -114,13 +120,14 @@ fn hierarchical_aggregation_bounds_global_atomics() {
     let g = gpu();
     let (m, n) = (20_000, 256);
     let x = uniform_sparse(m, n, 0.05, 7); // ~256k nnz
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &random_vector(n, 8));
-    let wd = g.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(n, 8)).unwrap();
+    let wd = g.try_alloc_f64("w", n).unwrap();
     let mut ex = FusedExecutor::new(&g);
-    ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+    ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+        .unwrap();
     let k = ex.launches.last().unwrap();
-    let plan = ex.sparse_plan(&xd);
+    let plan = ex.try_sparse_plan(&xd).unwrap();
     assert!(plan.use_shared_w);
     assert_eq!(
         k.counters.global_atomics,
@@ -136,19 +143,22 @@ fn hierarchical_aggregation_bounds_global_atomics() {
 fn wide_matrices_use_global_variant_and_win() {
     let g = gpu();
     let x = powerlaw_sparse(8_000, 50_000, 10.0, 0.8, 9);
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &random_vector(50_000, 10));
-    let wd = g.alloc_f64("w", 50_000);
-    let pd = g.alloc_f64("p", 8_000);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(50_000, 10)).unwrap();
+    let wd = g.try_alloc_f64("w", 50_000).unwrap();
+    let pd = g.try_alloc_f64("p", 8_000).unwrap();
 
     g.flush_caches();
     let mut fused = FusedExecutor::new(&g);
-    assert!(!fused.sparse_plan(&xd).use_shared_w);
-    fused.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+    assert!(!fused.try_sparse_plan(&xd).unwrap().use_shared_w);
+    fused
+        .try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+        .unwrap();
 
     g.flush_caches();
-    let mut base = BaselineEngine::new(&g, Flavor::CuLibs);
-    base.pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd);
+    let mut base = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+    base.try_pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd)
+        .unwrap();
     assert!(fused.total_sim_ms() < base.total_sim_ms());
 
     // Contention stays negligible: the hottest w element sees well under
@@ -165,26 +175,30 @@ fn dense_gains_smaller_than_sparse_gains() {
     let (m, n) = (10_000, 512);
 
     let xs = uniform_sparse(m, n, 0.01, 11);
-    let xsd = GpuCsr::upload(&g, "xs", &xs);
-    let yd = g.upload_f64("y", &random_vector(n, 12));
-    let wd = g.alloc_f64("w", n);
-    let pd = g.alloc_f64("p", m);
+    let xsd = GpuCsr::try_upload(&g, "xs", &xs).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(n, 12)).unwrap();
+    let wd = g.try_alloc_f64("w", n).unwrap();
+    let pd = g.try_alloc_f64("p", m).unwrap();
     g.flush_caches();
     let mut f1 = FusedExecutor::new(&g);
-    f1.pattern_sparse(PatternSpec::xtxy(), &xsd, None, &yd, None, &wd);
+    f1.try_pattern_sparse(PatternSpec::xtxy(), &xsd, None, &yd, None, &wd)
+        .unwrap();
     g.flush_caches();
-    let mut b1 = BaselineEngine::new(&g, Flavor::CuLibs);
-    b1.pattern_sparse(1.0, &xsd, None, &yd, 0.0, None, &wd, &pd);
+    let mut b1 = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+    b1.try_pattern_sparse(1.0, &xsd, None, &yd, 0.0, None, &wd, &pd)
+        .unwrap();
     let sparse_speedup = b1.total_sim_ms() / f1.total_sim_ms();
 
     let xdense = fusedml_matrix::gen::dense_random(m, n, 13);
-    let xdd = GpuDense::upload(&g, "xd", &xdense);
+    let xdd = GpuDense::try_upload(&g, "xd", &xdense).unwrap();
     g.flush_caches();
     let mut f2 = FusedExecutor::new(&g);
-    f2.pattern_dense(PatternSpec::xtxy(), &xdd, None, &yd, None, &wd);
+    f2.try_pattern_dense(PatternSpec::xtxy(), &xdd, None, &yd, None, &wd)
+        .unwrap();
     g.flush_caches();
-    let mut b2 = BaselineEngine::new(&g, Flavor::CuLibs);
-    b2.pattern_dense(1.0, &xdd, None, &yd, 0.0, None, &wd, &pd);
+    let mut b2 = BaselineEngine::try_new(&g, Flavor::CuLibs).unwrap();
+    b2.try_pattern_dense(1.0, &xdd, None, &yd, 0.0, None, &wd, &pd)
+        .unwrap();
     let dense_speedup = b2.total_sim_ms() / f2.total_sim_ms();
 
     assert!(
@@ -203,19 +217,22 @@ fn all_engines_agree_numerically_at_scale() {
     let x = uniform_sparse(m, n, 0.02, 15);
     let y = random_vector(n, 16);
     let expect = reference::pattern_csr(1.0, &x, None, &y, 0.0, None);
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &y);
-    let pd = g.alloc_f64("p", m);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &y).unwrap();
+    let pd = g.try_alloc_f64("p", m).unwrap();
 
-    let wd = g.alloc_f64("w", n);
+    let wd = g.try_alloc_f64("w", n).unwrap();
     let mut fused = FusedExecutor::new(&g);
-    fused.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+    fused
+        .try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+        .unwrap();
     assert!(reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-10);
 
     for flavor in [Flavor::CuLibs, Flavor::BidmatGpu] {
-        let wb = g.alloc_f64("wb", n);
-        let mut e = BaselineEngine::new(&g, flavor);
-        e.pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wb, &pd);
+        let wb = g.try_alloc_f64("wb", n).unwrap();
+        let mut e = BaselineEngine::try_new(&g, flavor).unwrap();
+        e.try_pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wb, &pd)
+            .unwrap();
         assert!(reference::rel_l2_error(&wb.to_vec_f64(), &expect) < 1e-10);
     }
 }

@@ -10,7 +10,7 @@
 
 use fusedml::prelude::*;
 use fusedml_core::tuner::manual_sparse_plan;
-use fusedml_core::{plan_dense, sparse_fused, sparse_large};
+use fusedml_core::{sparse_fused, sparse_large, try_plan_dense};
 use fusedml_matrix::gen::{dense_random, random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 use proptest::prelude::*;
@@ -47,21 +47,21 @@ proptest! {
         let v = random_vector(m, seed + 2);
         let z = random_vector(n, seed + 3);
 
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
 
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(
+        ex.try_pattern_sparse(
             spec,
             &xd,
             spec.with_v.then_some(&vd),
             &yd,
             spec.with_z.then_some(&zd),
             &wd,
-        );
+        ).unwrap();
 
         let expect = reference::pattern_csr(
             spec.alpha,
@@ -85,22 +85,22 @@ proptest! {
         let vs = 1usize << vs_pow;
         let x = uniform_sparse(m, n, 0.1, seed);
         let y = random_vector(n, seed + 1);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
         let spec = PatternSpec::xtxy();
 
         // Shared-memory variant with a manual plan.
         let shared_plan = manual_sparse_plan(g.spec(), m, n, vs, (vs * 8).min(256), 4)
             .expect("small matrix always fits shared memory");
-        let w1 = g.alloc_f64("w1", n);
-        sparse_fused::fused_pattern_shared(&g, &shared_plan, spec, &xd, None, &yd, None, &w1);
+        let w1 = g.try_alloc_f64("w1", n).unwrap();
+        sparse_fused::try_fused_pattern_shared(&g, &shared_plan, spec, &xd, None, &yd, None, &w1).unwrap();
 
         // Global-memory variant with the same geometry.
         let mut global_plan = shared_plan;
         global_plan.use_shared_w = false;
         global_plan.shared_bytes = (global_plan.bs / global_plan.vs) * 8;
-        let w2 = g.alloc_f64("w2", n);
-        sparse_large::fused_pattern_global(&g, &global_plan, spec, &xd, None, &yd, None, &w2);
+        let w2 = g.try_alloc_f64("w2", n).unwrap();
+        sparse_large::try_fused_pattern_global(&g, &global_plan, spec, &xd, None, &yd, None, &w2).unwrap();
 
         prop_assert!(
             reference::rel_l2_error(&w1.to_vec_f64(), &w2.to_vec_f64()) < 1e-10
@@ -120,15 +120,15 @@ proptest! {
         let v = random_vector(m, seed + 2);
         let z = random_vector(n, seed + 3);
 
-        let xd = GpuDense::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let vd = g.upload_f64("v", &v);
-        let zd = g.upload_f64("z", &z);
-        let wd = g.alloc_f64("w", n);
+        let xd = GpuDense::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let vd = g.try_upload_f64("v", &v).unwrap();
+        let zd = g.try_upload_f64("z", &z).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
 
-        let plan = plan_dense(g.spec(), m, n);
+        let plan = try_plan_dense(g.spec(), m, n).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_dense_with_plan(
+        ex.try_pattern_dense_with_plan(
             &plan,
             spec,
             &xd,
@@ -136,7 +136,7 @@ proptest! {
             &yd,
             spec.with_z.then_some(&zd),
             &wd,
-        );
+        ).unwrap();
 
         let expect = reference::pattern_dense(
             spec.alpha,
@@ -159,13 +159,13 @@ proptest! {
         let x = uniform_sparse(m, n, 0.1, seed);
         let y = random_vector(n, seed + 1);
         let expect = reference::pattern_csr(1.0, &x, None, &y, 0.0, None);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &y);
-        let pd = g.alloc_f64("p", m);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &y).unwrap();
+        let pd = g.try_alloc_f64("p", m).unwrap();
         for flavor in [Flavor::CuLibs, Flavor::BidmatGpu] {
-            let wd = g.alloc_f64("w", n);
-            let mut e = BaselineEngine::new(&g, flavor);
-            e.pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd);
+            let wd = g.try_alloc_f64("w", n).unwrap();
+            let mut e = BaselineEngine::try_new(&g, flavor).unwrap();
+            e.try_pattern_sparse(1.0, &xd, None, &yd, 0.0, None, &wd, &pd).unwrap();
             prop_assert!(
                 reference::rel_l2_error(&wd.to_vec_f64(), &expect) < 1e-10,
                 "flavor {:?}", flavor

@@ -12,11 +12,12 @@ use proptest::prelude::*;
 fn run_pattern(host_threads: usize, m: usize, n: usize, seed: u64) -> (Vec<f64>, u64, u64, f64) {
     let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), host_threads);
     let x = uniform_sparse(m, n, 0.05, seed);
-    let xd = GpuCsr::upload(&g, "x", &x);
-    let yd = g.upload_f64("y", &random_vector(n, seed + 1));
-    let wd = g.alloc_f64("w", n);
+    let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+    let yd = g.try_upload_f64("y", &random_vector(n, seed + 1)).unwrap();
+    let wd = g.try_alloc_f64("w", n).unwrap();
     let mut ex = FusedExecutor::new(&g);
-    ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+    ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+        .unwrap();
     let c = &ex.launches.last().unwrap().counters;
     (
         wd.to_vec_f64(),
@@ -58,12 +59,12 @@ proptest! {
         let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
         let x = uniform_sparse(m, n, 0.05, seed);
         let nnz = x.nnz() as u64;
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &random_vector(n, seed));
-        let wd = g.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(n, seed)).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
         g.flush_caches();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd).unwrap();
         let c = &ex.launches.last().unwrap().counters;
 
         // Each non-zero is loaded twice (value) plus column indices: the
@@ -102,12 +103,12 @@ proptest! {
         let small = uniform_sparse(m, n, 0.05, seed);
         let big = uniform_sparse(m * 4, n, 0.05, seed);
         let run = |x: &fusedml_matrix::CsrMatrix| {
-            let xd = GpuCsr::upload(&g, "x", x);
-            let yd = g.upload_f64("y", &random_vector(n, seed));
-            let wd = g.alloc_f64("w", n);
+            let xd = GpuCsr::try_upload(&g, "x", x).unwrap();
+            let yd = g.try_upload_f64("y", &random_vector(n, seed)).unwrap();
+            let wd = g.try_alloc_f64("w", n).unwrap();
             g.flush_caches();
             let mut ex = FusedExecutor::new(&g);
-            ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+            ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd).unwrap();
             ex.total_sim_ms()
         };
         prop_assert!(run(&big) > run(&small));
@@ -118,8 +119,8 @@ proptest! {
 fn memory_accounting_tracks_allocations() {
     let g = Gpu::new(DeviceSpec::gtx_titan());
     let before = g.allocated_bytes();
-    let a = g.alloc_f64("a", 1000);
-    let b = g.alloc_u32("b", 1000);
+    let a = g.try_alloc_f64("a", 1000).unwrap();
+    let b = g.try_alloc_u32("b", 1000).unwrap();
     assert_eq!(g.allocated_bytes() - before, 8000 + 4000);
     g.free(&a);
     g.free(&b);
@@ -134,11 +135,12 @@ fn lower_bandwidth_device_is_slower_when_bandwidth_bound() {
     let run = |spec: DeviceSpec| {
         let g = Gpu::with_host_threads(spec, 1);
         let x = uniform_sparse(50_000, 512, 0.02, 3);
-        let xd = GpuCsr::upload(&g, "x", &x);
-        let yd = g.upload_f64("y", &random_vector(512, 4));
-        let wd = g.alloc_f64("w", 512);
+        let xd = GpuCsr::try_upload(&g, "x", &x).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(512, 4)).unwrap();
+        let wd = g.try_alloc_f64("w", 512).unwrap();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         ex.total_sim_ms()
     };
     let titan = run(DeviceSpec::gtx_titan());

@@ -34,12 +34,13 @@ fn more_data_never_simulates_faster_at(m: usize, seed: u64) {
     let small = uniform_sparse(m, n, 0.05, seed);
     let big = uniform_sparse(m * 4, n, 0.05, seed);
     let run = |x: &fusedml_matrix::CsrMatrix| {
-        let xd = GpuCsr::upload(&g, "x", x);
-        let yd = g.upload_f64("y", &random_vector(n, seed));
-        let wd = g.alloc_f64("w", n);
+        let xd = GpuCsr::try_upload(&g, "x", x).unwrap();
+        let yd = g.try_upload_f64("y", &random_vector(n, seed)).unwrap();
+        let wd = g.try_alloc_f64("w", n).unwrap();
         g.flush_caches();
         let mut ex = FusedExecutor::new(&g);
-        ex.pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd);
+        ex.try_pattern_sparse(PatternSpec::xtxy(), &xd, None, &yd, None, &wd)
+            .unwrap();
         ex.total_sim_ms()
     };
     let (big_ms, small_ms) = (run(&big), run(&small));

@@ -21,7 +21,7 @@
 use fusedml_blas::GpuCsr;
 use fusedml_core::sparse_fused::{try_fused_pattern_shared, try_fused_xt_p_shared};
 use fusedml_core::sparse_large::{try_fused_pattern_global, try_fused_xt_p_global};
-use fusedml_core::tuner::{manual_sparse_plan, plan_sparse_with_vs, SparsePlan};
+use fusedml_core::tuner::{manual_sparse_plan, try_plan_sparse_with_vs, SparsePlan};
 use fusedml_core::{try_fused_pattern_shard, PatternSpec};
 use fusedml_gpu_sim::{
     BlockCtx, Counters, DeviceSpec, FaultProfile, Gpu, GpuBuffer, LaunchConfig, LaunchStats,
@@ -271,13 +271,13 @@ impl Device {
         let z: Vec<f64> = (0..COLS).map(|j| (j % 3) as f64).collect();
         let p: Vec<f64> = (0..m).map(|r| (r % 7) as f64 * 0.5 - 1.0).collect();
         Device {
-            x: GpuCsr::upload(&gpu, "x", x),
-            y: gpu.upload_f64("y", &y),
-            v: gpu.upload_f64("v", &v),
-            z: gpu.upload_f64("z", &z),
-            p: gpu.upload_f64("p", &p),
-            w: gpu.alloc_f64("w", COLS),
-            u: gpu.alloc_f64("u", m),
+            x: GpuCsr::try_upload(&gpu, "x", x).unwrap(),
+            y: gpu.try_upload_f64("y", &y).unwrap(),
+            v: gpu.try_upload_f64("v", &v).unwrap(),
+            z: gpu.try_upload_f64("z", &z).unwrap(),
+            p: gpu.try_upload_f64("p", &p).unwrap(),
+            w: gpu.try_alloc_f64("w", COLS).unwrap(),
+            u: gpu.try_alloc_f64("u", m).unwrap(),
             gpu,
         }
     }
@@ -561,7 +561,7 @@ fn sweep(spec: &DeviceSpec, workers: usize) {
         );
         // Besides the tuner's plan, a one-warp block of fewer than 32
         // threads: a power of two, and not.
-        let mut plans = vec![plan_sparse_with_vs(spec, rows, COLS, vs)];
+        let mut plans = vec![try_plan_sparse_with_vs(spec, rows, COLS, vs).unwrap()];
         match vs {
             2 => plans.extend(manual_sparse_plan(spec, rows, COLS, vs, 16, 3)),
             8 => plans.extend(manual_sparse_plan(spec, rows, COLS, vs, 24, 3)),
@@ -625,7 +625,7 @@ fn a_matrix_builds_one_strip_table_per_vector_size() {
     let x = matrix(100, 4);
     let d = Device::new(&spec, 1, &x);
     assert_eq!(d.x.strip_tables(), 0);
-    let plan4 = plan_sparse_with_vs(&spec, 100, COLS, 4);
+    let plan4 = try_plan_sparse_with_vs(&spec, 100, COLS, 4).unwrap();
     let table = d.x.strip_table(&spec, 4, 32);
     d.run(Kernel::PatternShared, &plan4);
     assert_eq!(d.x.strip_tables(), 1);
@@ -638,7 +638,7 @@ fn a_matrix_builds_one_strip_table_per_vector_size() {
     assert_eq!(d.x.strip_tables(), 1);
     d.run(
         Kernel::PatternShared,
-        &plan_sparse_with_vs(&spec, 100, COLS, 8),
+        &try_plan_sparse_with_vs(&spec, 100, COLS, 8).unwrap(),
     );
     assert_eq!((d.x.strip_tables(), clone.strip_tables()), (2, 2));
 }
@@ -659,7 +659,7 @@ fn building_a_strip_table_allocates_nothing_and_draws_no_fault() {
         a.x.strip_table(&spec, vs, lanes);
     }
     assert_eq!((a.x.strip_tables(), a.gpu.allocated_bytes()), (3, bytes));
-    let plan = plan_sparse_with_vs(&spec, 100, COLS, 2);
+    let plan = try_plan_sparse_with_vs(&spec, 100, COLS, 2).unwrap();
     let outcomes = |d: &Device| -> Vec<bool> {
         (0..16)
             .map(|_| try_fused_xt_p_shared(&d.gpu, &plan, ALPHA, &d.x, &d.p, &d.w).is_ok())
@@ -678,7 +678,7 @@ fn building_a_strip_table_allocates_nothing_and_draws_no_fault() {
 fn writing_col_idx_after_a_launch_panics_in_debug_builds() {
     let spec = DeviceSpec::gtx_titan();
     let x = matrix(100, 4);
-    let plan = plan_sparse_with_vs(&spec, 100, COLS, 4);
+    let plan = try_plan_sparse_with_vs(&spec, 100, COLS, 4).unwrap();
     let d = Device::new(&spec, 1, &x);
     d.run(Kernel::PatternShared, &plan);
     let col = d.x.col_idx.host_read_u32(7);

@@ -7,7 +7,7 @@
 #![cfg(feature = "proptest-tests")]
 
 use fusedml_core::tuner::{
-    dense_kernel_regs, fits_in_shared, manual_sparse_plan, plan_dense, plan_sparse, MAX_TL,
+    dense_kernel_regs, fits_in_shared, manual_sparse_plan, try_plan_dense, try_plan_sparse, MAX_TL,
     SPARSE_KERNEL_REGS,
 };
 use fusedml_gpu_sim::{occupancy, DeviceSpec};
@@ -23,7 +23,7 @@ proptest! {
         mu in 0.1f64..500.0,
     ) {
         let spec = DeviceSpec::gtx_titan();
-        let p = plan_sparse(&spec, m, n, mu);
+        let p = try_plan_sparse(&spec, m, n, mu).unwrap();
 
         // Geometry invariants.
         prop_assert!(p.vs.is_power_of_two() && p.vs <= 32);
@@ -49,7 +49,7 @@ proptest! {
         n in 1usize..5_120,
     ) {
         let spec = DeviceSpec::gtx_titan();
-        let p = plan_dense(&spec, m, n);
+        let p = try_plan_dense(&spec, m, n).unwrap();
         prop_assert!(p.tl >= 1 && p.tl <= MAX_TL);
         // The vector covers a full row.
         prop_assert!(p.vs * p.tl >= n, "vs={} tl={} n={}", p.vs, p.tl, n);
@@ -111,8 +111,8 @@ proptest! {
 fn plans_scale_with_rows_not_columns() {
     // C grows linearly with m; the grid stays one resident wave.
     let spec = DeviceSpec::gtx_titan();
-    let small = plan_sparse(&spec, 10_000, 1000, 10.0);
-    let large = plan_sparse(&spec, 1_000_000, 1000, 10.0);
+    let small = try_plan_sparse(&spec, 10_000, 1000, 10.0).unwrap();
+    let large = try_plan_sparse(&spec, 1_000_000, 1000, 10.0).unwrap();
     assert_eq!(small.grid, large.grid);
     assert!(large.c > 50 * small.c.max(1) / 2);
 }

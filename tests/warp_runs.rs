@@ -117,8 +117,8 @@ impl Device {
         let gpu = Gpu::with_host_threads(spec.clone(), workers);
         let f_host: Vec<f64> = (0..F64_LEN).map(|i| i as f64 * 1.5 - 7.25).collect();
         let u_host: Vec<u32> = (0..U32_LEN as u32).map(|i| i * 7 + 3).collect();
-        let f = gpu.upload_f64("f", &f_host);
-        let u = gpu.upload_u32("u", &u_host);
+        let f = gpu.try_upload_f64("f", &f_host).unwrap();
+        let u = gpu.try_upload_u32("u", &u_host).unwrap();
         Device { gpu, f, u }
     }
 
@@ -166,12 +166,13 @@ impl Device {
         let values = Mutex::new(Vec::new());
         let stats = self
             .gpu
-            .launch("run", LaunchConfig::new(1, threads), |blk| {
+            .try_launch("run", LaunchConfig::new(1, threads), |blk| {
                 blk.each_warp(|w| {
                     let v = self.load(w, elem, form, first, lanes);
                     values.lock().unwrap().push(v);
                 });
-            });
+            })
+            .unwrap();
         (values.into_inner().unwrap(), stats.counters)
     }
 
@@ -179,19 +180,21 @@ impl Device {
     /// texture cache (a fixed pattern around the runs' lines).
     fn warm(&self) {
         let (fl, ul) = (self.line_elems(Elem::F64), self.line_elems(Elem::U32));
-        self.gpu.launch("warm", LaunchConfig::new(1, 32), |blk| {
-            blk.each_warp(|w| {
-                for line in [0, 2, 3, 5] {
-                    w.load_f64(&self.f, |l| (l < fl).then_some(line * fl + l));
-                }
-                for line in [1, 4] {
-                    w.load_f64_tex(&self.f, |l| (l < fl).then_some(line * fl + l));
-                }
-                for line in [1, 2, 6] {
-                    w.load_u32(&self.u, |l| (l < ul).then_some(line * ul + l));
-                }
-            });
-        });
+        self.gpu
+            .try_launch("warm", LaunchConfig::new(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    for line in [0, 2, 3, 5] {
+                        w.load_f64(&self.f, |l| (l < fl).then_some(line * fl + l));
+                    }
+                    for line in [1, 4] {
+                        w.load_f64_tex(&self.f, |l| (l < fl).then_some(line * fl + l));
+                    }
+                    for line in [1, 2, 6] {
+                        w.load_u32(&self.u, |l| (l < ul).then_some(line * ul + l));
+                    }
+                });
+            })
+            .unwrap();
     }
 
     /// The counters of one launch per line of either buffer that loads
@@ -203,16 +206,19 @@ impl Device {
             let (buf, fl) = (self.buffer(elem), self.line_elems(elem));
             for line in 0..buf.len() / fl {
                 let at = line * fl;
-                let stats = self.gpu.launch("probe", LaunchConfig::new(1, 32), |blk| {
-                    blk.each_warp(|w| match elem {
-                        Elem::F64 => {
-                            w.load_f64_tex(buf, |l| (l == 0).then_some(at));
-                        }
-                        Elem::U32 => {
-                            w.load_u32(buf, |l| (l == 0).then_some(at));
-                        }
-                    });
-                });
+                let stats = self
+                    .gpu
+                    .try_launch("probe", LaunchConfig::new(1, 32), |blk| {
+                        blk.each_warp(|w| match elem {
+                            Elem::F64 => {
+                                w.load_f64_tex(buf, |l| (l == 0).then_some(at));
+                            }
+                            Elem::U32 => {
+                                w.load_u32(buf, |l| (l == 0).then_some(at));
+                            }
+                        });
+                    })
+                    .unwrap();
                 out.push(stats.counters);
             }
         }
@@ -376,42 +382,45 @@ impl Device {
     ) -> (Vec<u64>, Counters) {
         let out = Mutex::new(Vec::new());
         let cfg = LaunchConfig::new(blocks, threads).with_shared_bytes(SHARED_LEN * 8);
-        let stats = self.gpu.launch("run_op", cfg, |blk| {
-            let sh = blk.shared_f64(SHARED_LEN);
-            blk.each_warp(|w| {
-                if w.warp_id() == 0 {
-                    for base in (0..SHARED_LEN).step_by(32) {
-                        w.shared_store(sh, |l| Some((base + l, (base + l) as f64 * 0.5 - 3.0)));
+        let stats = self
+            .gpu
+            .try_launch("run_op", cfg, |blk| {
+                let sh = blk.shared_f64(SHARED_LEN);
+                blk.each_warp(|w| {
+                    if w.warp_id() == 0 {
+                        for base in (0..SHARED_LEN).step_by(32) {
+                            w.shared_store(sh, |l| Some((base + l, (base + l) as f64 * 0.5 - 3.0)));
+                        }
                     }
+                });
+                blk.each_warp(|w| {
+                    let vals = run_vals(w.warp_id());
+                    let src = |l: usize| (l < lanes).then(|| (first + l, vals[l]));
+                    match (op, form) {
+                        (Op::Store, Form::Run) => w.store_f64_run(&self.f, first, lanes, &vals),
+                        (Op::Store, Form::Lanes) => w.store_f64(&self.f, src),
+                        (Op::AtomicAdd, Form::Run) => {
+                            w.atomic_add_f64_run(&self.f, first, lanes, &vals);
+                        }
+                        (Op::AtomicAdd, Form::Lanes) => w.atomic_add_f64(&self.f, src),
+                        (Op::SharedLoad, _) => {
+                            let v = if form == Form::Run {
+                                w.shared_load_run(sh, first, lanes)
+                            } else {
+                                w.shared_load(sh, |l| (l < lanes).then_some(first + l))
+                            };
+                            out.lock().unwrap().extend(v.map(f64::to_bits));
+                        }
+                        (Op::SharedStore, Form::Run) => w.shared_store_run(sh, first, lanes, &vals),
+                        (Op::SharedStore, Form::Lanes) => w.shared_store(sh, src),
+                    }
+                });
+                if op.is_shared() {
+                    let words = (0..SHARED_LEN).map(|i| blk.shared_peek(sh, i).to_bits());
+                    out.lock().unwrap().extend(words);
                 }
-            });
-            blk.each_warp(|w| {
-                let vals = run_vals(w.warp_id());
-                let src = |l: usize| (l < lanes).then(|| (first + l, vals[l]));
-                match (op, form) {
-                    (Op::Store, Form::Run) => w.store_f64_run(&self.f, first, lanes, &vals),
-                    (Op::Store, Form::Lanes) => w.store_f64(&self.f, src),
-                    (Op::AtomicAdd, Form::Run) => {
-                        w.atomic_add_f64_run(&self.f, first, lanes, &vals);
-                    }
-                    (Op::AtomicAdd, Form::Lanes) => w.atomic_add_f64(&self.f, src),
-                    (Op::SharedLoad, _) => {
-                        let v = if form == Form::Run {
-                            w.shared_load_run(sh, first, lanes)
-                        } else {
-                            w.shared_load(sh, |l| (l < lanes).then_some(first + l))
-                        };
-                        out.lock().unwrap().extend(v.map(f64::to_bits));
-                    }
-                    (Op::SharedStore, Form::Run) => w.shared_store_run(sh, first, lanes, &vals),
-                    (Op::SharedStore, Form::Lanes) => w.shared_store(sh, src),
-                }
-            });
-            if op.is_shared() {
-                let words = (0..SHARED_LEN).map(|i| blk.shared_peek(sh, i).to_bits());
-                out.lock().unwrap().extend(words);
-            }
-        });
+            })
+            .unwrap();
         let mut out = out.into_inner().unwrap();
         if !op.is_shared() {
             out.extend(self.f.to_vec_f64().into_iter().map(f64::to_bits));
@@ -430,16 +439,19 @@ impl Device {
             for line in 0..buf.len() / fl {
                 let at = line * fl;
                 let cfg = LaunchConfig::new(blocks, 32);
-                let stats = self.gpu.launch("probe_l2", cfg, |blk| {
-                    blk.each_warp(|w| match elem {
-                        Elem::F64 => {
-                            w.load_f64(buf, |l| (l == 0).then_some(at));
-                        }
-                        Elem::U32 => {
-                            w.load_u32(buf, |l| (l == 0).then_some(at));
-                        }
-                    });
-                });
+                let stats = self
+                    .gpu
+                    .try_launch("probe_l2", cfg, |blk| {
+                        blk.each_warp(|w| match elem {
+                            Elem::F64 => {
+                                w.load_f64(buf, |l| (l == 0).then_some(at));
+                            }
+                            Elem::U32 => {
+                                w.load_u32(buf, |l| (l == 0).then_some(at));
+                            }
+                        });
+                    })
+                    .unwrap();
                 out.push(stats.counters);
             }
         }
@@ -585,12 +597,13 @@ impl Device {
         let values = Mutex::new(Vec::new());
         let stats = self
             .gpu
-            .launch("grouped", LaunchConfig::new(1, threads), |blk| {
+            .try_launch("grouped", LaunchConfig::new(1, threads), |blk| {
                 blk.each_warp(|w| {
                     let v = self.grouped_load(w, elem, form, run);
                     values.lock().unwrap().push(v);
                 });
-            });
+            })
+            .unwrap();
         (values.into_inner().unwrap(), stats.counters)
     }
 }
@@ -793,7 +806,7 @@ fn replay_case(
     let line = d.line_elems(Elem::F64);
     let stats = d
         .gpu
-        .launch("replay", LaunchConfig::new(1, threads), |blk| {
+        .try_launch("replay", LaunchConfig::new(1, threads), |blk| {
             blk.each_warp(|w| {
                 let ui = |l: usize| replay_pattern(pattern, l, lanes, ul);
                 let fi = |l: usize| replay_pattern(pattern, l, lanes, fl);
@@ -820,7 +833,8 @@ fn replay_case(
                 out.extend(load_u(w).map(u64::from));
                 values.lock().unwrap().extend(out);
             });
-        });
+        })
+        .unwrap();
     (values.into_inner().unwrap(), stats.counters)
 }
 
@@ -835,8 +849,8 @@ fn a_replayed_load_counts_what_its_lane_form_counts() {
         let spec = small_l2(sector_bytes);
         let (run_dev, lane_dev) = (Device::new(&spec), Device::new(&spec));
         let evict_host = vec![0.5; 16 * run_dev.line_elems(Elem::F64)];
-        let run_evict = run_dev.gpu.upload_f64("e", &evict_host);
-        let lane_evict = lane_dev.gpu.upload_f64("e", &evict_host);
+        let run_evict = run_dev.gpu.try_upload_f64("e", &evict_host).unwrap();
+        let lane_evict = lane_dev.gpu.try_upload_f64("e", &evict_host).unwrap();
         let mut missed = 0;
         for tex in [false, true] {
             for pattern in 0..5 {
@@ -916,16 +930,19 @@ fn a_replay_reads_the_cells_as_they_are_and_checks_its_footprint() {
     let lines = fps.push(&spec, Elem::U32, &elems);
     let issue = |d: &Device, form: Form| {
         let out = Mutex::new(Vec::new());
-        let stats = d.gpu.launch("written", LaunchConfig::new(1, 32), |blk| {
-            blk.each_warp(|w| {
-                w.store_u32(&d.u, |l| (l == 0).then_some((8, 60)));
-                let vals = match form {
-                    Form::Run => w.load_u32_replay(&d.u, fps.get(0, lines, 32), !0, |l| l + 3),
-                    Form::Lanes => w.load_u32(&d.u, |l| Some(l + 3)),
-                };
-                out.lock().unwrap().extend(vals);
-            });
-        });
+        let stats = d
+            .gpu
+            .try_launch("written", LaunchConfig::new(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    w.store_u32(&d.u, |l| (l == 0).then_some((8, 60)));
+                    let vals = match form {
+                        Form::Run => w.load_u32_replay(&d.u, fps.get(0, lines, 32), !0, |l| l + 3),
+                        Form::Lanes => w.load_u32(&d.u, |l| Some(l + 3)),
+                    };
+                    out.lock().unwrap().extend(vals);
+                });
+            })
+            .unwrap();
         (out.into_inner().unwrap(), fields(&stats.counters))
     };
     let (run, lane) = (issue(&run_dev, Form::Run), issue(&lane_dev, Form::Lanes));
@@ -935,11 +952,13 @@ fn a_replay_reads_the_cells_as_they_are_and_checks_its_footprint() {
 
     let replay = |d: &Device, mask: u32, fp: LoadFootprint| {
         panic_message(|| {
-            d.gpu.launch("checked", LaunchConfig::new(1, 32), |blk| {
-                blk.each_warp(|w| {
-                    w.load_u32_replay(&d.u, fp, mask, |l| l + 3);
-                });
-            });
+            d.gpu
+                .try_launch("checked", LaunchConfig::new(1, 32), |blk| {
+                    blk.each_warp(|w| {
+                        w.load_u32_replay(&d.u, fp, mask, |l| l + 3);
+                    });
+                })
+                .unwrap();
         })
     };
     let short = (1u32 << 31) - 1;
@@ -971,19 +990,24 @@ fn a_footprint_store_replays_any_number_of_loads() {
         .collect();
     let issue = |d: &Device, form: Form| {
         let out = Mutex::new(Vec::new());
-        let stats = d.gpu.launch("many", LaunchConfig::new(1, 64), |blk| {
-            blk.each_warp(|w| {
-                for (k, &(at, lines, mask)) in loads.iter().enumerate() {
-                    let elem = |l: usize| (k * 13 + l * (k % 7 + 1)) % U32_LEN;
-                    let fp = fps.get(at, lines, mask.count_ones() as usize);
-                    let vals = match form {
-                        Form::Run => w.load_u32_replay(&d.u, fp, mask, elem),
-                        Form::Lanes => w.load_u32(&d.u, |l| (mask >> l & 1 != 0).then(|| elem(l))),
-                    };
-                    out.lock().unwrap().extend(vals);
-                }
-            });
-        });
+        let stats = d
+            .gpu
+            .try_launch("many", LaunchConfig::new(1, 64), |blk| {
+                blk.each_warp(|w| {
+                    for (k, &(at, lines, mask)) in loads.iter().enumerate() {
+                        let elem = |l: usize| (k * 13 + l * (k % 7 + 1)) % U32_LEN;
+                        let fp = fps.get(at, lines, mask.count_ones() as usize);
+                        let vals = match form {
+                            Form::Run => w.load_u32_replay(&d.u, fp, mask, elem),
+                            Form::Lanes => {
+                                w.load_u32(&d.u, |l| (mask >> l & 1 != 0).then(|| elem(l)))
+                            }
+                        };
+                        out.lock().unwrap().extend(vals);
+                    }
+                });
+            })
+            .unwrap();
         (out.into_inner().unwrap(), fields(&stats.counters))
     };
     assert_eq!(issue(&run_dev, Form::Run), issue(&lane_dev, Form::Lanes));
