@@ -1,6 +1,4 @@
-//! AST of the mini-DML dialect, plus the fused-pattern node the optimizer
-//! introduces (§4.4: the integrated system "transparently selects our
-//! fused GPU kernel" for matching subexpressions).
+//! AST of the mini-DML dialect.
 
 use std::fmt;
 
@@ -16,25 +14,6 @@ pub enum Expr {
         name: String,
         args: Vec<Arg>,
     },
-    /// Inserted by the optimizer: one fused evaluation of
-    /// `alpha * t(X) %*% (v * (X %*% y)) + beta * z`.
-    FusedPattern(Box<FusedPattern>),
-}
-
-/// The operands of a recognized Equation-1 instance. `alpha`/`beta` are
-/// arbitrary scalar subexpressions; `v`/`z` are optional.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedPattern {
-    pub alpha: Option<Expr>,
-    pub x: Expr,
-    pub v: Option<Expr>,
-    pub y: Expr,
-    pub beta: Option<Expr>,
-    pub z: Option<Expr>,
-    /// `true` for the composite forms (`y` has column dimension and the
-    /// kernel computes `X^T (v ⊙ (X y))`); `false` for the plain
-    /// `t(X) %*% y` instantiation (`y` has row dimension).
-    pub inner_mv: bool,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -119,87 +98,4 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub statements: Vec<Stmt>,
-}
-
-impl Expr {
-    /// `t(<inner>)` matcher used by the optimizer.
-    pub fn as_transpose(&self) -> Option<&Expr> {
-        if let Expr::Call { name, args } = self {
-            if name == "t" && args.len() == 1 && args[0].name.is_none() {
-                return Some(&args[0].value);
-            }
-        }
-        None
-    }
-
-    /// Walk every sub-expression (including self), depth-first.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::Unary(_, e) => e.walk(f),
-            Expr::Binary(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.value.walk(f);
-                }
-            }
-            Expr::FusedPattern(p) => {
-                if let Some(a) = &p.alpha {
-                    a.walk(f);
-                }
-                p.x.walk(f);
-                if let Some(v) = &p.v {
-                    v.walk(f);
-                }
-                p.y.walk(f);
-                if let Some(b) = &p.beta {
-                    b.walk(f);
-                }
-                if let Some(z) = &p.z {
-                    z.walk(f);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transpose_matcher() {
-        let t = Expr::Call {
-            name: "t".into(),
-            args: vec![Arg {
-                name: None,
-                value: Expr::Ident("X".into()),
-            }],
-        };
-        assert_eq!(t.as_transpose(), Some(&Expr::Ident("X".into())));
-        let not_t = Expr::Call {
-            name: "sum".into(),
-            args: vec![Arg {
-                name: None,
-                value: Expr::Ident("X".into()),
-            }],
-        };
-        assert!(not_t.as_transpose().is_none());
-    }
-
-    #[test]
-    fn walk_visits_all_nodes() {
-        let e = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Ident("a".into())),
-            Box::new(Expr::Unary(UnaryOp::Neg, Box::new(Expr::Number(2.0)))),
-        );
-        let mut count = 0;
-        e.walk(&mut |_| count += 1);
-        assert_eq!(count, 4);
-    }
 }

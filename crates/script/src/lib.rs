@@ -1,18 +1,20 @@
 //! # fusedml-script
 //!
-//! A mini-DML (SystemML's scripting language) frontend: lexer, parser, and
-//! a **fusion-detecting optimizer** that recognizes instances of the
-//! paper's generic pattern
+//! A mini-DML (SystemML's scripting language) frontend: lexer, parser and
+//! interpreter. In [`EngineMode::FusedGpu`] the interpreter lowers each
+//! expression's matrix-vector work to an operator DAG over one matrix and
+//! runs it through the DAG fusion compiler of [`fusedml_core::fusion`],
+//! which finds the instances of the paper's generic pattern
 //!
 //! ```text
 //! w = alpha * t(X) %*% (v * (X %*% y)) + beta * z
 //! ```
 //!
-//! in expression trees and rewrites them to a single fused-kernel node —
-//! the compiler half of §4.4's claim that the integrated system
-//! "transparently selects our fused GPU kernel". The interpreter executes
-//! scripts (the paper's Listing 1 runs verbatim) on three engines: fused
-//! GPU, operator-level baseline GPU, and host-only reference.
+//! and selects the fused kernel for them — the compiler half of §4.4's
+//! claim that the integrated system "transparently selects our fused GPU
+//! kernel". The interpreter executes scripts (the paper's Listing 1 runs
+//! verbatim) on three engines: fused GPU, operator-level baseline GPU, and
+//! host-only reference.
 //!
 //! ```
 //! use fusedml_script::{EngineMode, Interpreter};
@@ -37,13 +39,11 @@
 pub mod ast;
 pub mod interp;
 pub mod lexer;
-pub mod optimizer;
 pub mod parser;
 pub mod value;
 
-pub use ast::{Expr, FusedPattern, Program, Stmt};
+pub use ast::{Expr, Program, Stmt};
 pub use interp::{EngineMode, Interpreter, RunStats, ScriptError};
-pub use optimizer::{count_fused, optimize};
 pub use parser::{parse, ParseError};
 pub use value::Value;
 

@@ -30,17 +30,32 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting [`parse`] accepts, counted two ways: groups (blocks,
+/// parentheses, call arguments and exponents) open inside one another, and
+/// operators stack on their operands. Parsing and evaluation recurse once
+/// per level, so bounding both keeps any script within a 2 MiB stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a whole script.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        groups: 0,
+    };
     let statements = p.statements_until(TokenKind::Eof)?;
     Ok(Program { statements })
 }
 
+/// A parsed expression and its height in operators.
+type Parsed = Result<(Expr, usize), ParseError>;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Groups open around the current token.
+    groups: usize,
 }
 
 impl Parser {
@@ -75,6 +90,35 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            line: self.peek().line,
+            message: format!("nested deeper than {MAX_DEPTH} levels"),
+        }
+    }
+
+    /// `f` parsed inside one more group.
+    fn group<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.groups == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.groups += 1;
+        let r = f(self);
+        self.groups -= 1;
+        r
+    }
+
+    /// The height of an operator over operands `h` operators high.
+    fn stack(&self, h: usize) -> Result<usize, ParseError> {
+        if h == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(h + 1)
+    }
+
     fn statements_until(&mut self, end: TokenKind) -> Result<Vec<Stmt>, ParseError> {
         let mut out = Vec::new();
         loop {
@@ -94,28 +138,35 @@ impl Parser {
         }
     }
 
+    /// `{ statements }`.
+    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.expect(TokenKind::LBrace)?;
+        self.group(|p| p.statements_until(TokenKind::RBrace))
+    }
+
+    /// `( expr )` after `while` or `if`.
+    fn condition(&mut self) -> Result<Expr, ParseError> {
+        self.expect(TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(cond)
+    }
+
     fn statement(&mut self) -> Result<Stmt, ParseError> {
         let line = self.peek().line;
         match self.peek().kind.clone() {
             TokenKind::While => {
                 self.next();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::LBrace)?;
-                let body = self.statements_until(TokenKind::RBrace)?;
+                let cond = self.condition()?;
+                let body = self.block()?;
                 Ok(Stmt::While { cond, body, line })
             }
             TokenKind::If => {
                 self.next();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::LBrace)?;
-                let then_body = self.statements_until(TokenKind::RBrace)?;
+                let cond = self.condition()?;
+                let then_body = self.block()?;
                 let else_body = if self.eat(&TokenKind::Else) {
-                    self.expect(TokenKind::LBrace)?;
-                    self.statements_until(TokenKind::RBrace)?
+                    self.block()?
                 } else {
                     Vec::new()
                 };
@@ -142,29 +193,42 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    /// A left-associative chain `next (op next)*` of the operators `op`
+    /// maps tokens to.
+    fn chain(
+        &mut self,
+        op: fn(&TokenKind) -> Option<BinOp>,
+        next: fn(&mut Self) -> Parsed,
+    ) -> Parsed {
+        let (mut lhs, mut h) = next(self)?;
+        while let Some(op) = op(&self.peek().kind) {
+            self.next();
+            let (rhs, rh) = next(self)?;
+            h = self.stack(h.max(rh))?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn or_expr(&mut self) -> Parsed {
+        self.chain(
+            |k| (k == &TokenKind::Or).then_some(BinOp::Or),
+            Self::and_expr,
+        )
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.add_expr()?;
+    fn and_expr(&mut self) -> Parsed {
+        self.chain(
+            |k| (k == &TokenKind::And).then_some(BinOp::And),
+            Self::cmp_expr,
+        )
+    }
+
+    fn cmp_expr(&mut self) -> Parsed {
+        let (lhs, lh) = self.add_expr()?;
         let op = match self.peek().kind {
             TokenKind::Eq => BinOp::Eq,
             TokenKind::Ne => BinOp::Ne,
@@ -172,94 +236,82 @@ impl Parser {
             TokenKind::Le => BinOp::Le,
             TokenKind::Gt => BinOp::Gt,
             TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, lh)),
         };
         self.next();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
+        let (rhs, rh) = self.add_expr()?;
+        let h = self.stack(lh.max(rh))?;
+        Ok((Expr::Binary(op, Box::new(lhs), Box::new(rhs)), h))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
+    fn add_expr(&mut self) -> Parsed {
+        self.chain(
+            |k| match k {
+                TokenKind::Plus => Some(BinOp::Add),
+                TokenKind::Minus => Some(BinOp::Sub),
+                _ => None,
+            },
+            Self::mul_expr,
+        )
+    }
+
+    fn mul_expr(&mut self) -> Parsed {
+        self.chain(
+            |k| match k {
+                TokenKind::Star => Some(BinOp::Mul),
+                TokenKind::Slash => Some(BinOp::Div),
+                TokenKind::MatMul => Some(BinOp::MatMul),
+                _ => None,
+            },
+            Self::unary_expr,
+        )
+    }
+
+    /// Prefix operators, read in a loop: their height bounds them.
+    fn unary_expr(&mut self) -> Parsed {
+        let mut ops = Vec::new();
         loop {
             let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                TokenKind::Minus => UnaryOp::Neg,
+                TokenKind::Not => UnaryOp::Not,
+                _ => break,
             };
             self.next();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            ops.push(op);
         }
+        let (mut e, mut h) = self.pow_expr()?;
+        for op in ops.into_iter().rev() {
+            h = self.stack(h)?;
+            e = Expr::Unary(op, Box::new(e));
+        }
+        Ok((e, h))
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::MatMul => BinOp::MatMul,
-                _ => return Ok(lhs),
-            };
-            self.next();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+    fn pow_expr(&mut self) -> Parsed {
+        let (base, bh) = self.postfix_expr()?;
+        if !self.eat(&TokenKind::Caret) {
+            return Ok((base, bh));
         }
+        // Right-associative: the exponent nests like a group.
+        let (exp, eh) = self.group(Self::unary_expr)?;
+        let h = self.stack(bh.max(eh))?;
+        Ok((Expr::Binary(BinOp::Pow, Box::new(base), Box::new(exp)), h))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind {
-            TokenKind::Minus => {
-                self.next();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnaryOp::Neg, Box::new(e)))
-            }
-            TokenKind::Not => {
-                self.next();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnaryOp::Not, Box::new(e)))
-            }
-            _ => self.pow_expr(),
-        }
-    }
-
-    fn pow_expr(&mut self) -> Result<Expr, ParseError> {
-        let base = self.postfix_expr()?;
-        if self.eat(&TokenKind::Caret) {
-            // Right-associative.
-            let exp = self.unary_expr()?;
-            Ok(Expr::Binary(BinOp::Pow, Box::new(base), Box::new(exp)))
-        } else {
-            Ok(base)
-        }
-    }
-
-    fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
+    fn postfix_expr(&mut self) -> Parsed {
         let t = self.next();
         match t.kind {
-            TokenKind::Number(v) => Ok(Expr::Number(v)),
-            TokenKind::Str(s) => Ok(Expr::Str(s)),
+            TokenKind::Number(v) => Ok((Expr::Number(v), 0)),
+            TokenKind::Str(s) => Ok((Expr::Str(s), 0)),
             TokenKind::Ident(name) => {
-                if self.peek().kind == TokenKind::LParen {
-                    self.next();
-                    let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.call_arg()?);
-                            if self.eat(&TokenKind::RParen) {
-                                break;
-                            }
-                            self.expect(TokenKind::Comma)?;
-                        }
-                    }
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Ident(name))
+                if !self.eat(&TokenKind::LParen) {
+                    return Ok((Expr::Ident(name), 0));
                 }
+                let (args, h) = self.group(Self::call_args)?;
+                Ok((Expr::Call { name, args }, h))
             }
             TokenKind::LParen => {
-                let e = self.expr()?;
+                let e = self.group(Self::or_expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -270,23 +322,30 @@ impl Parser {
         }
     }
 
-    fn call_arg(&mut self) -> Result<Arg, ParseError> {
-        // Named argument: ident '=' expr (but not '==').
-        if let TokenKind::Ident(name) = self.peek().kind.clone() {
-            if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Assign) {
-                self.next();
-                self.next();
-                let value = self.expr()?;
-                return Ok(Arg {
-                    name: Some(name),
-                    value,
-                });
-            }
+    /// A call's arguments through its closing `)`, with their height.
+    fn call_args(&mut self) -> Result<(Vec<Arg>, usize), ParseError> {
+        let mut args = Vec::new();
+        let mut h = 0;
+        if self.eat(&TokenKind::RParen) {
+            return Ok((args, h));
         }
-        Ok(Arg {
-            name: None,
-            value: self.expr()?,
-        })
+        loop {
+            // Named argument: ident '=' expr (but not '==').
+            let mut name = None;
+            if let TokenKind::Ident(n) = self.peek().kind.clone() {
+                if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Assign) {
+                    self.pos += 2;
+                    name = Some(n);
+                }
+            }
+            let (value, vh) = self.or_expr()?;
+            args.push(Arg { name, value });
+            h = h.max(vh);
+            if self.eat(&TokenKind::RParen) {
+                return Ok((args, h));
+            }
+            self.expect(TokenKind::Comma)?;
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use fusedml_gpu_sim::{DeviceSpec, FaultProfile, Gpu};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
 use fusedml_ml::{try_lr_cg, CpuBackend, LrCgOptions};
-use fusedml_script::{count_fused, optimize, parse, EngineMode, Interpreter, Value, LISTING_1};
+use fusedml_script::{EngineMode, Interpreter, Value, LISTING_1};
 
 fn problem() -> (fusedml_matrix::CsrMatrix, Vec<f64>) {
     let x = uniform_sparse(400, 60, 0.15, 7);
@@ -93,12 +93,6 @@ fn fused_engine_beats_baseline_engine() {
         base.stats.sim_ms
     );
     assert!(fused.stats.launches < base.stats.launches);
-}
-
-#[test]
-fn optimizer_reports_fusions_in_listing1() {
-    let prog = optimize(&parse(LISTING_1).unwrap());
-    assert_eq!(count_fused(&prog), 3);
 }
 
 #[test]

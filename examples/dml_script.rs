@@ -1,6 +1,7 @@
 //! Run the paper's Listing 1 — a DML script — through the mini-DML
-//! frontend on all three engines, showing the fusion optimizer
-//! "transparently selecting" the fused kernel (§4.4).
+//! frontend on all three engines. The fused engine lowers each
+//! expression's matrix-vector work to an operator DAG, and the fusion
+//! compiler "transparently selects" the fused kernel (§4.4).
 //!
 //! ```text
 //! cargo run --release --example dml_script
@@ -9,14 +10,10 @@
 use fusedml::prelude::*;
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_matrix::reference;
-use fusedml_script::{count_fused, optimize, parse, EngineMode, Interpreter, Value, LISTING_1};
+use fusedml_script::{EngineMode, Interpreter, Value, LISTING_1};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- the script (paper Listing 1) ---\n{LISTING_1}");
-
-    let prog = parse(LISTING_1)?;
-    let fused_nodes = count_fused(&optimize(&prog));
-    println!("optimizer found {fused_nodes} fusable pattern instances\n");
 
     let (m, n) = (30_000, 500);
     let x = uniform_sparse(m, n, 0.02, 21);
@@ -25,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("data: {m} x {n} sparse, {} nnz\n", x.nnz());
 
     let gpu = Gpu::new(DeviceSpec::gtx_titan());
-    let mut results: Vec<(&str, Vec<f64>, f64, usize, usize)> = Vec::new();
+    let mut results = Vec::new();
 
     for (name, mode) in [
         ("fused GPU   ", Some(EngineMode::FusedGpu)),
@@ -43,23 +40,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let Some(Value::Vector(w)) = interp.outputs().get("w") else {
             return Err("the script wrote no weight vector".into());
         };
-        results.push((
-            name,
-            (**w).clone(),
-            interp.stats.sim_ms,
-            interp.stats.launches,
-            interp.stats.fused_evals,
-        ));
+        results.push((name, (**w).clone(), interp.stats.clone()));
     }
 
-    println!("engine        sim_ms   launches  fused_evals  weight_err");
-    for (name, w, ms, launches, fused) in &results {
+    println!("engine        sim_ms   launches  fused_evals  matmul_evals  weight_err");
+    for (name, w, stats) in &results {
         let err = reference::rel_l2_error(w, &w_true);
-        println!("{name}  {ms:>8.3}  {launches:>8}  {fused:>11}  {err:.2e}");
+        println!(
+            "{name}  {:>8.3}  {:>8}  {:>11}  {:>12}  {err:.2e}",
+            stats.sim_ms, stats.launches, stats.fused_evals, stats.matmul_evals
+        );
     }
 
-    let fused_ms = results[0].2;
-    let base_ms = results[1].2;
+    let fused_ms = results[0].2.sim_ms;
+    let base_ms = results[1].2.sim_ms;
     println!(
         "\n==> transparent fusion speedup inside the script runtime: {:.1}x",
         base_ms / fused_ms
