@@ -1,9 +1,9 @@
 //! `fusedml-bench plans` — the data source of the CI plan-regression
 //! gate.
 //!
-//! For every bench workload that executes through the DAG fusion
-//! compiler, compile the cost-selected plan against the workload's exact
-//! matrix shape and render it as deterministic JSON: which ops fused into
+//! For the Equation-1, `X^T y` and PageRank DAGs of the bench workloads,
+//! compile the cost-selected plan against the workload's exact matrix
+//! shape and render it as deterministic JSON: which ops fused into
 //! which kernel group, how many intermediates materialize in DRAM vs.
 //! stay in registers, the modeled cost, and every rejected candidate with
 //! the cost that killed it. CI diffs the dump against the committed
@@ -33,10 +33,11 @@ struct Compilation {
     shape: MatrixShape,
 }
 
-/// The DAG compilations a workload performs, mirroring exactly what its
-/// suite runner executes. Workloads outside the DAG layer (the hand-fused
-/// kernel benchmarks' baselines, the ELL planner, the non-LR-CG solvers)
-/// contribute nothing.
+/// The DAG compilations pinned for a workload: the DAGs of what its suite
+/// runner computes. Only PageRank's runner executes through the DAG
+/// compiler; the others run `FusedExecutor`'s kernels directly, so their
+/// dumps pin the plan the compiler picks for the same computation. The
+/// ELL workloads and the solvers other than LR-CG contribute nothing.
 fn compilations(spec: &WorkloadSpec, seed: u64) -> Vec<Compilation> {
     let (m, n) = (spec.rows, spec.cols);
     let sparse = |nnz: u64| MatrixShape {
@@ -108,7 +109,7 @@ fn compilations(spec: &WorkloadSpec, seed: u64) -> Vec<Compilation> {
                 shape: dense,
             },
         ],
-        // The remaining solvers run on the hand-fused backend.
+        // The other solvers' DAGs are not pinned.
         Kind::AlgoCsr(_) | Kind::AlgoDense(_) => Vec::new(),
         Kind::Pagerank => {
             let x = uniform_sparse(m, n, spec.sparsity, seed);

@@ -30,7 +30,7 @@ use fusedml_matrix::gen::{
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix, EllMatrix};
 use fusedml_ml::{
     try_glm, try_hits, try_logreg, try_lr_cg, try_pagerank, try_svm, Backend, BackendStats,
-    BaselineBackend, DagBackend, FusedBackend, GlmOptions, HitsOptions, LogRegOptions, LrCgOptions,
+    BaselineBackend, FusedBackend, GlmOptions, HitsOptions, LogRegOptions, LrCgOptions,
     PagerankOptions, PagerankPlan, SolverError, SvmOptions,
 };
 use std::sync::Arc;
@@ -608,9 +608,6 @@ fn drive_algo<B: Backend>(
 }
 
 /// Algorithm-level workload on CSR input: `ours-end2end` vs. `cu-end2end`.
-/// LR-CG's fused variant goes through the DAG fusion compiler
-/// ([`DagBackend`]) rather than the hand-fused executor — the two produce
-/// bit-identical launches, so the gate also pins the compiler's output.
 fn run_algo_csr(
     opts: &SuiteOptions,
     pool: &DevicePool,
@@ -621,16 +618,9 @@ fn run_algo_csr(
     let fused = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
-        let stats = if algo == Algo::LrCg {
-            let mut b = DagBackend::try_new_sparse(&gpu, x)?;
-            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
-            b.stats()
-        } else {
-            let mut b = FusedBackend::try_new_sparse(&gpu, x)?;
-            drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
-            b.stats()
-        };
-        variant_from_stats(&stats, wall_ms_since(t0), opts.device.clock_ghz, iters)
+        let mut b = FusedBackend::try_new_sparse(&gpu, x)?;
+        drive_algo(&mut b, algo, iters, opts.seed, Some(x), None)?;
+        variant_from_stats(&b.stats(), wall_ms_since(t0), opts.device.clock_ghz, iters)
     };
     let baseline = {
         let gpu = suite_gpu(opts, pool);
@@ -653,16 +643,9 @@ fn run_algo_dense(
     let fused = {
         let gpu = suite_gpu(opts, pool);
         let t0 = Instant::now();
-        let stats = if algo == Algo::LrCg {
-            let mut b = DagBackend::try_new_dense(&gpu, x)?;
-            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
-            b.stats()
-        } else {
-            let mut b = FusedBackend::try_new_dense(&gpu, x)?;
-            drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
-            b.stats()
-        };
-        variant_from_stats(&stats, wall_ms_since(t0), opts.device.clock_ghz, iters)
+        let mut b = FusedBackend::try_new_dense(&gpu, x)?;
+        drive_algo(&mut b, algo, iters, opts.seed, None, Some(x))?;
+        variant_from_stats(&b.stats(), wall_ms_since(t0), opts.device.clock_ghz, iters)
     };
     let baseline = {
         let gpu = suite_gpu(opts, pool);

@@ -13,7 +13,6 @@ use fusedml_blas::level1::try_fill;
 use fusedml_blas::{vector_size_for_mean_nnz, GpuCsr, GpuDense};
 use fusedml_gpu_sim::{Counters, DeviceError, Gpu, GpuBuffer, LaunchStats};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 /// Fused-kernel execution engine; the counterpart of
 /// [`fusedml_blas::BaselineEngine`] with identical accounting so
@@ -77,18 +76,6 @@ impl<'g> FusedExecutor<'g> {
             total.merge(&l.counters);
         }
         total
-    }
-
-    /// Counters grouped by kernel name (the "phases" of one fused
-    /// evaluation: zero-fill vs. the fused kernel itself). Kernel names
-    /// are interned static strings, so grouping allocates no per-launch
-    /// `String`s.
-    pub fn counters_by_kernel(&self) -> BTreeMap<&'static str, Counters> {
-        let mut phases: BTreeMap<&'static str, Counters> = BTreeMap::new();
-        for l in &self.launches {
-            phases.entry(l.name).or_default().merge(&l.counters);
-        }
-        phases
     }
 
     pub fn reset(&mut self) {

@@ -116,11 +116,6 @@ impl Counters {
         }
     }
 
-    /// Total global sectors (loads + stores).
-    pub fn total_transactions(&self) -> u64 {
-        self.gld_transactions + self.gst_transactions
-    }
-
     /// Total DRAM traffic in bytes.
     pub fn dram_bytes(&self) -> u64 {
         self.dram_read_bytes + self.dram_write_bytes

@@ -317,11 +317,6 @@ impl Gpu {
         self.integrity.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether H2D and pool-reuse verification is currently on.
-    pub fn integrity_checks_enabled(&self) -> bool {
-        self.integrity.load(Ordering::Relaxed)
-    }
-
     /// Cumulative integrity-layer traffic for this device.
     pub fn integrity_stats(&self) -> IntegrityStats {
         IntegrityStats {

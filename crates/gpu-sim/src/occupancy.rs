@@ -34,13 +34,6 @@ pub struct Occupancy {
     pub limiter: Limiter,
 }
 
-impl Occupancy {
-    /// Total concurrently resident threads across the whole device.
-    pub fn concurrent_threads(&self, spec: &DeviceSpec) -> usize {
-        self.warps_per_sm * spec.warp_size * spec.num_sms
-    }
-}
-
 fn round_up(x: usize, granularity: usize) -> usize {
     if granularity == 0 {
         x

@@ -177,18 +177,6 @@ impl CpuSpec {
         }
     }
 
-    /// Single-threaded variant (used for the Table 2 CPU breakdown).
-    pub fn single_thread() -> Self {
-        CpuSpec {
-            name: "core-i7 3.4GHz, 1 thread".to_string(),
-            threads: 1,
-            bandwidth_gbps: 12.0,
-            peak_dp_gflops: 13.6,
-            op_overhead_us: 1.0,
-            irregular_efficiency: 0.6,
-        }
-    }
-
     /// Time for an operator that moves `bytes` of memory and performs
     /// `flops` double-precision operations. `irregular` marks gather /
     /// scatter-dominated access (sparse).

@@ -8,8 +8,6 @@
 //!   [`MatrixEngine`]. The engines, by backend name:
 //!   * [`FusedBackend`] — pattern evaluations go through the paper's
 //!     fused kernels (exactly the `ours-end2end` configuration of §4.4);
-//!   * [`DagBackend`](crate::DagBackend) — the same kernels, selected by
-//!     the DAG fusion compiler;
 //!   * [`BaselineBackend`] — everything operator-level through the
 //!     cuBLAS/cuSPARSE-style engine (`cu-end2end`);
 //!   * [`ShardedBackend`](crate::ShardedBackend) — row shards across a
@@ -493,7 +491,7 @@ fn try_device_map2(
 }
 
 /// A [`MatrixEngine`] over one matrix uploaded to the backend's device:
-/// the fused, DAG and operator engines.
+/// the fused and operator engines.
 pub trait UploadEngine<'g>: MatrixEngine + Sized {
     /// Build the engine over `matrix`, then allocate the backend's scalar
     /// (see [`DeviceBackend::new`]).
@@ -583,6 +581,12 @@ pub struct FusedEngine<'g> {
 
 /// The `ours-end2end` backend.
 pub type FusedBackend<'g> = DeviceBackend<'g, FusedEngine<'g>>;
+
+/// Another name for [`FusedBackend`]. Its only users are the repository
+/// benchmark's `solver-small` workload and a unit test there
+/// (`benchmark/src/workloads/solver.rs`, `benchmark/src/timed.rs`); it
+/// goes with the next change to `benchmark/`.
+pub type DagBackend<'g> = FusedBackend<'g>;
 
 impl<'g> UploadEngine<'g> for FusedEngine<'g> {
     fn try_build(gpu: &'g Gpu, matrix: DeviceMatrix) -> Result<(Self, GpuBuffer), DeviceError> {
@@ -1295,25 +1299,41 @@ mod tests {
     fn mv_and_tmv_match_reference() -> Result<(), DeviceError> {
         let g = gpu();
         let x = uniform_sparse(60, 40, 0.15, 93);
+        let xd = fusedml_matrix::gen::dense_random(60, 40, 97);
         let y = random_vector(40, 3);
         let u = random_vector(60, 4);
+        let scaled = |mut t: Vec<f64>| {
+            reference::scal(2.0, &mut t);
+            t
+        };
 
-        let mut fused = FusedBackend::try_new_sparse(&g, &x).unwrap();
-        let yd = fused.try_from_host("y", &y)?;
-        let ud = fused.try_from_host("u", &u)?;
-        let mut p = fused.try_zeros("p", 60)?;
-        let mut w = fused.try_zeros("w", 40)?;
-        fused.try_mv(&yd, &mut p)?;
-        fused.try_tmv(2.0, &ud, &mut w)?;
-        assert!(reference::rel_l2_error(&fused.to_host(&p), &reference::csr_mv(&x, &y)) < 1e-12);
-        let mut expect = reference::csr_tmv(&x, &u);
-        reference::scal(2.0, &mut expect);
-        assert!(reference::rel_l2_error(&fused.to_host(&w), &expect) < 1e-12);
-        // tmv counted as the X^T y instantiation.
-        assert_eq!(
-            fused.stats().pattern_counts[PatternInstance::XtY.formula()],
-            1
-        );
+        let cases = [
+            (
+                FusedBackend::try_new_sparse(&g, &x)?,
+                reference::csr_mv(&x, &y),
+                scaled(reference::csr_tmv(&x, &u)),
+            ),
+            (
+                FusedBackend::try_new_dense(&g, &xd)?,
+                reference::dense_mv(&xd, &y),
+                scaled(reference::dense_tmv(&xd, &u)),
+            ),
+        ];
+        for (mut fused, expect_p, expect_w) in cases {
+            let yd = fused.try_from_host("y", &y)?;
+            let ud = fused.try_from_host("u", &u)?;
+            let mut p = fused.try_zeros("p", 60)?;
+            let mut w = fused.try_zeros("w", 40)?;
+            fused.try_mv(&yd, &mut p)?;
+            fused.try_tmv(2.0, &ud, &mut w)?;
+            assert!(reference::rel_l2_error(&fused.to_host(&p), &expect_p) < 1e-12);
+            assert!(reference::rel_l2_error(&fused.to_host(&w), &expect_w) < 1e-12);
+            // tmv counted as the X^T y instantiation.
+            assert_eq!(
+                fused.stats().pattern_counts[PatternInstance::XtY.formula()],
+                1
+            );
+        }
         Ok(())
     }
 

@@ -107,12 +107,40 @@ impl Node {
             Node::EwMul(a, b) | Node::Axpy(a, _, b) => a.dim().or(b.dim()),
         }
     }
+
+    /// The vector and scalar slots the node's DAG binds.
+    fn slots(&self) -> [usize; 2] {
+        match self {
+            Node::Vector(_) => [1, 0],
+            Node::Mv(a) | Node::Tmv(a) | Node::Neg(a) => a.slots(),
+            Node::Scale(a, _) => {
+                let [v, s] = a.slots();
+                [v, s + 1]
+            }
+            Node::EwMul(a, b) | Node::Axpy(a, _, b) => {
+                let ([va, sa], [vb, sb]) = (a.slots(), b.slots());
+                [va + vb, sa + sb]
+            }
+        }
+    }
 }
 
 /// An operand met while lowering: a value, or a node.
 enum Term {
     Value(Value),
     Node(Node),
+}
+
+impl Term {
+    /// The vector and scalar slots the term binds as an operand of a node.
+    fn slots(&self) -> [usize; 2] {
+        match self {
+            Term::Node(n) => n.slots(),
+            Term::Value(Value::Vector(_)) => [1, 0],
+            Term::Value(Value::Scalar(_)) => [0, 1],
+            Term::Value(_) => [0, 0],
+        }
+    }
 }
 
 /// A DAG being emitted, with the operands its slots bind, in slot order.
@@ -523,7 +551,8 @@ impl<'g> Interpreter<'g> {
                 if cols != 1.0 && rows != 1.0 {
                     return Err(err("matrix(): only row/column vectors are supported".into()));
                 }
-                if !(rows >= 0.0 && cols >= 0.0 && (rows * cols).is_finite()) {
+                let whole = |d: f64| d >= 0.0 && d.fract() == 0.0;
+                if !(whole(rows) && whole(cols) && (rows * cols).is_finite()) {
                     return Err(err(format!("matrix(): no {rows} x {cols} vector")));
                 }
                 // A size the host cannot hold is an error, not an abort.
@@ -638,7 +667,9 @@ impl<'g> Interpreter<'g> {
     }
 
     /// `X %*% y`, or `t(X) %*% y` when `transposed`, as one operator-level
-    /// product: the baseline's kernels, or the host reference.
+    /// product: the baseline's kernels, or the host reference. A product
+    /// over a matrix with no rows or no columns takes the host's result
+    /// and launches nothing.
     fn matrix_product(
         &mut self,
         x: &MatrixVal,
@@ -646,7 +677,7 @@ impl<'g> Interpreter<'g> {
         transposed: bool,
         line: usize,
     ) -> Result<Value, ScriptError> {
-        let Some(gpu) = self.device() else {
+        let Some(gpu) = self.device().filter(|_| !is_empty(&x.data)) else {
             return Ok(Value::vector(host_product(&x.data, y, transposed)));
         };
         let xd = self.device_matrix(gpu, x).map_err(device_error(line))?;
@@ -710,8 +741,26 @@ impl<'g> Interpreter<'g> {
             Expr::Binary(op, a, b) => (*op, a, b),
             _ => return self.eval(e, line).map(Term::Value),
         };
-        let l = self.lower(x, lhs, line)?;
-        let r = self.lower(x, rhs, line)?;
+        let mut l = self.lower(x, lhs, line)?;
+        let mut r = self.lower(x, rhs, line)?;
+        // A node binds at most the slot tables' operands. Past them, the
+        // operand that binds more of the full table's slots runs as its
+        // own DAG and enters as a vector, until the two fit.
+        loop {
+            let ([lv, ls], [rv, rs]) = (l.slots(), r.slots());
+            let left = if lv + rv > VECTOR_SLOTS.len() {
+                lv >= rv
+            } else if ls + rs > SCALAR_SLOTS.len() {
+                ls >= rs
+            } else {
+                break;
+            };
+            if left {
+                l = Term::Value(self.force(x, l, line)?);
+            } else {
+                r = Term::Value(self.force(x, r, line)?);
+            }
+        }
         let sign = if op == BinOp::Sub { -1.0 } else { 1.0 };
         let node = match (op, l, r) {
             (BinOp::Mul, Term::Node(n), Term::Value(Value::Scalar(s)))
@@ -752,8 +801,9 @@ impl<'g> Interpreter<'g> {
 
     /// `a %*% b`. A product over the lowering's matrix becomes a node; one
     /// over a second matrix runs as its own DAG and enters as a vector.
-    /// Every other product (`t(p) %*% q` of two vectors) is
-    /// [`Interpreter::matmul`]'s, as are the errors.
+    /// Every other product (`t(p) %*% q` of two vectors, or a product over
+    /// a matrix with no rows or no columns) is [`Interpreter::matmul`]'s,
+    /// as are the errors.
     fn lower_product(
         &mut self,
         x: &mut Option<Rc<MatrixVal>>,
@@ -762,7 +812,7 @@ impl<'g> Interpreter<'g> {
         line: usize,
     ) -> Result<Term, ScriptError> {
         let l = self.eval(a, line)?;
-        let Some((m, transposed)) = matrix_operand(&l) else {
+        let Some((m, transposed)) = matrix_operand(&l).filter(|(m, _)| !is_empty(&m.data)) else {
             let r = self.lower(x, b, line)?;
             let r = self.force(x, r, line)?;
             return self.matmul(l, r, line).map(Term::Value);
@@ -962,6 +1012,12 @@ fn matrix_operand(v: &Value) -> Option<(Rc<MatrixVal>, bool)> {
         },
         _ => None,
     }
+}
+
+/// Whether `x` has no rows or no columns: a product over it has no
+/// element to launch a kernel on.
+fn is_empty(x: &HostMatrix) -> bool {
+    x.rows() == 0 || x.cols() == 0
 }
 
 fn dim_len(x: &HostMatrix, d: Dim) -> usize {

@@ -26,8 +26,8 @@ use fusedml_matrix::gen::{dense_random, random_labels, random_vector, uniform_sp
 use fusedml_matrix::CsrMatrix;
 use fusedml_ml::ops::TransposePolicy;
 use fusedml_ml::{
-    try_logreg, try_lr_cg, Backend, BackendStats, BaselineBackend, DagBackend, FusedBackend,
-    LogRegOptions, LrCgOptions, ShardedBackend, SolverError,
+    try_logreg, try_lr_cg, Backend, BackendStats, BaselineBackend, FusedBackend, LogRegOptions,
+    LrCgOptions, ShardedBackend, SolverError,
 };
 use fusedml_runtime::{SparseStreamer, StreamConfig, StreamedBackend, TransferModel};
 
@@ -226,10 +226,6 @@ fn clean_cases() -> String {
     let g = titan();
     out += &observe("fused dense", &mut ok(FusedBackend::try_new_dense(&g, &xd)));
     let g = titan();
-    out += &observe("dag sparse", &mut ok(DagBackend::try_new_sparse(&g, &xs)));
-    let g = titan();
-    out += &observe("dag dense", &mut ok(DagBackend::try_new_dense(&g, &xd)));
-    let g = titan();
     out += &observe(
         "baseline sparse",
         &mut ok(BaselineBackend::try_new_sparse(&g, &xs)),
@@ -274,8 +270,6 @@ fn faulted_cases() -> String {
         &mut ok(FusedBackend::try_new_sparse(&g, &xs)),
     );
     let g = faulty_titan();
-    out += &observe("dag fault", &mut ok(DagBackend::try_new_sparse(&g, &xs)));
-    let g = faulty_titan();
     out += &observe(
         "baseline fault",
         &mut ok(BaselineBackend::try_new_sparse(&g, &xs)),
@@ -311,20 +305,6 @@ fused dense: weights 0x2882e92c650809a8
   atomic_samples (40, 5882, 8040576700271296134)
   plan PlanCacheStats { hits: 12, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
   pool PoolStats { hits: 8, misses: 12, bytes_recycled: 4352, reclaimed: 19, retained_bytes: 4992, attached_devices: 0, outstanding_bytes: 16424, peak_outstanding_bytes: 21384 }
-dag sparse: weights 0x97cfa40152e5a700
-  sim_ms 0x3fe9318ae4e84e5d occupancy_ms 0x3fe5c164e21f4643 launches 121 probe_addr 35072
-  patterns {"X^T x (X x y) + b * z": 8, "X^T x (v . (X x y)) + b * z": 4, "a * X^T x y": 2}
-  counters gld_instructions=2915 gld_transactions=22950 gst_instructions=141 gst_transactions=846 dram_read_bytes=31648 dram_write_bytes=187744 l2_read_bytes=712512 tex_read_bytes=70144 tex_transactions=2348 global_atomics=5021 global_atomics_int=0 global_atomic_warp_conflicts=0 shared_accesses=9437 shared_atomics=13672 shared_bank_conflicts=7364 shuffle_instructions=1370 divergent_instructions=175 inactive_lanes=1480 flops=111184 barriers=421 kernel_launches=121
-  atomic_samples (24, 150, 10852123376293366573)
-  plan PlanCacheStats { hits: 23, misses: 5, uncached: 0, errors: 0, invalidations: 0 }
-  pool PoolStats { hits: 8, misses: 12, bytes_recycled: 8448, reclaimed: 19, retained_bytes: 9984, attached_devices: 0, outstanding_bytes: 18480, peak_outstanding_bytes: 28432 }
-dag dense: weights 0x2882e92c650809a8
-  sim_ms 0x4002228170149bec occupancy_ms 0x4001ff4ced56102b launches 130 probe_addr 29440
-  patterns {"X^T x (X x y) + b * z": 8, "X^T x (v . (X x y)) + b * z": 5, "a * X^T x y": 2}
-  counters gld_instructions=14754 gld_transactions=9172 gst_instructions=337 gst_transactions=698 dram_read_bytes=44064 dram_write_bytes=6059296 l2_read_bytes=260544 tex_read_bytes=1533696 tex_transactions=48212 global_atomics=188655 global_atomics_int=0 global_atomic_warp_conflicts=0 shared_accesses=18719 shared_atomics=376 shared_bank_conflicts=3968 shuffle_instructions=10880 divergent_instructions=14118 inactive_lanes=225792 flops=518600 barriers=411 kernel_launches=130
-  atomic_samples (40, 5882, 17326498381197080111)
-  plan PlanCacheStats { hits: 23, misses: 5, uncached: 0, errors: 0, invalidations: 0 }
-  pool PoolStats { hits: 9, misses: 12, bytes_recycled: 4480, reclaimed: 20, retained_bytes: 4992, attached_devices: 0, outstanding_bytes: 16432, peak_outstanding_bytes: 21392 }
 baseline sparse: weights 0xbb31f8caa1109230
   sim_ms 0x400242ab30c9eea7 occupancy_ms 0x400242ab30c9eea5 launches 290 probe_addr 207104
   patterns {"X^T x (X x y) + b * z": 8, "X^T x (v . (X x y)) + b * z": 4, "a * X^T x y": 2}
@@ -383,13 +363,6 @@ const FAULTED: &str = r#"fused fault: error transient-fault
   atomic_samples (15, 90, 2000366897323312203)
   plan PlanCacheStats { hits: 8, misses: 1, uncached: 0, errors: 0, invalidations: 0 }
   pool PoolStats { hits: 0, misses: 6, bytes_recycled: 0, reclaimed: 5, retained_bytes: 3072, attached_devices: 0, outstanding_bytes: 18472, peak_outstanding_bytes: 21512 }
-dag fault: error transient-fault
-  sim_ms 0x3fdadcee812a19b0 occupancy_ms 0x3fd64e640f4bb002 launches 63 probe_addr 19840
-  patterns {"X^T x (X x y) + b * z": 8, "a * X^T x y": 1}
-  counters gld_instructions=1634 gld_transactions=13449 gst_instructions=39 gst_transactions=234 dram_read_bytes=16416 dram_write_bytes=110880 l2_read_bytes=418560 tex_read_bytes=36160 tex_transactions=1196 global_atomics=3231 global_atomics_int=0 global_atomic_warp_conflicts=0 shared_accesses=6063 shared_atomics=8760 shared_bank_conflicts=4734 shuffle_instructions=720 divergent_instructions=89 inactive_lanes=712 flops=60816 barriers=267 kernel_launches=63
-  atomic_samples (15, 90, 242668073467731687)
-  plan PlanCacheStats { hits: 15, misses: 3, uncached: 0, errors: 0, invalidations: 0 }
-  pool PoolStats { hits: 0, misses: 6, bytes_recycled: 0, reclaimed: 5, retained_bytes: 3072, attached_devices: 0, outstanding_bytes: 18480, peak_outstanding_bytes: 21520 }
 baseline fault: error transient-fault
   sim_ms 0x3fddaff4b5baeee7 occupancy_ms 0x3fddaff4b5baeee8 launches 57 probe_addr 58624
   patterns {"X^T x (X x y) + b * z": 2, "a * X^T x y": 1}

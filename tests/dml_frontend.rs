@@ -7,13 +7,14 @@
 //! depend on the host's core count or on the order the cases run in.
 //!
 //! Beyond the pins: the cases whose behaviour the DAG lowering changed
-//! (a scalar added to a product, a product over a second matrix), typed
+//! (a scalar added to a product, a product over a second matrix, more
+//! operands than one DAG binds, products over an empty matrix), typed
 //! errors for `matrix()` sizes and for nesting past `parse`'s bound, and a
 //! seeded fuzz loop over mutated scripts and random expressions.
 
 use fusedml_gpu_sim::{DeviceSpec, Gpu};
 use fusedml_matrix::gen::{dense_random, random_vector, uniform_sparse};
-use fusedml_matrix::{reference, CsrMatrix};
+use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
 use fusedml_script::parse;
 use fusedml_script::{EngineMode, Interpreter, RunStats, Value, LISTING_1};
 
@@ -213,16 +214,79 @@ fn a_product_over_a_second_matrix_runs_as_its_own_dag() {
 #[test]
 fn matrix_sizes_that_no_vector_has_are_errors() {
     // 1e300 and 1e19 doubles exceed `isize::MAX` bytes on any host.
-    for rows in ["1e300", "1e19", "-1", "0/0", "1/0"] {
+    for (rows, cols) in [
+        ("1e300", "1"),
+        ("1e19", "1"),
+        ("-1", "1"),
+        ("0/0", "1"),
+        ("1/0", "1"),
+        ("2.5", "1"),
+        ("1", "2.5"),
+    ] {
         let err = Interpreter::host_only()
-            .run(&format!("z = matrix(0, rows={rows}, cols=1)"))
+            .run(&format!("z = matrix(0, rows={rows}, cols={cols})"))
             .unwrap_err();
-        assert!(err.message.starts_with("matrix(): "), "rows={rows}: {err}");
+        assert!(
+            err.message.starts_with("matrix(): "),
+            "rows={rows}, cols={cols}: {err}"
+        );
     }
     let mut host = Interpreter::host_only();
     host.run("z = matrix(2, rows=3, cols=1)\nwrite(sum(z), \"s\")")
         .unwrap();
     assert_eq!(host.outputs()["s"].as_scalar(), Some(6.0));
+}
+
+#[test]
+fn operands_past_one_dags_slots_run_as_their_own_dags() {
+    // 255 scalar or vector operands: more than one DAG binds of either.
+    for tail in [" * 2".repeat(254), " + y".repeat(254)] {
+        let expr = format!("t(X) %*% (X %*% y){tail}");
+        let w_host = run_form(&mut Interpreter::host_only(), &expr);
+        let gpu = titan();
+        let mut fused = Interpreter::on_gpu(&gpu, EngineMode::FusedGpu);
+        let w = run_form(&mut fused, &expr);
+        let err = reference::rel_l2_error(&w, &w_host);
+        assert!(err < 1e-9, "`{}`: {err:e}", &tail[..4]);
+        assert_eq!(fused.stats.fused_evals, 1, "{:?}", fused.stats);
+    }
+}
+
+#[test]
+fn products_over_an_empty_matrix_agree_across_modes() {
+    let src = "X = read(\"X\"); u = read(\"u\"); y = read(\"y\")\n\
+               w = t(X) %*% (u * (X %*% y)) + y\n\
+               write(w, \"w\")";
+    for (rows, cols) in [(0, 5), (5, 0)] {
+        for dense in [false, true] {
+            let run = |mut interp: Interpreter| {
+                if dense {
+                    interp.bind_dense("X", DenseMatrix::zeros(rows, cols));
+                } else {
+                    interp.bind_sparse("X", CsrMatrix::empty(rows, cols));
+                }
+                interp.bind_vector("u", random_vector(rows, 61));
+                interp.bind_vector("y", random_vector(cols, 62));
+                interp
+                    .run(src)
+                    .unwrap_or_else(|e| panic!("{rows}x{cols}: {e}"));
+                let w = output(&interp, "w");
+                (
+                    w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    interp.stats,
+                )
+            };
+            let (w_host, _) = run(Interpreter::host_only());
+            assert_eq!(w_host.len(), cols);
+            for mode in [EngineMode::FusedGpu, EngineMode::BaselineGpu] {
+                let gpu = titan();
+                let (w, stats) = run(Interpreter::on_gpu(&gpu, mode));
+                let case = format!("{rows}x{cols} dense={dense} {mode:?}");
+                assert_eq!(w, w_host, "{case}");
+                assert_eq!(stats.launches, 0, "{case}: {stats:?}");
+            }
+        }
+    }
 }
 
 /// `w = -(-( … -(t(X) %*% r) … ))` with `n` negations.
@@ -403,7 +467,13 @@ fn expression(rng: &mut Rng, kind: Kind, depth: usize) -> String {
             rng.pick(&["+", "-", "*"]),
             expression(rng, kind, d),
         ),
-        (Kind::Cols, 0..=2) => (
+        // Through the 0×5 `E` or the 5×0 `F`: products over no elements.
+        (Kind::Cols, 0) => {
+            let (outer, inner) = [("t(E)", "E"), ("F", "t(F)")][rng.below(2)];
+            let y = expression(rng, Kind::Cols, d);
+            (outer.to_string(), "%*%", format!("{inner} %*% ({y})"))
+        }
+        (Kind::Cols, 1..=2) => (
             rng.pick(&["t(X)", "t(B)"]).to_string(),
             "%*%",
             expression(rng, Kind::Rows, d),
@@ -481,14 +551,17 @@ fn the_dml_frontend_survives_mutated_scripts_and_agrees_with_the_host() {
     }
     assert!(panicked.is_empty(), "panicked on {panicked:#?}");
 
-    // (b) Random expressions over a 12×5 sparse `X`, a 12×5 dense `B` and
-    // a 12×12 sparse `S`: both engines succeed and agree, or both fail.
-    // The error is relative, with the norm floored at 1 so that an exact
-    // cancellation on the host compares absolutely.
+    // (b) Random expressions over a 12×5 sparse `X`, a 12×5 dense `B`, a
+    // 12×12 sparse `S`, a 0×5 sparse `E` and a 5×0 dense `F`: both engines
+    // succeed and agree, or both fail. The error is relative, with the norm
+    // floored at 1 so that an exact cancellation on the host compares
+    // absolutely.
     let bind = |i: &mut Interpreter| {
         i.bind_sparse("X", uniform_sparse(12, 5, 0.5, 51));
         i.bind_dense("B", dense_random(12, 5, 52));
         i.bind_sparse("S", uniform_sparse(12, 12, 0.4, 53));
+        i.bind_sparse("E", CsrMatrix::empty(0, 5));
+        i.bind_dense("F", DenseMatrix::zeros(5, 0));
         i.bind_vector("y", random_vector(5, 54));
         i.bind_vector("z", random_vector(5, 55));
         i.bind_vector("u", random_vector(12, 56));
@@ -499,8 +572,8 @@ fn the_dml_frontend_survives_mutated_scripts_and_agrees_with_the_host() {
         let kind = [Kind::Scalar, Kind::Cols, Kind::Rows][rng.below(3)];
         let expr = expression(&mut rng, kind, 4);
         let src = format!(
-            "X = read(\"X\"); B = read(\"B\"); S = read(\"S\"); y = read(\"y\"); z = read(\"z\")\n\
-             u = read(\"u\"); q = read(\"q\"); a = 0.75; b = -1.25\n\
+            "X = read(\"X\"); B = read(\"B\"); S = read(\"S\"); E = read(\"E\"); F = read(\"F\")\n\
+             y = read(\"y\"); z = read(\"z\"); u = read(\"u\"); q = read(\"q\"); a = 0.75; b = -1.25\n\
              w = {expr}\n\
              write(w, \"w\")"
         );
