@@ -989,8 +989,9 @@ fn device_error(line: usize) -> impl Fn(DeviceError) -> ScriptError + Copy {
     }
 }
 
-/// The `i`th name of a slot table, or the error of an expression that
-/// needs more operands than the table names.
+/// The `i`th name of a slot table, or an error past its end. `lower`
+/// splits every combination that would bind more operands than the
+/// tables name, so no emitted DAG reaches the error.
 fn slot(table: &[&'static str], i: usize, line: usize) -> Result<&'static str, ScriptError> {
     table.get(i).copied().ok_or_else(|| ScriptError {
         line,
